@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 KINDS = ("simulate", "chain", "fig3", "fig4", "fig5", "fig6", "fig7", "validate")
+# kinds built on the reversal closed forms, which hold for gamma == 1 only
+_CLOSED_FORM_KINDS = ("chain", "fig3", "fig4", "fig5", "fig6")
 
 _DEFAULT_SWEEPS = {
     "fig3": (1.0, 10.0, 100.0, 1000.0),
@@ -174,8 +176,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     chain = _build_dataclass(ChainSettings, merged["chain"], "chain")
     if chain.mode not in ("exact", "approx"):
         raise ConfigError(f"chain.mode: expected 'exact' or 'approx', got {chain.mode!r}")
+    if isinstance(chain.n_steps, bool) or not isinstance(chain.n_steps, int):
+        raise ConfigError(f"chain.n_steps: expected an integer, got {chain.n_steps!r}")
     if chain.n_steps < 1:
         raise ConfigError(f"chain.n_steps: must be >= 1, got {chain.n_steps}")
+    f0 = chain.f0_over_fc
+    if isinstance(f0, bool) or not isinstance(f0, (int, float)) or not -1.0 <= f0 < 0.0:
+        raise ConfigError(f"chain.f0_over_fc: expected a number in [-1, 0), got {f0!r}")
+    if kind in _CLOSED_FORM_KINDS and params.gamma != 1.0:
+        raise ConfigError(
+            f"params.gamma: kind {kind!r} uses closed forms that hold for gamma = 1 only, "
+            f"got {params.gamma}"
+        )
 
     sweep = merged["sweep"]
     if sweep is not None:

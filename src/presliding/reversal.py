@@ -12,11 +12,21 @@ The central objects are:
 - the energies: ``energy_antiderivative`` accumulates restoring-force work
   along the branch and ``potential_energy`` is the recoverable energy of a
   reversal state, bounded by ``potential_energy_bound``;
-- the next-reversal predictors: ``next_reversal_exact`` solves the energy
-  balance by bracketed bisection, ``next_reversal_approx`` uses the
-  linearized decay factor (two published variants, see below);
-- ``reversal_chain`` iterates predictor and branch map into the full
+- the next-reversal predictors: ``next_reversal_exact`` evaluates the
+  closed-form root of the energy balance, ``next_reversal_approx`` uses
+  the linearized decay factor (two published variants, see below);
+- ``reversal_chain`` iterates the half-cycle recursion into the full
   sequence of decaying half-cycle energies.
+
+With phi = |f_i|/f_c, the energy balance of a half-cycle reduces to the
+stiffness-free map phi -> q of the next force ratio,
+(1 - q)*exp(q) = (1 + phi)*exp(-phi), whose root is the principal
+Lambert W branch q = 1 + W0(-(1 + phi)*exp(-(1 + phi))) (Corless et al.,
+"On the Lambert W function", Adv. Comput. Math. 5, 1996). It is evaluated
+in its log form log1p(-q) + q = log1p(phi) - phi: W0 itself loses about
+eps/phi**2 of relative precision near its branch point -1/e, which the
+log form avoids. sigma and f_c only scale displacements and energies, so
+the sequence of reversal force ratios does not depend on sigma at all.
 
 The linearized predictor exists in two algebraic variants that disagree
 by a stiffness-ratio factor inside the denominator; the source material
@@ -55,6 +65,14 @@ __all__ = [
 # exponent of the slope correction in the linearized decay factor; a fixed
 # model constant, not a tunable
 SLOPE_EXPONENT = 0.6
+
+# below this |t|, log1p(t) - t cancels away more than eps/|t| of its value,
+# so it is summed from its Taylor series instead (six terms reach eps)
+_SERIES_CUTOFF = 1e-3
+_LOG1P_EXCESS_COEFFS = tuple((-1) ** (k + 1) / k for k in range(7, 1, -1))
+# a Halley step this small leaves an error of the order of its cube
+_HALLEY_STOP = 1e-6
+_HALLEY_MAX_ITER = 8
 
 ApproxForm = Literal["printed", "rederived"]
 
@@ -103,6 +121,52 @@ def _log_force_ratio(f_i: float, p: FrictionParams) -> float:
     return -math.log1p(-f_i / p.f_c)
 
 
+def _log1p_excess(t: float) -> float:
+    """log1p(t) - t for t > -1, with full relative precision near t = 0."""
+    if abs(t) < _SERIES_CUTOFF:
+        s = 0.0
+        for c in _LOG1P_EXCESS_COEFFS:
+            s = s * t + c
+        return t * t * s
+    return math.log1p(t) - t
+
+
+def _branch_x(s: float, p: FrictionParams) -> float:
+    # zero-crossing-frame displacement where the ascending branch
+    # f(x) = f_c*(1 - exp(-(sigma/f_c)*x)) carries the force s*f_c
+    return -(p.f_c / p.sigma) * math.log1p(-s)
+
+
+def _energy(phi: float, p: FrictionParams) -> float:
+    # recoverable energy of a reversal with force ratio phi = |f_i|/f_c
+    return (p.f_c**2 / p.sigma) * -_log1p_excess(phi)
+
+
+def _next_force_ratio(phi: float) -> float:
+    """Next reversal force ratio q from phi = |f_i|/f_c in (0, 1].
+
+    Solves log1p(-q) + q = log1p(phi) - phi, the log form of
+    q = 1 + W0(-(1 + phi)*exp(-(1 + phi))), by Halley's method. The start
+    phi/(1 + 2*phi/3) is the [1/1] Pade form of the small-phi series
+    q = phi - 2*phi**2/3 + 4*phi**3/9 - ...; it is within 1% of the root
+    on the whole domain, and within 4*phi**3/135 relative of it, so below
+    phi = 1e-6 it is already the root to rounding (and Halley's step would
+    underflow for phi below ~1e-154).
+    """
+    q = phi / (1.0 + phi * (2.0 / 3.0))
+    if phi < 1e-6:
+        return q
+    rhs = _log1p_excess(phi)
+    for _ in range(_HALLEY_MAX_ITER):
+        # h(q) = log1p(-q) + q - rhs has h' = -q/(1-q) and h'' = -1/(1-q)**2
+        h = _log1p_excess(-q) - rhs
+        step = 2.0 * q * (1.0 - q) * h / (2.0 * q * q + h)
+        q += step
+        if abs(step) <= _HALLEY_STOP * q:
+            return q
+    raise ConvergenceError(f"Halley iteration for the next force ratio stalled at phi={phi}")
+
+
 def zero_crossing(x_i: float, f_i: float, p: FrictionParams) -> float:
     """Displacement where the ascending branch from (x_i, f_i < 0) crosses zero force.
 
@@ -121,7 +185,7 @@ def reversal_coordinate(f_i: float, p: FrictionParams) -> float:
     """
     p.require_gamma_one()
     _check_reversal_force(f_i, p)
-    return (p.f_c / p.sigma) * _log_force_ratio(f_i, p)
+    return _branch_x(f_i / p.f_c, p)
 
 
 def energy_antiderivative(x: float, p: FrictionParams) -> float:
@@ -146,7 +210,7 @@ def potential_energy(f_i: float, p: FrictionParams) -> float:
     """
     p.require_gamma_one()
     _check_reversal_force(f_i, p, allow_zero=True)
-    return (p.f_c**2 / p.sigma) * (_log_force_ratio(f_i, p) - f_i / p.f_c)
+    return _energy(-f_i / p.f_c, p)
 
 
 def potential_energy_bound(p: FrictionParams) -> float:
@@ -173,48 +237,18 @@ def omega_approx(f_i: float, p: FrictionParams) -> OmegaApprox:
     return OmegaApprox(k_slope=k)
 
 
-def next_reversal_exact(f_i: float, p: FrictionParams, tol: float = 1e-12) -> float:
-    """Next reversal displacement from the energy balance, solved numerically.
+def next_reversal_exact(f_i: float, p: FrictionParams) -> float:
+    """Next reversal displacement from the energy balance, in closed form.
 
-    Finds the unique x > 0 (zero-crossing frame) where the work absorbed by
-    the ascending branch equals the potential energy released since the
+    Returns the unique x > 0 (zero-crossing frame) where the work absorbed
+    by the ascending branch equals the potential energy released since the
     last reversal: energy_antiderivative(x) == potential_energy(f_i). The
-    unknown appears both linearly and inside the exponential, so there is
-    no explicit solution; a bracket [0, x_hi] is grown geometrically until
-    the residual changes sign and then bisected until
-    |residual| < tol * potential_energy(f_i).
+    branch reaches that point with force q*f_c, where q is the Lambert W
+    root of the module docstring, so x = -(f_c/sigma)*ln(1 - q).
     """
     p.require_gamma_one()
     _check_reversal_force(f_i, p)
-    e_p = potential_energy(f_i, p)
-
-    def residual(x: float) -> float:
-        return energy_antiderivative(x, p) - e_p
-
-    x_hi = max(e_p / p.f_c, p.f_c / p.sigma)
-    for _ in range(200):
-        if residual(x_hi) > 0.0:
-            break
-        x_hi *= 2.0
-    else:
-        raise ConvergenceError(
-            f"could not bracket the next reversal for f_i={f_i}"
-        )
-
-    lo, hi = 0.0, x_hi
-    mid = 0.5 * (lo + hi)
-    for _ in range(256):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        r = residual(mid)
-        if abs(r) <= tol * e_p:
-            return mid
-        if r < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    return _branch_x(_next_force_ratio(-f_i / p.f_c), p)
 
 
 def next_reversal_approx(f_i: float, p: FrictionParams, *, form: ApproxForm) -> float:
@@ -272,14 +306,14 @@ def reversal_chain(
     n_steps: int,
     p: FrictionParams,
     mode: Literal["exact", "approx"] = "exact",
-    tol: float = 1e-12,
     approx_form: ApproxForm = "rederived",
 ) -> list[ReversalChainEntry]:
     """Iterate the half-cycle recursion from a seed reversal force f_0 < 0.
 
-    Each step maps the current reversal force to the next reversal
-    displacement (exact energy balance or the linearized predictor, per
-    `mode`) and evaluates the branch there for the next force. Descending
+    Each step maps the current reversal force ratio phi = |f_n|/f_c to the
+    next one: in "exact" mode by the closed-form map of the module
+    docstring, which does not involve sigma, in "approx" mode through the
+    linearized predictor and the branch force there. Descending
     half-cycles are handled by sign mirroring, so recorded forces
     alternate sign while their magnitudes decay strictly.
 
@@ -295,22 +329,25 @@ def reversal_chain(
         raise DomainError(f"unknown chain mode {mode!r}")
 
     entries: list[ReversalChainEntry] = []
-    f_signed = f_0
+    f_n = f_0
+    phi = -f_0 / p.f_c
+    e_p = _energy(phi, p)
     for n in range(n_steps):
-        f_up = -abs(f_signed)  # ascending-frame force of this half-cycle
-        e_p_n = potential_energy(f_up, p)
-        x_frame = reversal_coordinate(f_up, p)
-        x_n = x_frame if f_signed < 0.0 else -x_frame
         if mode == "exact":
-            x_next = next_reversal_exact(f_up, p, tol=tol)
+            phi_next = _next_force_ratio(phi)
         else:
+            f_up = -phi * p.f_c  # ascending-frame force of this half-cycle
             x_next = next_reversal_approx(f_up, p, form=approx_form)
-        f_next_mag = next_reversal_force(x_next, f_up, p)
-        e_p_next = potential_energy(-f_next_mag, p)
+            phi_next = next_reversal_force(x_next, f_up, p) / p.f_c
+        e_p_next = _energy(phi_next, p)
+        x_n = _branch_x(-phi, p)
         entries.append(
-            ReversalChainEntry(n=n, f_n=f_signed, x_n=x_n, e_p=e_p_n, e_d=e_p_n - e_p_next)
+            ReversalChainEntry(
+                n=n, f_n=f_n, x_n=x_n if f_n < 0.0 else -x_n, e_p=e_p, e_d=e_p - e_p_next
+            )
         )
-        f_signed = f_next_mag if f_signed < 0.0 else -f_next_mag
+        phi, e_p = phi_next, e_p_next
+        f_n = phi * p.f_c if f_n < 0.0 else -phi * p.f_c
     return entries
 
 

@@ -34,7 +34,7 @@ from .hysteresis import (
     reverse_branch,
     stop_spring_force,
 )
-from .oracle import derivative, integrate
+from .oracle import derivative, find_root, integrate
 from .oscillator import SimConfig, Trajectory, restoring_energy_between, simulate
 from .reversal import (
     next_reversal_approx,
@@ -222,6 +222,35 @@ def check_chain_vs_simulation(traj: Trajectory, n: int = 10) -> CheckResult:
     for entry, record in zip(chain, traj.reversals[:n]):
         worst = max(worst, abs(abs(entry.f_n) - abs(record.f_i)) / abs(record.f_i))
     return CheckResult("chain-vs-simulation", worst < 1e-3, worst, 1e-3)
+
+
+def check_exact_predictor_vs_oracle() -> CheckResult:
+    """Closed-form next reversal vs a bisection root of the energy balance.
+
+    The balance is written here from the branch definition alone: the
+    ascending branch f(x) = f_c*(1 - exp(-(sigma/f_c)*x)) in the
+    zero-crossing frame must absorb, from 0 to x, the work
+    E_p = (f_c^2/sigma)*(phi - ln(1 + phi)) it released between the
+    reversal x_i = -(f_c/sigma)*ln(1 + phi) and 0. Since f <= f_c, the
+    root lies in [E_p/f_c, E_p/f_c + f_c/sigma].
+    """
+    worst = 0.0
+    for ratio in (1.0, 10.0, 1000.0):
+        p = FrictionParams(f_c=1.0, sigma=ratio)
+        scale = p.f_c / p.sigma
+        for u in (1e-3, 1e-2) + FORCE_FRACTIONS:
+            e_p = p.f_c * scale * (u - math.log1p(u))
+            lo = e_p / p.f_c
+            x_ref = find_root(
+                lambda x: p.f_c * x + p.f_c * scale * math.expm1(-x / scale) - e_p,
+                lo, lo + scale, tol=1e-14 * lo,
+            )
+            rel = abs(next_reversal_exact(-u * p.f_c, p) - x_ref) / x_ref
+            worst = max(worst, rel)
+    return CheckResult(
+        "exact-predictor-vs-oracle", worst < 1e-10, worst, 1e-10,
+        detail="max relative deviation over force fractions 1e-3 to 1 and ratios 1 to 1000",
+    )
 
 
 def check_series_convergence() -> list[CheckResult]:
@@ -415,6 +444,7 @@ def run_all() -> ValidationReport:
     checks += check_energy_balance(trajs[1], "r100")
     checks.append(check_equal_areas(trajs[0]))
     checks.append(check_chain_vs_simulation(trajs[0]))
+    checks.append(check_exact_predictor_vs_oracle())
     checks += check_series_convergence()
     checks.append(check_monotone_decay(trajs))
     checks.append(check_reversal_frequency_trend(trajs))

@@ -75,6 +75,36 @@ def test_invalid_sim_rejected_at_parse_time():
         config_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "kind, override, path",
+    [
+        ("chain", "params.gamma=2", "params.gamma"),
+        ("fig3", "params.gamma=2", "params.gamma"),
+        ("fig4", "params.gamma=0.5", "params.gamma"),
+        ("fig5", "params.gamma=2", "params.gamma"),
+        ("fig6", "params.gamma=0", "params.gamma"),
+        ("chain", "chain.f0_over_fc=0.5", "chain.f0_over_fc"),
+        ("chain", "chain.f0_over_fc=0", "chain.f0_over_fc"),
+        ("chain", "chain.f0_over_fc=-1.5", "chain.f0_over_fc"),
+        ("chain", "chain.f0_over_fc=NaN", "chain.f0_over_fc"),
+        ("chain", "chain.n_steps=2.5", "chain.n_steps"),
+        ("fig6", "chain.n_steps=2.5", "chain.n_steps"),
+    ],
+)
+def test_closed_form_misuse_rejected_at_parse_time(tmp_path, capsys, kind, override, path):
+    out = tmp_path / "out"
+    assert main([kind, "--out", str(out), "--override", override]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:")
+    assert not out.exists()
+
+
+def test_simulation_kinds_accept_any_gamma():
+    for kind in ("simulate", "fig7"):
+        data = default_config(kind)
+        data["params"]["gamma"] = 0.5
+        assert config_from_dict(data).params.gamma == 0.5
+
+
 def test_overrides_nested_and_typed():
     data = default_config("fig3")
     apply_overrides(

@@ -1,10 +1,11 @@
 """Tests of the closed-form reversal calculus, cross-checked by the oracle."""
 
 import math
+from decimal import Context
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from presliding import (
@@ -26,8 +27,12 @@ from presliding import (
     reversal_coordinate,
     zero_crossing,
 )
-from presliding.reversal import write_chain_csv
-from presliding.validation import omega_envelope_deviation, OMEGA_ENVELOPE_BOUND
+from presliding.reversal import _next_force_ratio, write_chain_csv
+from presliding.validation import (
+    OMEGA_ENVELOPE_BOUND,
+    check_exact_predictor_vs_oracle,
+    omega_envelope_deviation,
+)
 
 P1 = FrictionParams(f_c=1.0, sigma=1.0)
 
@@ -225,7 +230,7 @@ def test_exact_predictor_residual_contract():
         for ratio in (1.0, 10.0, 1000.0):
             p = FrictionParams(1.0, ratio)
             e_p = potential_energy(-u, p)
-            x = next_reversal_exact(-u, p, tol=1e-12)
+            x = next_reversal_exact(-u, p)
             assert abs(energy_antiderivative(x, p) - e_p) < 1e-12 * e_p
 
 
@@ -239,6 +244,48 @@ def test_exact_predictor_matches_independent_bisection():
 
 def test_exact_predictor_vanishes_with_energy():
     assert next_reversal_exact(-1e-10, P1) < 1e-9
+
+
+@given(phi=st.floats(1e-6, 1.0))
+@example(phi=math.ldexp(1.0 + 0.25 * 2.0**-19, -19))
+def test_next_force_ratio_matches_oracle_root(phi):
+    # bisection on the log form log1p(-q) + q = log1p(phi) - phi; in double
+    # precision that residual cancels to ~eps/phi relative (1.6e-10 at
+    # phi = 1e-6), so it is evaluated with 40 significant digits. The
+    # explicit example puts phi just above a power of two and q just below
+    # it, where the two sides round on different grids and a plain log1p
+    # kernel misses the root by ~eps/phi
+    ctx = Context(prec=40)
+    one = ctx.create_decimal(1)
+    d_phi = ctx.create_decimal(phi)
+    rhs = ctx.subtract(ctx.ln(ctx.add(one, d_phi)), d_phi)
+
+    def residual(q):
+        d_q = ctx.create_decimal(q)
+        return float(ctx.subtract(ctx.add(ctx.ln(ctx.subtract(one, d_q)), d_q), rhs))
+
+    ref = find_root(residual, 0.0, math.nextafter(phi, 0.0), tol=1e-15 * phi)
+    assert _next_force_ratio(phi) == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def lambertw():
+    return pytest.importorskip("scipy.special").lambertw
+
+
+@given(phi=st.floats(1e-2, 1.0))
+def test_next_force_ratio_matches_lambert_w0(lambertw, phi):
+    # third route: W0 loses ~eps/phi**2 near its branch point -1/e, about
+    # 2e-12 relative at phi = 1e-2, so it is only compared from there up
+    z = -(1.0 + phi) * math.exp(-(1.0 + phi))
+    q_w = 1.0 + lambertw(z, 0).real
+    assert _next_force_ratio(phi) == pytest.approx(q_w, rel=1e-11, abs=0.0)
+
+
+def test_exact_predictor_oracle_check_passes():
+    result = check_exact_predictor_vs_oracle()
+    assert result.passed
+    assert result.measured < result.tolerance
 
 
 def test_approx_forms_agree_at_unity_ratio():
@@ -358,6 +405,14 @@ def test_chain_scale_invariance_across_ratios():
     for a, b in zip(c10, c1000):
         assert a.f_n == pytest.approx(b.f_n, rel=1e-9)
         assert a.e_p * 10.0 == pytest.approx(b.e_p * 1000.0, rel=1e-9)
+
+
+def test_chain_forces_bitwise_independent_of_sigma():
+    forces = [
+        [e.f_n for e in reversal_chain(-0.7, 30, FrictionParams(1.0, sigma))]
+        for sigma in (1.0, 10.0, 1000.0)
+    ]
+    assert forces[0] == forces[1] == forces[2]
 
 
 def test_chain_approx_mode_decays():
