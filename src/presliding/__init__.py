@@ -24,8 +24,6 @@ from .oscillator import (
     restoring_energy_between,
     simulate,
     step,
-    write_reversals_csv,
-    write_trajectory_csv,
 )
 from .reversal import (
     OmegaApprox,
@@ -40,7 +38,6 @@ from .reversal import (
     potential_energy_bound,
     reversal_chain,
     reversal_coordinate,
-    write_chain_csv,
     zero_crossing,
 )
 

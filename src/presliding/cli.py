@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,23 +30,27 @@ from typing import Optional, Sequence
 from ._csv import write_csv
 from .errors import ConfigError, DomainError
 from .figures import (
+    DEFAULT_SWEEPS,
     FIG7_README,
+    chain_table,
     fig3_table,
     fig4_table,
     fig5_tables,
     fig6_table,
     fig7_energy_magnitude,
     fig7_envelope,
+    params_for_ratio,
+    reversals_table,
+    trajectory_table,
 )
 from .hysteresis import FrictionParams
-from .oscillator import SimConfig, simulate, write_reversals_csv, write_trajectory_csv
-from .reversal import reversal_chain, write_chain_csv
+from .oscillator import SimConfig, simulate
+from .reversal import reversal_chain
 from .validation import AUDIT_HEADER, run_all
 
 __all__ = [
     "KINDS",
     "ExperimentConfig",
-    "SimSettings",
     "ChainSettings",
     "default_config",
     "load_config",
@@ -53,30 +58,19 @@ __all__ = [
     "main",
 ]
 
-KINDS = ("simulate", "chain", "fig3", "fig4", "fig5", "fig6", "fig7", "validate")
 # kinds built on the reversal closed forms, which hold for gamma == 1 only
 _CLOSED_FORM_KINDS = ("chain", "fig3", "fig4", "fig5", "fig6")
 
-_DEFAULT_SWEEPS = {
-    "fig3": (1.0, 10.0, 100.0, 1000.0),
-    "fig4": (1.0, 2.0, 8.0),
-    "fig5": (1.0, 1.5, 2.0),  # friction levels at fixed sigma
-    "fig6": (10.0, 100.0, 1000.0),
-    "fig7": (10.0, 100.0, 1000.0),
+# the `sim` section: every SimConfig field but params, at its CLI default
+_SIM_DEFAULTS = {
+    "x0": 0.0,
+    "v0": 0.5,
+    "f0": 0.0,
+    "dt": None,
+    "t_max": 200.0,
+    "max_reversals": 12,
+    "stop_energy": None,
 }
-
-
-@dataclass(frozen=True)
-class SimSettings:
-    """SimConfig fields exposed to experiment configs."""
-
-    x0: float = 0.0
-    v0: float = 0.5
-    f0: float = 0.0
-    dt: Optional[float] = None
-    t_max: float = 200.0
-    max_reversals: Optional[int] = 12
-    stop_energy: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,7 @@ class ExperimentConfig:
     kind: str
     params: FrictionParams
     sweep: Optional[tuple[float, ...]]
-    sim: SimSettings
+    sim: SimConfig  # its params are the unswept base params
     chain: ChainSettings
     output_dir: Path
 
@@ -105,8 +99,8 @@ def default_config(kind: str) -> dict:
     return {
         "kind": kind,
         "params": {"f_c": 1.0, "sigma": 1.0, "gamma": 1.0, "mass": 1.0},
-        "sweep": list(_DEFAULT_SWEEPS.get(kind, [])) or None,
-        "sim": dataclasses.asdict(SimSettings()),
+        "sweep": list(DEFAULT_SWEEPS.get(kind, [])) or None,
+        "sim": dict(_SIM_DEFAULTS),
         "chain": dataclasses.asdict(ChainSettings()),
         "output_dir": "out",
     }
@@ -142,13 +136,14 @@ def apply_overrides(data: dict, overrides: Sequence[str]) -> dict:
     return data
 
 
-def _build_dataclass(cls, data: dict, path: str):
-    known = {f.name for f in dataclasses.fields(cls)}
+def _build_dataclass(cls, data: dict, path: str, **fixed):
+    """cls(**data, **fixed); the fixed fields are not config fields."""
+    known = {f.name for f in dataclasses.fields(cls)} - set(fixed)
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
     try:
-        return cls(**data)
+        return cls(**data, **fixed)
     except (ConfigError, DomainError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -172,7 +167,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown top-level field(s) {sorted(data)}")
 
     params = _build_dataclass(FrictionParams, merged["params"], "params")
-    sim = _build_dataclass(SimSettings, merged["sim"], "sim")
+    sim = _build_dataclass(SimConfig, merged["sim"], "sim", params=params)
     chain = _build_dataclass(ChainSettings, merged["chain"], "chain")
     if chain.mode not in ("exact", "approx"):
         raise ConfigError(f"chain.mode: expected 'exact' or 'approx', got {chain.mode!r}")
@@ -190,6 +185,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         )
 
     sweep = merged["sweep"]
+    if sweep is None and kind in DEFAULT_SWEEPS:
+        raise ConfigError(f"sweep: kind {kind!r} needs a list of values")
     if sweep is not None:
         if not isinstance(sweep, (list, tuple)):
             raise ConfigError(f"sweep: expected a list, got {sweep!r}")
@@ -199,11 +196,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             sweep = tuple(float(v) for v in sweep)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sweep: {exc}") from exc
-        if any(v <= 0 for v in sweep):
-            raise ConfigError("sweep: entries must be positive")
-
-    # fail on invalid sim settings now, not mid-run
-    _sim_config(params, sim, path="sim")
+        if not all(0 < v < math.inf for v in sweep):
+            raise ConfigError("sweep: entries must be positive and finite")
 
     return ExperimentConfig(
         kind=kind,
@@ -245,33 +239,11 @@ def load_config(
     return config_from_dict(data)
 
 
-def _sim_config(params: FrictionParams, sim: SimSettings, path: str = "sim") -> SimConfig:
-    try:
-        return SimConfig(
-            params=params,
-            x0=sim.x0,
-            v0=sim.v0,
-            f0=sim.f0,
-            dt=sim.dt,
-            t_max=sim.t_max,
-            max_reversals=sim.max_reversals,
-            stop_energy=sim.stop_energy,
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _ratio_params(cfg: ExperimentConfig, ratio: float) -> FrictionParams:
-    return FrictionParams(
-        f_c=cfg.params.f_c,
-        sigma=ratio * cfg.params.f_c,
-        gamma=cfg.params.gamma,
-        mass=cfg.params.mass,
-    )
-
-
-def _suffix(ratio: Optional[float]) -> str:
-    return "" if ratio is None else f"_ratio{ratio:g}"
+def _sweep_runs(cfg: ExperimentConfig) -> list[tuple[str, FrictionParams]]:
+    """(file-name suffix, params) per sweep ratio; the base params without a sweep."""
+    if cfg.sweep is None:
+        return [("", cfg.params)]
+    return [(f"_ratio{r:g}", params_for_ratio(cfg.params, r)) for r in cfg.sweep]
 
 
 class _Collector:
@@ -282,23 +254,14 @@ class _Collector:
         out_dir.mkdir(parents=True, exist_ok=True)
         self.entries: list[tuple[str, int]] = []
 
-    def csv(self, name: str, header: Sequence[str], rows) -> Path:
-        path = self.out_dir / name
-        n = write_csv(path, header, rows)
+    def csv(self, name: str, header: Sequence[str], rows) -> None:
+        n = write_csv(self.out_dir / name, header, rows)
         self.entries.append((name, n))
-        return path
 
-    def csv_via(self, name: str, writer, *args) -> Path:
-        path = self.out_dir / name
-        n = writer(*args, path)
-        self.entries.append((name, n))
-        return path
-
-    def text(self, name: str, content: str) -> Path:
+    def text(self, name: str, content: str) -> None:
         path = self.out_dir / name
         path.write_text(content, encoding="utf-8", newline="\n")
         self.entries.append((name, 0))
-        return path
 
     def finish(self) -> list[Path]:
         lines = ["filename,rows,sha256"]
@@ -310,83 +273,78 @@ class _Collector:
         return [self.out_dir / name for name, _ in self.entries] + [manifest]
 
 
+# A runner writes one kind's files into the collector and returns the
+# exit code; None stands for 0.
+
+
+def _run_simulate(cfg: ExperimentConfig, out: _Collector) -> None:
+    for sfx, p in _sweep_runs(cfg):
+        traj = simulate(dataclasses.replace(cfg.sim, params=p))
+        out.csv(f"trajectory{sfx}.csv", *trajectory_table(traj))
+        out.csv(f"reversals{sfx}.csv", *reversals_table(traj))
+
+
+def _run_chain(cfg: ExperimentConfig, out: _Collector) -> None:
+    c = cfg.chain
+    for sfx, p in _sweep_runs(cfg):
+        entries = reversal_chain(c.f0_over_fc * p.f_c, c.n_steps, p, mode=c.mode)
+        out.csv(f"chain{sfx}.csv", *chain_table(entries))
+
+
+def _run_fig5(cfg: ExperimentConfig, out: _Collector) -> None:
+    for name, header, rows in fig5_tables(cfg.params, cfg.sweep):
+        out.csv(name, header, rows)
+
+
+def _run_fig7(cfg: ExperimentConfig, out: _Collector) -> None:
+    for sfx, p in _sweep_runs(cfg):
+        traj = simulate(dataclasses.replace(cfg.sim, params=p))
+        out.csv(f"fig7_traj{sfx}.csv", *fig7_energy_magnitude(traj))
+        out.csv(f"fig7_envelope{sfx}.csv", *fig7_envelope(traj))
+    out.text("README.txt", FIG7_README)
+
+
+def _run_validate(cfg: ExperimentConfig, out: _Collector) -> int:
+    report = run_all()
+    out.csv(
+        "validation_report.csv",
+        ["check", "status", "measured", "tolerance", "detail"],
+        (
+            (c.name, "pass" if c.passed else "FAIL", c.measured, c.tolerance, c.detail)
+            for c in report.checks
+        ),
+    )
+    out.csv("approx_audit.csv", AUDIT_HEADER, report.audit_rows)
+    for c in report.checks:
+        status = "pass" if c.passed else "FAIL"
+        print(
+            f"[{status}] {c.name}: measured={c.measured:.6g} "
+            f"tolerance={c.tolerance:.6g}"
+            + (f" ({c.detail})" if c.detail else "")
+        )
+    return 0 if report.all_passed else 1
+
+
+_RUNNERS = {
+    "simulate": _run_simulate,
+    "chain": _run_chain,
+    "fig3": lambda cfg, out: out.csv("fig3.csv", *fig3_table(cfg.params, cfg.sweep)),
+    "fig4": lambda cfg, out: out.csv("fig4.csv", *fig4_table(cfg.params, cfg.sweep)),
+    "fig5": _run_fig5,
+    "fig6": lambda cfg, out: out.csv(
+        "fig6.csv", *fig6_table(cfg.params, cfg.sweep, cfg.chain.n_steps, cfg.chain.mode)
+    ),
+    "fig7": _run_fig7,
+    "validate": _run_validate,
+}
+KINDS = tuple(_RUNNERS)
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     """Execute one experiment config; returns (exit_code, written_paths)."""
     out = _Collector(cfg.output_dir)
-    code = 0
-
-    if cfg.kind == "simulate":
-        ratios = cfg.sweep or (None,)
-        for ratio in ratios:
-            p = cfg.params if ratio is None else _ratio_params(cfg, ratio)
-            traj = simulate(_sim_config(p, cfg.sim))
-            sfx = _suffix(ratio)
-            out.csv_via(f"trajectory{sfx}.csv", write_trajectory_csv, traj)
-            out.csv_via(f"reversals{sfx}.csv", write_reversals_csv, traj)
-
-    elif cfg.kind == "chain":
-        ratios = cfg.sweep or (None,)
-        for ratio in ratios:
-            p = cfg.params if ratio is None else _ratio_params(cfg, ratio)
-            entries = reversal_chain(
-                cfg.chain.f0_over_fc * p.f_c, cfg.chain.n_steps, p, mode=cfg.chain.mode
-            )
-            out.csv_via(f"chain{_suffix(ratio)}.csv", write_chain_csv, entries)
-
-    elif cfg.kind == "fig3":
-        header, rows = fig3_table(cfg.params, cfg.sweep)
-        out.csv("fig3.csv", header, rows)
-
-    elif cfg.kind == "fig4":
-        header, rows = fig4_table(cfg.params, cfg.sweep)
-        out.csv("fig4.csv", header, rows)
-
-    elif cfg.kind == "fig5":
-        for name, header, rows in fig5_tables(
-            cfg.params.sigma, cfg.sweep, mass=cfg.params.mass
-        ):
-            out.csv(name, header, rows)
-
-    elif cfg.kind == "fig6":
-        header, rows = fig6_table(cfg.params, cfg.sweep, cfg.chain.n_steps, cfg.chain.mode)
-        out.csv("fig6.csv", header, rows)
-
-    elif cfg.kind == "fig7":
-        for ratio in cfg.sweep:
-            p = _ratio_params(cfg, ratio)
-            traj = simulate(_sim_config(p, cfg.sim))
-            header, rows = fig7_energy_magnitude(traj)
-            out.csv(f"fig7_traj_ratio{ratio:g}.csv", header, rows)
-            header, rows = fig7_envelope(traj)
-            out.csv(f"fig7_envelope_ratio{ratio:g}.csv", header, rows)
-        out.text("README.txt", FIG7_README)
-
-    elif cfg.kind == "validate":
-        report = run_all()
-        out.csv(
-            "validation_report.csv",
-            ["check", "status", "measured", "tolerance", "detail"],
-            (
-                (c.name, "pass" if c.passed else "FAIL", c.measured, c.tolerance, c.detail)
-                for c in report.checks
-            ),
-        )
-        out.csv("approx_audit.csv", AUDIT_HEADER, report.audit_rows)
-        for c in report.checks:
-            status = "pass" if c.passed else "FAIL"
-            print(
-                f"[{status}] {c.name}: measured={c.measured:.6g} "
-                f"tolerance={c.tolerance:.6g}"
-                + (f" ({c.detail})" if c.detail else "")
-            )
-        if not report.all_passed:
-            code = 1
-
-    else:  # pragma: no cover - config_from_dict rejects unknown kinds
-        raise ConfigError(f"unknown kind {cfg.kind!r}")
-
-    paths = out.finish()
-    return code, paths
+    code = _RUNNERS[cfg.kind](cfg, out) or 0
+    return code, out.finish()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,14 +1,16 @@
-"""Builders for the CSV datasets behind the reference plots.
+"""Builders for every CSV table the CLI writes, and the grids behind them.
 
 Every builder returns plain (header, rows) pairs so the CLI can write
 them deterministically; nothing here touches the filesystem. Reversal
-forces on an ascending branch are negative; the tables store their
-normalized magnitude |F_i|/f_c, which is the axis the plots use.
+forces on an ascending branch are negative; the figure tables store
+their normalized magnitude |F_i|/f_c, which is the axis the plots use.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from .errors import DomainError
 from .hysteresis import FrictionParams
 from .oscillator import Trajectory
 from .reversal import (
+    ReversalChainEntry,
     next_reversal_approx,
     next_reversal_exact,
     next_reversal_force,
@@ -27,6 +30,12 @@ from .reversal import (
 )
 
 __all__ = [
+    "FORCE_FRACTIONS",
+    "DEFAULT_SWEEPS",
+    "params_for_ratio",
+    "trajectory_table",
+    "reversals_table",
+    "chain_table",
     "fig3_table",
     "fig4_table",
     "fig5_tables",
@@ -37,6 +46,16 @@ __all__ = [
 ]
 
 FORCE_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
+
+# default sweep of each kind that takes one: sigma/f_c ratios, except for
+# fig5, which sweeps the friction level f_c at fixed sigma
+DEFAULT_SWEEPS = {
+    "fig3": (1.0, 10.0, 100.0, 1000.0),
+    "fig4": (1.0, 2.0, 8.0),
+    "fig5": (1.0, 1.5, 2.0),
+    "fig6": (10.0, 100.0, 1000.0),
+    "fig7": (10.0, 100.0, 1000.0),
+}
 
 FIG7_README = """\
 fig7_traj_ratio<R>.csv
@@ -58,8 +77,30 @@ fig7_envelope_ratio<R>.csv
 """
 
 
-def _params_for_ratio(base: FrictionParams, ratio: float) -> FrictionParams:
-    return FrictionParams(f_c=base.f_c, sigma=ratio * base.f_c, gamma=1.0, mass=base.mass)
+def params_for_ratio(base: FrictionParams, ratio: float) -> FrictionParams:
+    """base with sigma set to ratio * f_c; f_c, gamma and mass are kept."""
+    return dataclasses.replace(base, sigma=ratio * base.f_c)
+
+
+def trajectory_table(traj: Trajectory) -> tuple[list[str], Iterator[tuple]]:
+    """Samples as t,x,v,F,E_k,E_f_cum; rows are generated lazily."""
+    m = traj.config.params.mass if traj.config is not None else 1.0
+    rows = (
+        (traj.t[i], traj.x[i], traj.v[i], traj.f[i], 0.5 * m * traj.v[i] ** 2, traj.e_f_cum[i])
+        for i in range(len(traj))
+    )
+    return ["t", "x", "v", "F", "E_k", "E_f_cum"], rows
+
+
+def reversals_table(traj: Trajectory) -> tuple[list[str], list[tuple]]:
+    """Reversal records as i,t_i,x_i,F_i,E_p,E_d_halfcycle."""
+    rows = [(r.index, r.t_i, r.x_i, r.f_i, r.e_p, r.e_d_halfcycle) for r in traj.reversals]
+    return ["i", "t_i", "x_i", "F_i", "E_p", "E_d_halfcycle"], rows
+
+
+def chain_table(entries: list[ReversalChainEntry]) -> tuple[list[str], list[tuple]]:
+    """A reversal chain as n,F_n,x_n,E_p,E_d."""
+    return ["n", "F_n", "x_n", "E_p", "E_d"], [(e.n, e.f_n, e.x_n, e.e_p, e.e_d) for e in entries]
 
 
 def fig3_table(
@@ -70,7 +111,7 @@ def fig3_table(
     rows = []
     grid = np.linspace(0.01, 1.0, n_points)
     for ratio in ratios:
-        p = _params_for_ratio(base, ratio)
+        p = params_for_ratio(base, ratio)
         for u in grid:
             rows.append((float(u), float(ratio), potential_energy(-u * p.f_c, p)))
     return header, rows
@@ -83,7 +124,7 @@ def fig4_table(
     header = ["ratio", "F_i_over_Fc", "x", "omega", "omega_star"]
     rows = []
     for ratio in ratios:
-        p = _params_for_ratio(base, ratio)
+        p = params_for_ratio(base, ratio)
         for u in fractions:
             f_i = -u * p.f_c
             x_next = next_reversal_exact(f_i, p)
@@ -94,14 +135,15 @@ def fig4_table(
 
 
 def fig5_tables(
-    sigma: float, f_c_values, mass: float = 1.0, n_x: int = 201
+    base: FrictionParams, f_c_values, n_x: int = 201
 ) -> list[tuple[str, list[str], list[tuple]]]:
     """Force-displacement curve of one half-cycle per friction level.
 
     The curve starts at a saturated reversal (force -f_c) and runs to the
     exactly predicted next reversal; a companion table records where the
     exact and both linearized predictors put that reversal. Degenerate
-    predictor points are stored as nan.
+    predictor points are stored as nan. base supplies sigma, gamma and
+    mass; each sweep entry replaces its f_c.
     """
     curve_header = ["F_c", "x", "F"]
     curve_rows = []
@@ -117,7 +159,7 @@ def fig5_tables(
     ]
     pred_rows = []
     for f_c in f_c_values:
-        p = FrictionParams(f_c=f_c, sigma=sigma, gamma=1.0, mass=mass)
+        p = dataclasses.replace(base, f_c=f_c)
         f_i = -p.f_c
         x_i = reversal_coordinate(f_i, p)
         x_next = next_reversal_exact(f_i, p)
@@ -147,7 +189,7 @@ def fig6_table(
     header = ["ratio", "n", "F_n", "x_n", "E_p", "E_d"]
     rows = []
     for ratio in ratios:
-        p = _params_for_ratio(base, ratio)
+        p = params_for_ratio(base, ratio)
         for e in reversal_chain(-p.f_c, n_steps, p, mode=mode):
             rows.append((float(ratio), e.n, e.f_n, e.x_n, e.e_p, e.e_d))
     return header, rows

@@ -52,14 +52,14 @@ class FrictionParams:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.f_c > 0:
-            raise DomainError(f"f_c must be > 0, got {self.f_c}")
-        if not self.sigma > 0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
-        if not self.gamma >= 0:
-            raise DomainError(f"gamma must be >= 0, got {self.gamma}")
-        if not self.mass > 0:
-            raise DomainError(f"mass must be > 0, got {self.mass}")
+        if not 0 < self.f_c < math.inf:
+            raise DomainError(f"f_c must be finite and > 0, got {self.f_c}")
+        if not 0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not 0 <= self.gamma < math.inf:
+            raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not 0 < self.mass < math.inf:
+            raise DomainError(f"mass must be finite and > 0, got {self.mass}")
 
     @property
     def ratio(self) -> float:
@@ -127,12 +127,8 @@ def dahl_rate(f: float, v: float, p: FrictionParams) -> float:
             "integration step too large"
         )
     s = 1.0 if v > 0.0 else -1.0
-    base = 1.0 - (f / p.f_c) * s
-    if base >= 0.0:
-        return p.sigma * base**p.gamma
-    # unreachable under the |f| <= f_c precondition; kept as the defensive
-    # full differential form (magnitude to the gamma, times the sign)
-    return -p.sigma * (-base) ** p.gamma
+    # |f| <= f_c makes the rounded |f/f_c| at most 1, so the base is >= 0
+    return p.sigma * (1.0 - (f / p.f_c) * s) ** p.gamma
 
 
 def _check_branch(x: float, b: BranchState, f_c: float) -> None:

@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._csv import write_csv
 from .errors import ConfigError, ConvergenceError, DomainError, StepRejectionError
 from .hysteresis import FrictionParams, dahl_rate
 
@@ -38,8 +37,6 @@ __all__ = [
     "kinetic_energy",
     "restoring_energy_between",
     "peak_velocity_between_reversals",
-    "write_trajectory_csv",
-    "write_reversals_csv",
 ]
 
 # force may overshoot the saturation band by at most this relative amount
@@ -91,20 +88,23 @@ class SimConfig:
     stop_energy: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("x0", "v0", "f0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.v0 == 0.0:
             raise ConfigError("v0 must be nonzero (the motion starts mid-swing)")
         if abs(self.f0) > self.params.f_c:
             raise ConfigError(
                 f"|f0|={abs(self.f0)} exceeds the friction level f_c={self.params.f_c}"
             )
-        if self.dt is not None and not self.dt > 0.0:
-            raise ConfigError(f"dt must be > 0, got {self.dt}")
-        if not self.t_max > 0.0:
-            raise ConfigError(f"t_max must be > 0, got {self.t_max}")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
+        if not 0.0 < self.t_max < math.inf:
+            raise ConfigError(f"t_max must be finite and > 0, got {self.t_max}")
         if self.max_reversals is not None and self.max_reversals < 1:
             raise ConfigError(f"max_reversals must be >= 1, got {self.max_reversals}")
-        if self.stop_energy is not None and self.stop_energy < 0.0:
-            raise ConfigError(f"stop_energy must be >= 0, got {self.stop_energy}")
+        if self.stop_energy is not None and not 0.0 <= self.stop_energy < math.inf:
+            raise ConfigError(f"stop_energy must be finite and >= 0, got {self.stop_energy}")
 
     def effective_dt(self) -> float:
         if self.dt is not None:
@@ -146,8 +146,7 @@ class Trajectory:
     """Ordered simulation samples plus the completed reversal records.
 
     Samples are stored as parallel arrays (t, x, v, f, e_f_cum), strictly
-    increasing in t; `state(i)` reassembles sample i as an OscState.
-    Immutable by convention after simulate() returns.
+    increasing in t. Immutable by convention after simulate() returns.
     """
 
     t: np.ndarray
@@ -160,12 +159,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def state(self, i: int) -> OscState:
-        return OscState(
-            float(self.t[i]), float(self.x[i]), float(self.v[i]),
-            float(self.f[i]), float(self.e_f_cum[i]),
-        )
 
 
 def _rk4(s: OscState, dt: float, p: FrictionParams) -> tuple[float, float, float, float]:
@@ -367,21 +360,3 @@ def peak_velocity_between_reversals(traj: Trajectory, i: int) -> tuple[float, fl
     k = idx[np.argmax(np.abs(traj.v[idx]))]
     return float(traj.t[k]), float(traj.v[k])
 
-
-def write_trajectory_csv(traj: Trajectory, path) -> int:
-    """Serialize samples as t,x,v,F,E_k,E_f_cum; returns the data row count."""
-    m = traj.config.params.mass if traj.config is not None else 1.0
-    rows = (
-        (traj.t[i], traj.x[i], traj.v[i], traj.f[i], 0.5 * m * traj.v[i] ** 2, traj.e_f_cum[i])
-        for i in range(len(traj))
-    )
-    return write_csv(path, ["t", "x", "v", "F", "E_k", "E_f_cum"], rows)
-
-
-def write_reversals_csv(traj: Trajectory, path) -> int:
-    """Serialize reversal records as i,t_i,x_i,F_i,E_p,E_d_halfcycle."""
-    rows = (
-        (r.index, r.t_i, r.x_i, r.f_i, r.e_p, r.e_d_halfcycle)
-        for r in traj.reversals
-    )
-    return write_csv(path, ["i", "t_i", "x_i", "F_i", "E_p", "E_d_halfcycle"], rows)

@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from ._csv import write_csv
 from .errors import ConvergenceError, DomainError
 from .hysteresis import FrictionParams
 
@@ -59,7 +58,6 @@ __all__ = [
     "next_reversal_approx",
     "next_reversal_force",
     "reversal_chain",
-    "write_chain_csv",
 ]
 
 # exponent of the slope correction in the linearized decay factor; a fixed
@@ -350,11 +348,3 @@ def reversal_chain(
         f_n = phi * p.f_c if f_n < 0.0 else -phi * p.f_c
     return entries
 
-
-def write_chain_csv(entries: list[ReversalChainEntry], path) -> int:
-    """Serialize a reversal chain; returns the number of data rows."""
-    return write_csv(
-        path,
-        ["n", "F_n", "x_n", "E_p", "E_d"],
-        ((e.n, e.f_n, e.x_n, e.e_p, e.e_d) for e in entries),
-    )

@@ -3,32 +3,15 @@
 Each test prints a single pass/fail line (run `pytest -s tests/test_acceptance.py`
 to see them all). The standard runs behind the simulation criteria are the
 session fixtures from conftest: f_c = 1, m = 1, x0 = 0, v0 = 0.5, twelve
-completed reversals.
+completed reversals. Criteria 01-12 run the shared checks of
+presliding.validation, which `presliding validate` reports too, and pin
+the tolerance each criterion states.
 """
 
 import math
 
-import numpy as np
-import pytest
-
-from presliding import (
-    BranchState,
-    FrictionParams,
-    dahl_branch_force,
-    dahl_rate,
-    derivative,
-    integrate,
-    loop_dissipation,
-    potential_energy,
-    restoring_energy_between,
-    reversal_chain,
-    reversal_coordinate,
-    reverse_branch,
-    stop_spring_force,
-    LinearSpringParams,
-)
+from presliding import FrictionParams, potential_energy, validation
 from presliding.cli import config_from_dict, default_config, run_experiment
-from presliding.validation import approx_form_audit, APPROX_REDERIVED_BOUND
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -36,168 +19,102 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
+def report_checks(num: int, results, tolerances, ok: bool = True) -> None:
+    """Report shared validation checks, each judged at the stated tolerance.
+
+    A tolerance of None marks a check whose threshold is measured, not
+    stated (for example "better than the other form").
+    """
+    ok = ok and all(
+        r.passed and (tol is None or r.tolerance == tol)
+        for r, tol in zip(results, tolerances, strict=True)
+    )
+    detail = "; ".join(f"{r.name} {r.measured:.4g} vs {r.tolerance:.4g}" for r in results)
+    report(num, ok, detail)
+
+
 def test_c01_max_potential_energy():
     """E_p at a saturated reversal equals 0.3069*f_c^2/sigma to 5e-4 relative."""
-    worst = 0.0
-    for f_c, sigma in ((1.0, 1.0), (2.0, 5.0), (0.5, 40.0), (1.5, 1500.0)):
-        p = FrictionParams(f_c=f_c, sigma=sigma)
-        stated = 0.3069 * f_c**2 / sigma
-        worst = max(worst, abs(potential_energy(-f_c, p) - stated) / stated)
-    report(1, worst < 5e-4, f"max E_p vs 0.3069*f_c^2/sigma, rel dev {worst:.3e} < 5e-4")
+    result = validation.check_max_potential_energy()
+    # one more grid point than the shared check, at a large stiffness ratio
+    p = FrictionParams(f_c=1.5, sigma=1500.0)
+    stated = 0.3069 * p.f_c**2 / p.sigma
+    extra = abs(potential_energy(-p.f_c, p) - stated) / stated
+    report_checks(1, [result], [5e-4], ok=extra < 5e-4)
 
 
-def test_c02_quadrature_equivalence():
+def test_c02_quadrature_equivalence(monkeypatch):
     """Closed-form E_p vs adaptive quadrature of the branch, 40-point grid, 1e-8."""
-    worst = 0.0
-    n = 0
-    for ratio in (1.0, 10.0, 100.0, 1000.0):
-        p = FrictionParams(f_c=1.0, sigma=ratio)
-        for u in np.arange(0.1, 1.0001, 0.1):
-            f_i = -u * p.f_c
-            x_i = reversal_coordinate(f_i, p)
-            b = BranchState(x_rev=x_i, f_rev=f_i, direction=+1)
-            quad = integrate(lambda x: dahl_branch_force(x, b, p), x_i, 0.0, rel_tol=1e-12)
-            worst = max(worst, abs(potential_energy(f_i, p) + quad.value) / -quad.value)
-            n += 1
-    report(2, n == 40 and worst < 1e-8, f"E_p vs quadrature over {n} points, rel dev {worst:.3e} < 1e-8")
+    integrate = validation.integrate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(validation, "integrate", counted)
+    result = validation.check_quadrature_equivalence()
+    report_checks(2, [result], [1e-8], ok=len(calls) == 40)
 
 
 def test_c03_form_consistency():
     """Finite-difference slope of the branch matches the differential form, 1e-6."""
-    worst = 0.0
-    for ratio in (1.0, 10.0, 100.0):
-        p = FrictionParams(f_c=1.0, sigma=ratio)
-        b = BranchState(x_rev=0.0, f_rev=-p.f_c, direction=+1)
-        for f_target in np.linspace(-0.9, 0.9, 10):
-            x = (p.f_c / p.sigma) * math.log(2.0 / (1.0 - f_target))
-            fd = derivative(lambda q: dahl_branch_force(q, b, p), x)
-            model = dahl_rate(dahl_branch_force(x, b, p), +1.0, p)
-            worst = max(worst, abs(fd - model) / abs(model))
-    report(3, worst < 1e-6, f"branch slope vs rate on 10x3 grid, rel dev {worst:.3e} < 1e-6")
+    report_checks(3, [validation.check_form_consistency()], [1e-6])
 
 
 def test_c04_stop_spring_zero_dissipation():
     """Closed unsaturated linear-spring cycle dissipates nothing."""
-    sp = LinearSpringParams(k=2.0, f_c=1.0)
-    x_amp = 0.35
-    b_up = BranchState(0.0, -0.4, +1)
-    b_down = BranchState(x_amp, stop_spring_force(x_amp, b_up, sp), -1)
-    delta = abs(loop_dissipation(b_up, b_down, 0.0, x_amp, stop_spring_force, sp))
-    tol = 1e-10 * sp.k * x_amp**2
-    report(4, delta < tol, f"stop-spring loop area {delta:.3e} < {tol:.3e}")
+    result = validation.check_stop_spring_conservative()
+    report_checks(4, [result], [1e-10 * 2.0 * 0.35**2])
 
 
 def test_c05_clockwise_dissipation():
     """20 randomized admissible (closed) Dahl cycles all have positive area."""
-    rng = np.random.default_rng(20230901)
-    min_delta = math.inf
-    for _ in range(20):
-        f_c = float(rng.uniform(0.5, 2.0))
-        sigma = f_c * float(rng.uniform(1.0, 100.0))
-        p = FrictionParams(f_c=f_c, sigma=sigma)
-        c = float(rng.uniform(0.1, 0.95))
-        x_lo = float(rng.uniform(-1.0, 1.0))
-        x_hi = x_lo + (f_c / sigma) * math.log((1.0 + c) / (1.0 - c))
-        b_up = BranchState(x_lo, -c * f_c, +1)
-        b_down = reverse_branch(b_up, x_hi, p)
-        min_delta = min(
-            min_delta, loop_dissipation(b_up, b_down, x_lo, x_hi, dahl_branch_force, p)
-        )
-    report(5, min_delta > 0.0, f"min loop area over 20 cycles {min_delta:.3e} > 0")
+    report_checks(5, [validation.check_clockwise_dissipation(n_cycles=20)], [0.0])
 
 
 def test_c06_simulation_energy_balance(traj10, traj100):
     """Energy drift < 1e-6 relative over 10+ reversals; |v| < 1e-9 at reversals."""
-    worst_drift = 0.0
-    worst_v = 0.0
-    for traj in (traj10, traj100):
-        assert len(traj.reversals) >= 10
-        m = traj.config.params.mass
-        e0 = 0.5 * m * traj.config.v0**2
-        drift = np.max(np.abs(0.5 * m * traj.v**2 + traj.e_f_cum - e0)) / e0
-        worst_drift = max(worst_drift, float(drift))
-        for r in traj.reversals:
-            k = int(np.searchsorted(traj.t, r.t_i))
-            worst_v = max(worst_v, abs(float(traj.v[k])))
-    ok = worst_drift < 1e-6 and worst_v < 1e-9
-    report(6, ok, f"drift {worst_drift:.3e} < 1e-6, reversal |v| {worst_v:.3e} < 1e-9")
+    results = validation.check_energy_balance(traj10, "r10")
+    results += validation.check_energy_balance(traj100, "r100")
+    ok = all(len(t.reversals) >= 10 for t in (traj10, traj100))
+    report_checks(6, results, [1e-6, 1e-9] * 2, ok=ok)
 
 
 def test_c07_equal_areas(traj10, traj100):
     """Work integrals split at the force zero crossing cancel to 1e-5 of E_p."""
-    worst = 0.0
-    for traj in (traj10, traj100):
-        for i in range(len(traj.reversals) - 1):
-            r0, r1 = traj.reversals[i], traj.reversals[i + 1]
-            total = restoring_energy_between(traj, r0.t_i, r1.t_i)
-            worst = max(worst, abs(total) / r0.e_p)
-    report(7, worst < 1e-5, f"half-cycle work cancellation {worst:.3e} < 1e-5 of E_p")
+    results = [validation.check_equal_areas(t) for t in (traj10, traj100)]
+    report_checks(7, results, [1e-5] * 2)
 
 
 def test_c08_recursion_matches_simulation(traj10):
     """Exact-mode chain forces match simulated reversal forces, 1e-3, 10 reversals."""
-    p = traj10.config.params
-    chain = reversal_chain(-abs(traj10.reversals[0].f_i), 10, p, mode="exact")
-    worst = 0.0
-    for entry, rec in zip(chain, traj10.reversals[:10]):
-        worst = max(worst, abs(abs(entry.f_n) - abs(rec.f_i)) / abs(rec.f_i))
-    report(8, worst < 1e-3, f"chain vs simulated forces over 10 reversals, rel dev {worst:.3e} < 1e-3")
+    report_checks(8, [validation.check_chain_vs_simulation(traj10, n=10)], [1e-3])
 
 
 def test_c09_series_convergence():
     """Dissipation partial sums: monotone, bounded by E_p(0), 99% by N=18."""
-    p = FrictionParams(f_c=1.0, sigma=10.0)
-    chain = reversal_chain(-p.f_c, 60, p, mode="exact")
-    e_p0 = chain[0].e_p
-    partial = np.cumsum([e.e_d for e in chain])
-    monotone = bool(np.all(np.diff(partial) > 0.0))
-    bounded = bool(np.all(partial < e_p0))
-    frac = float(partial[18 - 1] / e_p0)
-    ok = monotone and bounded and frac >= 0.99
-    report(9, ok, f"monotone={monotone}, bounded={bounded}, {frac:.4%} of E_p(0) by N=18")
+    results = validation.check_series_convergence()
+    report_checks(9, results, [1.0, 0.99], ok=validation.SERIES_99PCT_STEPS == 18)
 
 
 def test_c10_monotone_decay_and_positivity(traj10, traj100, traj1000):
     """E_p(i+1) < E_p(i), |F_(i+1)| < |F_i|, E_p(i) > 0 in chains and simulations."""
-    ok = True
-    for ratio in (10.0, 100.0, 1000.0):
-        chain = reversal_chain(-1.0, 40, FrictionParams(1.0, ratio), mode="exact")
-        for a, b in zip(chain, chain[1:]):
-            ok = ok and b.e_p < a.e_p and abs(b.f_n) < abs(a.f_n)
-        ok = ok and all(e.e_p > 0.0 for e in chain)
-    for traj in (traj10, traj100, traj1000):
-        recs = traj.reversals
-        for a, b in zip(recs, recs[1:]):
-            ok = ok and b.e_p < a.e_p and abs(b.f_i) < abs(a.f_i)
-        ok = ok and all(r.e_p > 0.0 for r in recs)
-    report(10, ok, "strict decay of E_p and |F|, all E_p > 0 (3 chains x 40, 3 sims x 12)")
+    result = validation.check_monotone_decay([traj10, traj100, traj1000])
+    report_checks(10, [result], [0.0])
 
 
 def test_c11_reversal_frequency_trend(traj10, traj100, traj1000):
     """Mean inter-reversal time strictly decreases across sigma/f_c 10 -> 1000."""
-    means = []
-    for traj in (traj10, traj100, traj1000):
-        times = [r.t_i for r in traj.reversals]
-        means.append(float(np.mean(np.diff(times))))
-    ok = means[0] > means[1] > means[2]
-    report(11, ok, "mean inter-reversal times " + " > ".join(f"{m:.4f}" for m in means))
+    result = validation.check_reversal_frequency_trend([traj10, traj100, traj1000])
+    report_checks(11, [result], [None])
 
 
 def test_c12_approximation_audit():
     """Both predictor forms audited against the exact root; rederived bounded."""
-    rows, dev_printed, dev_rederived, n_degen = approx_form_audit()
-    ok = (
-        len(rows) == 30
-        and dev_rederived <= APPROX_REDERIVED_BOUND
-        and dev_rederived <= dev_printed
-        and math.isfinite(dev_printed)
-    )
-    report(
-        12,
-        ok,
-        f"rederived dev {dev_rederived:.4f} <= {APPROX_REDERIVED_BOUND} (frozen), "
-        f"printed dev {dev_printed:.4f} with {n_degen} degenerate points",
-    )
+    results, rows = validation.check_approx_forms()
+    ok = len(rows) == 30 and math.isfinite(results[1].measured)
+    report_checks(12, results, [validation.APPROX_REDERIVED_BOUND, None, None], ok=ok)
 
 
 def test_c13_determinism(tmp_path):

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from presliding import ConfigError, FrictionParams, SimConfig, simulate
+from presliding import ConfigError, DomainError, FrictionParams, SimConfig, simulate
 from presliding.cli import (
+    KINDS,
     ExperimentConfig,
     apply_overrides,
     config_from_dict,
@@ -16,6 +18,9 @@ from presliding.cli import (
     main,
     run_experiment,
 )
+from presliding.figures import fig3_table
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_kind(kind, out_dir, **top):
@@ -52,6 +57,11 @@ def test_unknown_fields_reported_with_path():
     data2["extra"] = 1
     with pytest.raises(ConfigError, match="extra"):
         config_from_dict(data2)
+    # the sim section holds every SimConfig field but params
+    data3 = default_config("simulate")
+    data3["sim"]["params"] = {"f_c": 1.0, "sigma": 1.0}
+    with pytest.raises(ConfigError, match=r"sim: unknown field\(s\) \['params'\]"):
+        config_from_dict(data3)
 
 
 def test_invalid_params_reported_with_path():
@@ -89,6 +99,23 @@ def test_invalid_sim_rejected_at_parse_time():
         ("chain", "chain.f0_over_fc=NaN", "chain.f0_over_fc"),
         ("chain", "chain.n_steps=2.5", "chain.n_steps"),
         ("fig6", "chain.n_steps=2.5", "chain.n_steps"),
+        ("simulate", "sim.v0=NaN", "sim"),
+        ("simulate", "sim.x0=Infinity", "sim"),
+        ("simulate", "sim.f0=NaN", "sim"),
+        ("simulate", "sim.dt=Infinity", "sim"),
+        ("simulate", "sim.t_max=Infinity", "sim"),
+        ("simulate", "sim.stop_energy=Infinity", "sim"),
+        ("simulate", "params.sigma=Infinity", "params"),
+        ("fig3", "params.f_c=Infinity", "params"),
+        ("fig7", "params.mass=Infinity", "params"),
+        ("chain", "sweep=[Infinity]", "sweep"),
+        ("fig3", "sweep=[Infinity]", "sweep"),
+        ("fig6", "sweep=[NaN]", "sweep"),
+        ("fig3", "sweep=null", "sweep"),
+        ("fig4", "sweep=null", "sweep"),
+        ("fig5", "sweep=null", "sweep"),
+        ("fig6", "sweep=null", "sweep"),
+        ("fig7", "sweep=null", "sweep"),
     ],
 )
 def test_closed_form_misuse_rejected_at_parse_time(tmp_path, capsys, kind, override, path):
@@ -163,6 +190,12 @@ def test_fig3_dataset(tmp_path):
     sub = table[table["ratio"] == 10.0]
     assert sub["F_i_over_Fc"][0] == pytest.approx(0.01)
     assert sub["F_i_over_Fc"][-1] == pytest.approx(1.0)
+
+
+def test_fig3_table_keeps_callers_gamma():
+    # the closed forms hold for gamma = 1 only; a builder must not swap it in
+    with pytest.raises(DomainError):
+        fig3_table(FrictionParams(1.0, 1.0, gamma=2.0), [10.0])
 
 
 def test_fig4_dataset(tmp_path):
@@ -254,6 +287,15 @@ def test_manifest_lists_every_file_with_true_digests(tmp_path):
         data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
         assert rows == len(data.splitlines()) - 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_config_manifest_matches_golden(tmp_path, kind):
+    """Each shipped config reproduces its recorded manifest byte for byte."""
+    cfg = load_config(kind, str(REPO / "configs" / f"{kind}.json"), [], str(tmp_path))
+    run_experiment(cfg)
+    golden = REPO / "tests" / "data" / "manifests" / f"{kind}.txt"
+    assert (tmp_path / "manifest.txt").read_bytes() == golden.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from presliding import (
     restoring_energy_between,
     simulate,
     step,
-    write_reversals_csv,
-    write_trajectory_csv,
 )
+from presliding._csv import write_csv
+from presliding.figures import reversals_table, trajectory_table
 
 P1 = FrictionParams(f_c=1.0, sigma=1.0)
 P10 = FrictionParams(f_c=1.0, sigma=10.0)
@@ -328,7 +328,7 @@ def test_peak_velocity_missing_index(traj10):
 
 def test_trajectory_csv(tmp_path, traj10):
     path = tmp_path / "traj.csv"
-    n = write_trajectory_csv(traj10, path)
+    n = write_csv(path, *trajectory_table(traj10))
     assert n == len(traj10)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,v,F,E_k,E_f_cum"
@@ -340,6 +340,6 @@ def test_trajectory_csv(tmp_path, traj10):
 
 def test_reversals_csv(tmp_path, traj10):
     path = tmp_path / "rev.csv"
-    n = write_reversals_csv(traj10, path)
+    n = write_csv(path, *reversals_table(traj10))
     assert n == len(traj10.reversals)
     assert path.read_text().splitlines()[0] == "i,t_i,x_i,F_i,E_p,E_d_halfcycle"

@@ -27,10 +27,15 @@ from presliding import (
     reversal_coordinate,
     zero_crossing,
 )
-from presliding.reversal import _next_force_ratio, write_chain_csv
+from presliding._csv import write_csv
+from presliding.figures import chain_table
+from presliding.reversal import _next_force_ratio
+from presliding import validation
+from presliding.reversal import OmegaApprox
 from presliding.validation import (
     OMEGA_ENVELOPE_BOUND,
     check_exact_predictor_vs_oracle,
+    check_omega_envelope,
     omega_envelope_deviation,
 )
 
@@ -214,6 +219,13 @@ def test_omega_envelope_frozen_bound():
 def test_omega_envelope_detects_tampered_exponent():
     # negative control: the 0.6 exponent is load-bearing
     assert omega_envelope_deviation(exponent=0.75) > OMEGA_ENVELOPE_BOUND
+
+
+def test_omega_envelope_check_fails_on_wrong_slope(monkeypatch):
+    # the slope construction is part of the check, not an assert that -O strips
+    assert check_omega_envelope().passed
+    monkeypatch.setattr(validation, "omega_approx", lambda f_i, p: OmegaApprox(k_slope=1.0))
+    assert not check_omega_envelope().passed
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +445,7 @@ def test_chain_validation():
 def test_chain_csv_roundtrip(tmp_path):
     chain = reversal_chain(-1.0, 5, P1)
     path = tmp_path / "chain.csv"
-    n = write_chain_csv(chain, path)
+    n = write_csv(path, *chain_table(chain))
     assert n == 5
     lines = path.read_text().splitlines()
     assert lines[0] == "n,F_n,x_n,E_p,E_d"
