@@ -12,23 +12,26 @@ identical configs produce byte-identical CSVs, and every run writes a
 manifest.txt listing filename, data row count and sha256 of each produced
 file.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.
+Exit codes: 0 success, 1 validation failure, 2 configuration error, 3 a
+run that failed (a step rejected, a solver that did not converge).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from ._csv import write_csv
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError, StepRejectionError
 from .figures import (
     DEFAULT_SWEEPS,
     FIG7_README,
@@ -136,12 +139,31 @@ def apply_overrides(data: dict, overrides: Sequence[str]) -> dict:
     return data
 
 
+@functools.cache
+def _numeric_fields(cls) -> dict[str, tuple[type, bool]]:
+    """Number fields of cls: name -> (float or int, whether None is allowed)."""
+    out = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        accepted = set(typing.get_args(hint)) or {hint}
+        kind = float if float in accepted else int if int in accepted else None
+        if kind is not None:
+            out[name] = (kind, type(None) in accepted)
+    return out
+
+
 def _build_dataclass(cls, data: dict, path: str, **fixed):
     """cls(**data, **fixed); the fixed fields are not config fields."""
     known = {f.name for f in dataclasses.fields(cls)} - set(fixed)
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
+    for name, (kind, nullable) in _numeric_fields(cls).items():
+        value = data.get(name)
+        if name not in data or (value is None and nullable):
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            expected = "a number" if kind is float else "an integer"
+            raise ConfigError(f"{path}.{name}: expected {expected}, got {value!r}")
     try:
         return cls(**data, **fixed)
     except (ConfigError, DomainError, TypeError) as exc:
@@ -171,13 +193,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     chain = _build_dataclass(ChainSettings, merged["chain"], "chain")
     if chain.mode not in ("exact", "approx"):
         raise ConfigError(f"chain.mode: expected 'exact' or 'approx', got {chain.mode!r}")
-    if isinstance(chain.n_steps, bool) or not isinstance(chain.n_steps, int):
-        raise ConfigError(f"chain.n_steps: expected an integer, got {chain.n_steps!r}")
     if chain.n_steps < 1:
         raise ConfigError(f"chain.n_steps: must be >= 1, got {chain.n_steps}")
-    f0 = chain.f0_over_fc
-    if isinstance(f0, bool) or not isinstance(f0, (int, float)) or not -1.0 <= f0 < 0.0:
-        raise ConfigError(f"chain.f0_over_fc: expected a number in [-1, 0), got {f0!r}")
+    if not -1.0 <= chain.f0_over_fc < 0.0:
+        raise ConfigError(
+            f"chain.f0_over_fc: expected a number in [-1, 0), got {chain.f0_over_fc!r}"
+        )
     if kind in _CLOSED_FORM_KINDS and params.gamma != 1.0:
         raise ConfigError(
             f"params.gamma: kind {kind!r} uses closed forms that hold for gamma = 1 only, "
@@ -372,7 +393,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    code, paths = run_experiment(cfg)
+    try:
+        code, paths = run_experiment(cfg)
+    except (StepRejectionError, ConvergenceError, DomainError) as exc:
+        print(f"run error: {cfg.kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     for path in paths:
         print(f"wrote {path}")
     return code

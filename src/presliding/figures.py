@@ -85,10 +85,8 @@ def params_for_ratio(base: FrictionParams, ratio: float) -> FrictionParams:
 def trajectory_table(traj: Trajectory) -> tuple[list[str], Iterator[tuple]]:
     """Samples as t,x,v,F,E_k,E_f_cum; rows are generated lazily."""
     m = traj.config.params.mass if traj.config is not None else 1.0
-    rows = (
-        (traj.t[i], traj.x[i], traj.v[i], traj.f[i], 0.5 * m * traj.v[i] ** 2, traj.e_f_cum[i])
-        for i in range(len(traj))
-    )
+    cols = [a.tolist() for a in (traj.t, traj.x, traj.v, traj.f, traj.e_f_cum)]
+    rows = ((t, x, v, f, 0.5 * m * v**2, e) for t, x, v, f, e in zip(*cols))
     return ["t", "x", "v", "F", "E_k", "E_f_cum"], rows
 
 
@@ -201,9 +199,7 @@ def fig7_energy_magnitude(traj: Trajectory) -> tuple[list[str], list[tuple]]:
     if traj.reversals:
         k = int(np.searchsorted(traj.t, traj.reversals[0].t_i))
         e_ref = float(traj.e_f_cum[k])
-    rows = [
-        (float(traj.t[i]), abs(float(traj.e_f_cum[i]) - e_ref)) for i in range(len(traj))
-    ]
+    rows = [(t, abs(e - e_ref)) for t, e in zip(traj.t.tolist(), traj.e_f_cum.tolist())]
     return ["t", "energy_magnitude"], rows
 
 

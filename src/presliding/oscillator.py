@@ -161,24 +161,42 @@ class Trajectory:
         return len(self.t)
 
 
-def _rk4(s: OscState, dt: float, p: FrictionParams) -> tuple[float, float, float, float]:
-    """One classical 4th-order step of (x, v, f, e_f); returns the raw new state."""
+def _advance(
+    x: float, v: float, f: float, e: float, h: float, p: FrictionParams
+) -> tuple[float, float, float, float]:
+    """One classical 4th-order step of (x, v, f, e_f) in plain floats, clamped as in step.
+
+    The right-hand side (v, -f/m, dahl_rate(f, v)*v, f*v) does not depend
+    on x, so only the v and f stages are formed.
+    """
     inv_m = 1.0 / p.mass
-
-    def rhs(x, v, f):
-        return v, -f * inv_m, dahl_rate(f, v, p) * v, f * v
-
-    k1 = rhs(s.x, s.v, s.f)
-    k2 = rhs(s.x + 0.5 * dt * k1[0], s.v + 0.5 * dt * k1[1], s.f + 0.5 * dt * k1[2])
-    k3 = rhs(s.x + 0.5 * dt * k2[0], s.v + 0.5 * dt * k2[1], s.f + 0.5 * dt * k2[2])
-    k4 = rhs(s.x + dt * k3[0], s.v + dt * k3[1], s.f + dt * k3[2])
-    c = dt / 6.0
-    return (
-        s.x + c * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        s.v + c * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        s.f + c * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        s.e_f_cum + c * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
-    )
+    hh = 0.5 * h
+    try:
+        r1 = dahl_rate(f, v, p) * v
+        v2, f2 = v + hh * (-f * inv_m), f + hh * r1
+        r2 = dahl_rate(f2, v2, p) * v2
+        v3, f3 = v + hh * (-f2 * inv_m), f + hh * r2
+        r3 = dahl_rate(f3, v3, p) * v3
+        v4, f4 = v + h * (-f3 * inv_m), f + h * r3
+        r4 = dahl_rate(f4, v4, p) * v4
+    except DomainError as exc:
+        raise StepRejectionError(
+            f"force escaped the band inside a step of dt={h}: {exc}"
+        ) from exc
+    c = h / 6.0
+    x_new = x + c * (v + 2.0 * v2 + 2.0 * v3 + v4)
+    v_new = v + c * (-f * inv_m + 2.0 * (-f2 * inv_m) + 2.0 * (-f3 * inv_m) + -f4 * inv_m)
+    f_new = f + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    e_new = e + c * (f * v + 2.0 * (f2 * v2) + 2.0 * (f3 * v3) + f4 * v4)
+    over = abs(f_new) - p.f_c
+    if over > 0.0:
+        if over > _CLAMP_REL_TOL * p.f_c:
+            raise StepRejectionError(
+                f"force overshoot {over} exceeds the clamp tolerance at dt={h}; "
+                f"reduce dt for sigma/f_c={p.ratio}"
+            )
+        f_new = math.copysign(p.f_c, f_new)
+    return x_new, v_new, f_new, e_new
 
 
 def step(s: OscState, dt: float, p: FrictionParams) -> OscState:
@@ -193,21 +211,7 @@ def step(s: OscState, dt: float, p: FrictionParams) -> OscState:
         raise DomainError(f"|f|={abs(s.f)} already outside the band f_c={p.f_c}")
     if not dt > 0.0:
         raise DomainError(f"dt must be > 0, got {dt}")
-    try:
-        x, v, f, e_f = _rk4(s, dt, p)
-    except DomainError as exc:
-        raise StepRejectionError(
-            f"force escaped the band inside a step of dt={dt}: {exc}"
-        ) from exc
-    over = abs(f) - p.f_c
-    if over > 0.0:
-        if over > _CLAMP_REL_TOL * p.f_c:
-            raise StepRejectionError(
-                f"force overshoot {over} exceeds the clamp tolerance at dt={dt}; "
-                f"reduce dt for sigma/f_c={p.ratio}"
-            )
-        f = math.copysign(p.f_c, f)
-    return OscState(s.t + dt, x, v, f, e_f)
+    return OscState(s.t + dt, *_advance(s.x, s.v, s.f, s.e_f_cum, dt, p))
 
 
 def locate_reversal(
@@ -255,13 +259,10 @@ def simulate(cfg: SimConfig) -> Trajectory:
     dt = cfg.effective_dt()
     tol_v = cfg.event_tol_v()
     stop_energy = cfg.effective_stop_energy()
+    t_max = cfg.t_max
 
-    state = OscState(0.0, cfg.x0, cfg.v0, cfg.f0, 0.0)
-    cols = {k: [getattr(state, k)] for k in ("t", "x", "v", "f", "e_f_cum")}
-
-    def record_sample(s: OscState) -> None:
-        for k in cols:
-            cols[k].append(getattr(s, k))
+    t, x, v, f, e = 0.0, cfg.x0, cfg.v0, cfg.f0, 0.0
+    ts, xs, vs, fs, es = [t], [x], [v], [f], [e]
 
     records: list[ReversalRecord] = []
     pending: Optional[tuple[int, float, float, float]] = None  # (index, t, x, f)
@@ -269,29 +270,36 @@ def simulate(cfg: SimConfig) -> Trajectory:
     direction = 1.0 if cfg.v0 > 0.0 else -1.0
     last_event_t = -math.inf
 
-    while state.t < cfg.t_max:
-        h = min(dt, cfg.t_max - state.t)
-        if state.t + h <= state.t:
+    while t < t_max:
+        h = min(dt, t_max - t)
+        t_new = t + h
+        if t_new <= t:
             break
-        new = step(state, h, p)
-        reversed_now = (new.v > 0.0 and direction < 0.0) or (
-            new.v < 0.0 and direction > 0.0
-        )
-        if not reversed_now:
-            record_sample(new)
-            state = new
-            v_peak = max(v_peak, abs(new.v))
+        x_new, v_new, f_new, e_new = _advance(x, v, f, e, h, p)
+        if not ((v_new > 0.0 and direction < 0.0) or (v_new < 0.0 and direction > 0.0)):
+            t, x, v, f, e = t_new, x_new, v_new, f_new, e_new
+            ts.append(t)
+            xs.append(x)
+            vs.append(v)
+            fs.append(f)
+            es.append(e)
+            v_peak = max(v_peak, abs(v))
             continue
 
-        s_rev = locate_reversal(state, new, p, tol_v)
+        s_rev = locate_reversal(
+            OscState(t, x, v, f, e), OscState(t_new, x_new, v_new, f_new, e_new), p, tol_v
+        )
         if s_rev.t <= last_event_t:
             raise StepRejectionError(
                 f"consecutive reversals inside one step at t={s_rev.t}; "
                 f"dt={dt} cannot resolve the oscillation"
             )
         last_event_t = s_rev.t
-        if s_rev.t > state.t:
-            record_sample(s_rev)
+        t_prev = t
+        t, x, v, f, e = s_rev.t, s_rev.x, s_rev.v, s_rev.f, s_rev.e_f_cum
+        if t > t_prev:
+            for col, value in zip((ts, xs, vs, fs, es), (t, x, v, f, e)):
+                col.append(value)
         done = False
         if pending is not None:
             idx, t_i, x_i, f_i = pending
@@ -303,24 +311,21 @@ def simulate(cfg: SimConfig) -> Trajectory:
             if e_p < stop_energy:
                 done = True
         if done:
-            state = s_rev
             break
         next_index = pending[0] + 1 if pending is not None else 0
         pending = (next_index, s_rev.t, s_rev.x, s_rev.f)
         v_peak = 0.0
         direction = -direction
-        state = s_rev
 
-    traj = Trajectory(
-        t=np.asarray(cols["t"]),
-        x=np.asarray(cols["x"]),
-        v=np.asarray(cols["v"]),
-        f=np.asarray(cols["f"]),
-        e_f_cum=np.asarray(cols["e_f_cum"]),
+    return Trajectory(
+        t=np.asarray(ts),
+        x=np.asarray(xs),
+        v=np.asarray(vs),
+        f=np.asarray(fs),
+        e_f_cum=np.asarray(es),
         reversals=records,
         config=cfg,
     )
-    return traj
 
 
 def kinetic_energy(s: OscState, p: FrictionParams) -> float:

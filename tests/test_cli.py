@@ -116,6 +116,13 @@ def test_invalid_sim_rejected_at_parse_time():
         ("fig5", "sweep=null", "sweep"),
         ("fig6", "sweep=null", "sweep"),
         ("fig7", "sweep=null", "sweep"),
+        ("simulate", 'sim.v0="abc"', "sim.v0"),
+        ("simulate", 'params.sigma="x"', "params.sigma"),
+        ("simulate", 'sim.max_reversals="3"', "sim.max_reversals"),
+        ("simulate", "sim.max_reversals=2.5", "sim.max_reversals"),
+        ("fig7", "params.gamma=true", "params.gamma"),
+        ("fig3", "params.f_c=null", "params.f_c"),
+        ("chain", 'chain.f0_over_fc="-0.5"', "chain.f0_over_fc"),
     ],
 )
 def test_closed_form_misuse_rejected_at_parse_time(tmp_path, capsys, kind, override, path):
@@ -310,6 +317,26 @@ def test_main_success(tmp_path, capsys):
 def test_main_config_error(tmp_path, capsys):
     assert main(["fig3", "--out", str(tmp_path), "--override", "sweep=[]"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # gamma < 1: the Dahl rate is not Lipschitz at saturation and the
+        # fixed-step force overshoots the band
+        ["params.gamma=0.5", "params.sigma=20"],
+        ["sim.dt=0.5", "params.sigma=1000"],
+    ],
+    ids=["gamma0.5", "dt_too_large"],
+)
+def test_main_runtime_error_exit_code(tmp_path, capsys, overrides):
+    args = ["simulate", "--out", str(tmp_path)]
+    for item in overrides:
+        args += ["--override", item]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run error: simulate: StepRejectionError: ")
+    assert err.count("\n") == 1
 
 
 def test_main_reads_config_file(tmp_path, capsys):

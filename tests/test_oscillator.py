@@ -11,6 +11,7 @@ from presliding import (
     DomainError,
     FrictionParams,
     OscState,
+    ReversalRecord,
     SimConfig,
     StepRejectionError,
     kinetic_energy,
@@ -252,6 +253,75 @@ def test_simulate_rescaled_mass_matches():
         assert b.t_i == pytest.approx(a.t_i * math.sqrt(2.0), rel=1e-6)
         assert b.x_i == pytest.approx(a.x_i, rel=1e-6)
         assert b.f_i == pytest.approx(a.f_i, rel=1e-6)
+
+
+def reference_simulate(cfg):
+    """simulate written over the public step/locate_reversal, one OscState per step."""
+    p = cfg.params
+    dt, tol_v, stop_energy = cfg.effective_dt(), cfg.event_tol_v(), cfg.effective_stop_energy()
+    state = OscState(0.0, cfg.x0, cfg.v0, cfg.f0, 0.0)
+    samples = [state]
+    records, pending, v_peak = [], None, 0.0
+    direction = 1.0 if cfg.v0 > 0.0 else -1.0
+    while state.t < cfg.t_max:
+        h = min(dt, cfg.t_max - state.t)
+        if state.t + h <= state.t:
+            break
+        new = step(state, h, p)
+        if not ((new.v > 0.0 and direction < 0.0) or (new.v < 0.0 and direction > 0.0)):
+            samples.append(new)
+            state = new
+            v_peak = max(v_peak, abs(new.v))
+            continue
+        s_rev = locate_reversal(state, new, p, tol_v)
+        if s_rev.t > state.t:
+            samples.append(s_rev)
+        state = s_rev
+        if pending is not None:
+            e_p = 0.5 * p.mass * v_peak**2
+            e_d = records[-1].e_p - e_p if records else 0.0
+            records.append(ReversalRecord(*pending, e_p, e_d))
+            if cfg.max_reversals is not None and len(records) >= cfg.max_reversals:
+                break
+            if e_p < stop_energy:
+                break
+        index = pending[0] + 1 if pending is not None else 0
+        pending = (index, s_rev.t, s_rev.x, s_rev.f)
+        v_peak = 0.0
+        direction = -direction
+    cols = {k: np.array([getattr(s, k) for s in samples]) for k in ("t", "x", "v", "f", "e_f_cum")}
+    return cols, records
+
+
+@pytest.mark.parametrize(
+    "params, sim, ends",
+    [
+        (FrictionParams(1.0, 10.0), {"v0": 0.5}, "reversals"),
+        (FrictionParams(1.0, 1000.0), {"v0": 0.5}, "reversals"),
+        (FrictionParams(1.0, 30.0, gamma=2.0), {"v0": 0.8}, "reversals"),
+        (FrictionParams(1.0, 10.0, mass=3.0), {"v0": -0.7, "x0": 0.2}, "reversals"),
+        (FrictionParams(2.0, 50.0), {"v0": 0.3, "f0": 0.9}, "reversals"),
+        (FrictionParams(1.0, 10.0), {"v0": 0.5, "t_max": 7.777, "max_reversals": None}, "t_max"),
+        (FrictionParams(1.0, 10.0), {"v0": 0.5, "stop_energy": 2e-3, "max_reversals": None},
+         "stop_energy"),
+    ],
+    ids=["ratio10", "ratio1000", "gamma2", "mass3", "f0", "t_max_mid_step", "stop_energy"],
+)
+def test_simulate_matches_per_state_reference_bitwise(params, sim, ends):
+    cfg = SimConfig(params=params, **{"x0": 0.0, "max_reversals": 8, "t_max": 200.0, **sim})
+    traj = simulate(cfg)
+    cols, records = reference_simulate(cfg)
+    for k, ref in cols.items():
+        assert getattr(traj, k).tobytes() == ref.tobytes(), k
+    assert traj.reversals == records
+    # each case stops the way its id says
+    if ends == "reversals":
+        assert len(records) == cfg.max_reversals
+    elif ends == "t_max":
+        assert traj.t[-1] == cfg.t_max
+        assert 0.0 < traj.t[-1] - traj.t[-2] < cfg.effective_dt()
+    else:
+        assert records[-1].e_p < cfg.stop_energy <= records[-2].e_p
 
 
 # ---------------------------------------------------------------------------
