@@ -13,7 +13,8 @@ manifest.txt listing filename, data row count and sha256 of each produced
 file.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error, 3 a
-run that failed (a step rejected, a solver that did not converge).
+run that failed (a step rejected, a solver that did not converge); a
+failed run deletes the files it wrote.
 """
 
 from __future__ import annotations
@@ -267,22 +268,51 @@ def _sweep_runs(cfg: ExperimentConfig) -> list[tuple[str, FrictionParams]]:
     return [(f"_ratio{r:g}", params_for_ratio(cfg.params, r)) for r in cfg.sweep]
 
 
+def _make_dirs(d: Path) -> list[Path]:
+    """Create d and its missing parents; returns those created, deepest first."""
+    try:
+        d.mkdir()
+    except FileNotFoundError:
+        created = _make_dirs(d.parent)
+        d.mkdir()
+        return [d, *created]
+    except FileExistsError:
+        if not d.is_dir():
+            raise
+        return []
+    return [d]
+
+
 class _Collector:
     """Writes output files and accumulates manifest entries."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
+        self.created = _make_dirs(out_dir)
         self.entries: list[tuple[str, int]] = []
+        self.written: list[Path] = []
 
     def csv(self, name: str, header: Sequence[str], rows) -> None:
-        n = write_csv(self.out_dir / name, header, rows)
+        path = self.out_dir / name
+        self.written.append(path)
+        n = write_csv(path, header, rows)
         self.entries.append((name, n))
 
     def text(self, name: str, content: str) -> None:
         path = self.out_dir / name
+        self.written.append(path)
         path.write_text(content, encoding="utf-8", newline="\n")
         self.entries.append((name, 0))
+
+    def discard(self) -> None:
+        """Delete what this run wrote, and the directories it created once empty."""
+        for path in self.written:
+            path.unlink(missing_ok=True)
+        for d in self.created:
+            try:
+                d.rmdir()
+            except OSError:  # not empty: it holds files this run did not write
+                break
 
     def finish(self) -> list[Path]:
         lines = ["filename,rows,sha256"]
@@ -362,9 +392,18 @@ KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
-    """Execute one experiment config; returns (exit_code, written_paths)."""
+    """Execute one experiment config; returns (exit_code, written_paths).
+
+    A run that raises leaves nothing behind: the files it wrote are
+    deleted, and so is each directory it created that is then empty,
+    before the error propagates.
+    """
     out = _Collector(cfg.output_dir)
-    code = _RUNNERS[cfg.kind](cfg, out) or 0
+    try:
+        code = _RUNNERS[cfg.kind](cfg, out) or 0
+    except BaseException:
+        out.discard()
+        raise
     return code, out.finish()
 
 

@@ -107,11 +107,11 @@ def fig3_table(
     """Recoverable reversal energy over a force grid, one series per ratio."""
     header = ["F_i_over_Fc", "ratio", "E_p"]
     rows = []
-    grid = np.linspace(0.01, 1.0, n_points)
+    grid = np.linspace(0.01, 1.0, n_points).tolist()
     for ratio in ratios:
         p = params_for_ratio(base, ratio)
         for u in grid:
-            rows.append((float(u), float(ratio), potential_energy(-u * p.f_c, p)))
+            rows.append((u, float(ratio), potential_energy(-u * p.f_c, p)))
     return header, rows
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, StepRejectionError
-from .hysteresis import FrictionParams, dahl_rate
+from .hysteresis import FrictionParams
 
 __all__ = [
     "OscState",
@@ -167,36 +167,66 @@ def _advance(
     """One classical 4th-order step of (x, v, f, e_f) in plain floats, clamped as in step.
 
     The right-hand side (v, -f/m, dahl_rate(f, v)*v, f*v) does not depend
-    on x, so only the v and f stages are formed.
+    on x, so only the v and f stages are formed. The stage rate is
+    dahl_rate(f_k, v_k)*v_k written inline with the same operation order
+    (a stage with v_k == 0 gets 0.0*v_k, a stage force outside the band
+    rejects the step); a test pins it bitwise to an RK4 over dahl_rate.
     """
+    f_c, sigma, gamma = p.f_c, p.sigma, p.gamma
     inv_m = 1.0 / p.mass
     hh = 0.5 * h
-    try:
-        r1 = dahl_rate(f, v, p) * v
-        v2, f2 = v + hh * (-f * inv_m), f + hh * r1
-        r2 = dahl_rate(f2, v2, p) * v2
-        v3, f3 = v + hh * (-f2 * inv_m), f + hh * r2
-        r3 = dahl_rate(f3, v3, p) * v3
-        v4, f4 = v + h * (-f3 * inv_m), f + h * r3
-        r4 = dahl_rate(f4, v4, p) * v4
-    except DomainError as exc:
-        raise StepRejectionError(
-            f"force escaped the band inside a step of dt={h}: {exc}"
-        ) from exc
+    if v == 0.0:
+        r1 = 0.0 * v
+    elif f > f_c or f < -f_c:
+        raise _band_escape(f, f_c, h)
+    else:
+        r1 = sigma * (1.0 - (f / f_c) * (1.0 if v > 0.0 else -1.0)) ** gamma * v
+    a1 = -f * inv_m
+    v2, f2 = v + hh * a1, f + hh * r1
+    if v2 == 0.0:
+        r2 = 0.0 * v2
+    elif f2 > f_c or f2 < -f_c:
+        raise _band_escape(f2, f_c, h)
+    else:
+        r2 = sigma * (1.0 - (f2 / f_c) * (1.0 if v2 > 0.0 else -1.0)) ** gamma * v2
+    a2 = -f2 * inv_m
+    v3, f3 = v + hh * a2, f + hh * r2
+    if v3 == 0.0:
+        r3 = 0.0 * v3
+    elif f3 > f_c or f3 < -f_c:
+        raise _band_escape(f3, f_c, h)
+    else:
+        r3 = sigma * (1.0 - (f3 / f_c) * (1.0 if v3 > 0.0 else -1.0)) ** gamma * v3
+    a3 = -f3 * inv_m
+    v4, f4 = v + h * a3, f + h * r3
+    if v4 == 0.0:
+        r4 = 0.0 * v4
+    elif f4 > f_c or f4 < -f_c:
+        raise _band_escape(f4, f_c, h)
+    else:
+        r4 = sigma * (1.0 - (f4 / f_c) * (1.0 if v4 > 0.0 else -1.0)) ** gamma * v4
     c = h / 6.0
     x_new = x + c * (v + 2.0 * v2 + 2.0 * v3 + v4)
-    v_new = v + c * (-f * inv_m + 2.0 * (-f2 * inv_m) + 2.0 * (-f3 * inv_m) + -f4 * inv_m)
+    v_new = v + c * (a1 + 2.0 * a2 + 2.0 * a3 + -f4 * inv_m)
     f_new = f + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
     e_new = e + c * (f * v + 2.0 * (f2 * v2) + 2.0 * (f3 * v3) + f4 * v4)
-    over = abs(f_new) - p.f_c
-    if over > 0.0:
-        if over > _CLAMP_REL_TOL * p.f_c:
+    if f_new > f_c or f_new < -f_c:
+        over = abs(f_new) - f_c
+        if over > _CLAMP_REL_TOL * f_c:
             raise StepRejectionError(
                 f"force overshoot {over} exceeds the clamp tolerance at dt={h}; "
                 f"reduce dt for sigma/f_c={p.ratio}"
             )
-        f_new = math.copysign(p.f_c, f_new)
+        f_new = math.copysign(f_c, f_new)
     return x_new, v_new, f_new, e_new
+
+
+def _band_escape(f: float, f_c: float, h: float) -> StepRejectionError:
+    """Rejection of a step whose stage force left the band (dahl_rate's wording)."""
+    return StepRejectionError(
+        f"force escaped the band inside a step of dt={h}: |f|={abs(f)} escaped the "
+        f"admissible band f_c={f_c}; integration step too large"
+    )
 
 
 def step(s: OscState, dt: float, p: FrictionParams) -> OscState:
@@ -266,24 +296,23 @@ def simulate(cfg: SimConfig) -> Trajectory:
 
     records: list[ReversalRecord] = []
     pending: Optional[tuple[int, float, float, float]] = None  # (index, t, x, f)
-    v_peak = 0.0
+    start = 1  # first sample of the current half-cycle, after its reversal sample
     direction = 1.0 if cfg.v0 > 0.0 else -1.0
     last_event_t = -math.inf
 
     while t < t_max:
-        h = min(dt, t_max - t)
+        h = t_max - t if t_max - t < dt else dt
         t_new = t + h
         if t_new <= t:
             break
         x_new, v_new, f_new, e_new = _advance(x, v, f, e, h, p)
-        if not ((v_new > 0.0 and direction < 0.0) or (v_new < 0.0 and direction > 0.0)):
+        if not v_new * direction < 0.0:
             t, x, v, f, e = t_new, x_new, v_new, f_new, e_new
             ts.append(t)
             xs.append(x)
             vs.append(v)
             fs.append(f)
             es.append(e)
-            v_peak = max(v_peak, abs(v))
             continue
 
         s_rev = locate_reversal(
@@ -295,11 +324,15 @@ def simulate(cfg: SimConfig) -> Trajectory:
                 f"dt={dt} cannot resolve the oscillation"
             )
         last_event_t = s_rev.t
+        # the peak speed of the half-cycle just closed; a reversal sample is
+        # not part of it, and a left-bracket reversal adds no sample
+        v_peak = max(map(abs, vs[start:]), default=0.0)
         t_prev = t
         t, x, v, f, e = s_rev.t, s_rev.x, s_rev.v, s_rev.f, s_rev.e_f_cum
         if t > t_prev:
             for col, value in zip((ts, xs, vs, fs, es), (t, x, v, f, e)):
                 col.append(value)
+        start = len(vs)
         done = False
         if pending is not None:
             idx, t_i, x_i, f_i = pending
@@ -314,7 +347,6 @@ def simulate(cfg: SimConfig) -> Trajectory:
             break
         next_index = pending[0] + 1 if pending is not None else 0
         pending = (next_index, s_rev.t, s_rev.x, s_rev.f)
-        v_peak = 0.0
         direction = -direction
 
     return Trajectory(

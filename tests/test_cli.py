@@ -205,6 +205,13 @@ def test_fig3_table_keeps_callers_gamma():
         fig3_table(FrictionParams(1.0, 1.0, gamma=2.0), [10.0])
 
 
+def test_fig3_rows_take_the_plain_float_path():
+    # write_csv formats a row of plain floats with one %-string; a numpy
+    # scalar in a cell sends the row through format_value instead
+    _, rows = fig3_table(FrictionParams(1.0, 1.0), [10, 100.0])
+    assert {tuple(map(type, row)) for row in rows} == {(float, float, float)}
+
+
 def test_fig4_dataset(tmp_path):
     run_kind("fig4", tmp_path)
     table = np.genfromtxt(tmp_path / "fig4.csv", delimiter=",", names=True)
@@ -337,6 +344,36 @@ def test_main_runtime_error_exit_code(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert err.startswith("run error: simulate: StepRejectionError: ")
     assert err.count("\n") == 1
+
+
+FAILING_RUNS = {
+    # fails on its first step
+    "dt_too_large": ["sim.dt=0.5", "params.sigma=1000"],
+    # writes the ratio-10 files, then fails on ratio 1000
+    "sweep_fails_late": ["sweep=[10,1000]", "sim.dt=0.02"],
+}
+
+
+@pytest.mark.parametrize("overrides", FAILING_RUNS.values(), ids=FAILING_RUNS.keys())
+def test_failed_run_leaves_no_files(tmp_path, capsys, overrides):
+    # the directories the run creates go too, once empty
+    out = tmp_path / "new" / "out"
+    args = ["simulate", "--out", str(out)]
+    for item in overrides:
+        args += ["--override", item]
+    assert main(args) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("overrides", FAILING_RUNS.values(), ids=FAILING_RUNS.keys())
+def test_failed_run_keeps_existing_directory(tmp_path, capsys, overrides):
+    (tmp_path / "notes.txt").write_text("kept")
+    args = ["simulate", "--out", str(tmp_path)]
+    for item in overrides:
+        args += ["--override", item]
+    assert main(args) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+    assert (tmp_path / "notes.txt").read_text() == "kept"
 
 
 def test_main_reads_config_file(tmp_path, capsys):

@@ -1,10 +1,14 @@
 """Tests of the oscillator integrator, event detection and energy accounting."""
 
+import ast
+import inspect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from presliding import (
     ConfigError,
@@ -14,6 +18,7 @@ from presliding import (
     ReversalRecord,
     SimConfig,
     StepRejectionError,
+    dahl_rate,
     kinetic_energy,
     locate_reversal,
     peak_velocity_between_reversals,
@@ -23,8 +28,10 @@ from presliding import (
     simulate,
     step,
 )
+import presliding.oscillator as oscillator_module
 from presliding._csv import write_csv
 from presliding.figures import reversals_table, trajectory_table
+from presliding.oscillator import _advance
 
 P1 = FrictionParams(f_c=1.0, sigma=1.0)
 P10 = FrictionParams(f_c=1.0, sigma=10.0)
@@ -103,6 +110,87 @@ def test_step_rejects_band_escape():
 def test_step_rejects_invalid_entry_state():
     with pytest.raises(DomainError):
         step(OscState(0.0, 0.0, 1.0, 1.5, 0.0), 1e-3, P1)
+
+
+def reference_advance(x, v, f, e, h, p):
+    """One RK4 step of (x, v, f, e_f) over hysteresis.dahl_rate, clamped at the band."""
+    inv_m = 1.0 / p.mass
+    hh = 0.5 * h
+    try:
+        r1 = dahl_rate(f, v, p) * v
+        v2, f2 = v + hh * (-f * inv_m), f + hh * r1
+        r2 = dahl_rate(f2, v2, p) * v2
+        v3, f3 = v + hh * (-f2 * inv_m), f + hh * r2
+        r3 = dahl_rate(f3, v3, p) * v3
+        v4, f4 = v + h * (-f3 * inv_m), f + h * r3
+        r4 = dahl_rate(f4, v4, p) * v4
+    except DomainError as exc:
+        raise StepRejectionError(f"force escaped the band inside a step of dt={h}: {exc}")
+    c = h / 6.0
+    x_new = x + c * (v + 2.0 * v2 + 2.0 * v3 + v4)
+    v_new = v + c * (-f * inv_m + 2.0 * (-f2 * inv_m) + 2.0 * (-f3 * inv_m) + -f4 * inv_m)
+    f_new = f + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    e_new = e + c * (f * v + 2.0 * (f2 * v2) + 2.0 * (f3 * v3) + f4 * v4)
+    over = abs(f_new) - p.f_c
+    if over > 0.0:
+        if over > 1e-12 * p.f_c:
+            raise StepRejectionError("overshoot")
+        f_new = math.copysign(p.f_c, f_new)
+    return x_new, v_new, f_new, e_new
+
+
+def _step_outcome(kernel, *args):
+    """Result bits of one step, or the rejection message."""
+    try:
+        return tuple(map(float.hex, kernel(*args)))
+    except StepRejectionError as exc:
+        return str(exc) if str(exc).startswith("force escaped") else "overshoot"
+
+
+@given(
+    gamma=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+    sigma=st.floats(0.5, 2000.0),
+    f_c=st.floats(0.1, 10.0),
+    mass=st.floats(0.1, 10.0),
+    u=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+    w=st.floats(-0.25, 1.0),
+    on_step_scale=st.booleans(),
+    k=st.floats(1e-3, 3.0),
+)
+def test_advance_matches_rk4_over_dahl_rate_bitwise(
+    gamma, sigma, f_c, mass, u, w, on_step_scale, k
+):
+    # the kernel writes the stage rate inline; no golden manifest has
+    # gamma != 1 in it, so this pins it to the public differential form.
+    # v on the scale of the step's velocity change h*f/m lets the stage
+    # velocities change sign or hit 0, and h up to 3 times the branch time
+    # scale sqrt(m*f_c/sigma) lets the stage forces leave the band, where
+    # both sides must reject the step alike
+    p = FrictionParams(f_c=f_c, sigma=sigma, gamma=gamma, mass=mass)
+    h = k * math.sqrt(mass * f_c / sigma)
+    v = w * h * u * f_c / mass if on_step_scale else 2.0 * w
+    args = (0.3, v, u * f_c, -0.2, h, p)
+    assert _step_outcome(_advance, *args) == _step_outcome(reference_advance, *args)
+
+
+def test_simulator_never_imports_closed_forms():
+    # the simulator agrees with the closed forms as evidence only if it
+    # never calls them: its package imports stay within errors and hysteresis
+    tree = ast.parse(inspect.getsource(oscillator_module))
+    internal = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            internal.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("presliding"):
+            internal.add(node.module.removeprefix("presliding."))
+        elif isinstance(node, ast.Import):
+            internal.update(
+                a.name.removeprefix("presliding.")
+                for a in node.names
+                if a.name.startswith("presliding")
+            )
+    assert internal == {"errors", "hysteresis"}
+    assert not internal & {"reversal", "figures", "validation"}
 
 
 def test_fourth_order_convergence():
@@ -293,23 +381,44 @@ def reference_simulate(cfg):
     return cols, records
 
 
+# v0 values (found by bisection on v0) where the full step right before
+# the second reversal lands within event_tol_v of zero velocity: on the
+# side before the sign change (locate_reversal returns its left bracket
+# and simulate appends no reversal sample), or one ulp of v0 away, after it
+V0_LEFT_BRACKET = 0.5363251089782544
+V0_RIGHT_BRACKET = 0.5363251089782543
+
+
 @pytest.mark.parametrize(
-    "params, sim, ends",
+    "params, sim, ends, bracket",
     [
-        (FrictionParams(1.0, 10.0), {"v0": 0.5}, "reversals"),
-        (FrictionParams(1.0, 1000.0), {"v0": 0.5}, "reversals"),
-        (FrictionParams(1.0, 30.0, gamma=2.0), {"v0": 0.8}, "reversals"),
-        (FrictionParams(1.0, 10.0, mass=3.0), {"v0": -0.7, "x0": 0.2}, "reversals"),
-        (FrictionParams(2.0, 50.0), {"v0": 0.3, "f0": 0.9}, "reversals"),
-        (FrictionParams(1.0, 10.0), {"v0": 0.5, "t_max": 7.777, "max_reversals": None}, "t_max"),
+        (FrictionParams(1.0, 10.0), {"v0": 0.5}, "reversals", None),
+        (FrictionParams(1.0, 1000.0), {"v0": 0.5}, "reversals", None),
+        (FrictionParams(1.0, 30.0, gamma=2.0), {"v0": 0.8}, "reversals", None),
+        (FrictionParams(1.0, 10.0, mass=3.0), {"v0": -0.7, "x0": 0.2}, "reversals", None),
+        (FrictionParams(2.0, 50.0), {"v0": 0.3, "f0": 0.9}, "reversals", None),
+        (FrictionParams(1.0, 10.0), {"v0": 0.5, "t_max": 7.777, "max_reversals": None},
+         "t_max", None),
         (FrictionParams(1.0, 10.0), {"v0": 0.5, "stop_energy": 2e-3, "max_reversals": None},
-         "stop_energy"),
+         "stop_energy", None),
+        (FrictionParams(1.0, 10.0), {"v0": V0_LEFT_BRACKET}, "reversals", "left"),
+        (FrictionParams(1.0, 10.0), {"v0": V0_RIGHT_BRACKET}, "reversals", "right"),
     ],
-    ids=["ratio10", "ratio1000", "gamma2", "mass3", "f0", "t_max_mid_step", "stop_energy"],
+    ids=["ratio10", "ratio1000", "gamma2", "mass3", "f0", "t_max_mid_step", "stop_energy",
+         "left_bracket", "right_bracket"],
 )
-def test_simulate_matches_per_state_reference_bitwise(params, sim, ends):
+def test_simulate_matches_per_state_reference_bitwise(monkeypatch, params, sim, ends, bracket):
+    returned = []  # per reversal: which bracket locate_reversal returned, if either
+
+    def spy(s_before, s_after, p, tol_v):
+        s_rev = locate_reversal(s_before, s_after, p, tol_v)
+        returned.append("left" if s_rev is s_before else "right" if s_rev is s_after else None)
+        return s_rev
+
+    monkeypatch.setattr(oscillator_module, "locate_reversal", spy)
     cfg = SimConfig(params=params, **{"x0": 0.0, "max_reversals": 8, "t_max": 200.0, **sim})
     traj = simulate(cfg)
+    assert [(i, b) for i, b in enumerate(returned) if b] == ([(1, bracket)] if bracket else [])
     cols, records = reference_simulate(cfg)
     for k, ref in cols.items():
         assert getattr(traj, k).tobytes() == ref.tobytes(), k
