@@ -1,8 +1,10 @@
-"""Deterministic CSV writing: 17 significant digits, LF endings, header row."""
+"""Deterministic CSV text: 17 significant digits, LF endings, header row.
+
+Tables are encoded in memory; the caller decides where the bytes go.
+"""
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Sequence
 
 # format_value's text of exact float, int and str cells, as %-specs
@@ -19,25 +21,20 @@ def format_value(v) -> str:
     return f"{float(v):.17g}"
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
-    """Write rows under a mandatory header; returns the data row count.
+def encode_csv(header: Sequence[str], rows: Iterable[Sequence]) -> tuple[bytes, int]:
+    """Encode rows under a mandatory header; returns (UTF-8 bytes, data row count).
 
-    A row of float, int and str cells is written with one %-string, built
+    A row of float, int and str cells is formatted with one %-string, built
     once per tuple of cell types; any other row goes through format_value.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     formats: dict[tuple, str] = {}  # cell types -> %-string of the row, "" for none
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            row = tuple(row)
-            key = tuple(map(type, row))
-            fmt = formats.get(key)
-            if fmt is None:
-                specs = [_SPECS.get(t) for t in key]
-                fmt = formats[key] = "" if None in specs else ",".join(specs) + "\n"
-            fh.write(fmt % row if fmt else ",".join(format_value(v) for v in row) + "\n")
-            n += 1
-    return n
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        row = tuple(row)
+        key = tuple(map(type, row))
+        fmt = formats.get(key)
+        if fmt is None:
+            specs = [_SPECS.get(t) for t in key]
+            fmt = formats[key] = "" if None in specs else ",".join(specs) + "\n"
+        lines.append(fmt % row if fmt else ",".join(format_value(v) for v in row) + "\n")
+    return "".join(lines).encode("utf-8"), len(lines) - 1

@@ -12,9 +12,12 @@ identical configs produce byte-identical CSVs, and every run writes a
 manifest.txt listing filename, data row count and sha256 of each produced
 file.
 
+A run builds its files in memory and writes them all once it has
+finished, manifest.txt last, so a run that fails writes nothing.
+
 Exit codes: 0 success, 1 validation failure, 2 configuration error, 3 a
-run that failed (a step rejected, a solver that did not converge); a
-failed run deletes the files it wrote.
+run that failed (a step rejected, a solver that did not converge, an
+output directory that cannot be written).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ._csv import write_csv
+from ._csv import encode_csv
 from .errors import ConfigError, ConvergenceError, DomainError, StepRejectionError
 from .figures import (
     DEFAULT_SWEEPS,
@@ -268,104 +271,67 @@ def _sweep_runs(cfg: ExperimentConfig) -> list[tuple[str, FrictionParams]]:
     return [(f"_ratio{r:g}", params_for_ratio(cfg.params, r)) for r in cfg.sweep]
 
 
-def _make_dirs(d: Path) -> list[Path]:
-    """Create d and its missing parents; returns those created, deepest first."""
-    try:
-        d.mkdir()
-    except FileNotFoundError:
-        created = _make_dirs(d.parent)
-        d.mkdir()
-        return [d, *created]
-    except FileExistsError:
-        if not d.is_dir():
-            raise
-        return []
-    return [d]
+def _commit(out_dir: Path, files: dict[str, tuple[bytes, int]]) -> list[Path]:
+    """Write a finished run's files into out_dir, manifest.txt last.
+
+    files maps each name to (bytes, data row count). Any old manifest goes
+    before the first write, so no manifest ever lists bytes it does not
+    describe. Returns the written paths, the manifest last.
+    """
+    lines = ["filename,rows,sha256"]
+    for name in sorted(files):
+        data, rows = files[name]
+        lines.append(f"{name},{rows},{hashlib.sha256(data).hexdigest()}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = out_dir / "manifest.txt"
+    manifest.unlink(missing_ok=True)
+    for name, (data, _) in files.items():
+        (out_dir / name).write_bytes(data)
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return [out_dir / name for name in files] + [manifest]
 
 
-class _Collector:
-    """Writes output files and accumulates manifest entries."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.created = _make_dirs(out_dir)
-        self.entries: list[tuple[str, int]] = []
-        self.written: list[Path] = []
-
-    def csv(self, name: str, header: Sequence[str], rows) -> None:
-        path = self.out_dir / name
-        self.written.append(path)
-        n = write_csv(path, header, rows)
-        self.entries.append((name, n))
-
-    def text(self, name: str, content: str) -> None:
-        path = self.out_dir / name
-        self.written.append(path)
-        path.write_text(content, encoding="utf-8", newline="\n")
-        self.entries.append((name, 0))
-
-    def discard(self) -> None:
-        """Delete what this run wrote, and the directories it created once empty."""
-        for path in self.written:
-            path.unlink(missing_ok=True)
-        for d in self.created:
-            try:
-                d.rmdir()
-            except OSError:  # not empty: it holds files this run did not write
-                break
-
-    def finish(self) -> list[Path]:
-        lines = ["filename,rows,sha256"]
-        for name, rows in sorted(self.entries):
-            digest = hashlib.sha256((self.out_dir / name).read_bytes()).hexdigest()
-            lines.append(f"{name},{rows},{digest}")
-        manifest = self.out_dir / "manifest.txt"
-        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        return [self.out_dir / name for name, _ in self.entries] + [manifest]
+# A runner puts one kind's files, name -> (bytes, data row count), into
+# `files` and returns the exit code; None stands for 0.
 
 
-# A runner writes one kind's files into the collector and returns the
-# exit code; None stands for 0.
-
-
-def _run_simulate(cfg: ExperimentConfig, out: _Collector) -> None:
+def _run_simulate(cfg: ExperimentConfig, files: dict) -> None:
     for sfx, p in _sweep_runs(cfg):
         traj = simulate(dataclasses.replace(cfg.sim, params=p))
-        out.csv(f"trajectory{sfx}.csv", *trajectory_table(traj))
-        out.csv(f"reversals{sfx}.csv", *reversals_table(traj))
+        files[f"trajectory{sfx}.csv"] = encode_csv(*trajectory_table(traj))
+        files[f"reversals{sfx}.csv"] = encode_csv(*reversals_table(traj))
 
 
-def _run_chain(cfg: ExperimentConfig, out: _Collector) -> None:
+def _run_chain(cfg: ExperimentConfig, files: dict) -> None:
     c = cfg.chain
     for sfx, p in _sweep_runs(cfg):
         entries = reversal_chain(c.f0_over_fc * p.f_c, c.n_steps, p, mode=c.mode)
-        out.csv(f"chain{sfx}.csv", *chain_table(entries))
+        files[f"chain{sfx}.csv"] = encode_csv(*chain_table(entries))
 
 
-def _run_fig5(cfg: ExperimentConfig, out: _Collector) -> None:
+def _run_fig5(cfg: ExperimentConfig, files: dict) -> None:
     for name, header, rows in fig5_tables(cfg.params, cfg.sweep):
-        out.csv(name, header, rows)
+        files[name] = encode_csv(header, rows)
 
 
-def _run_fig7(cfg: ExperimentConfig, out: _Collector) -> None:
+def _run_fig7(cfg: ExperimentConfig, files: dict) -> None:
     for sfx, p in _sweep_runs(cfg):
         traj = simulate(dataclasses.replace(cfg.sim, params=p))
-        out.csv(f"fig7_traj{sfx}.csv", *fig7_energy_magnitude(traj))
-        out.csv(f"fig7_envelope{sfx}.csv", *fig7_envelope(traj))
-    out.text("README.txt", FIG7_README)
+        files[f"fig7_traj{sfx}.csv"] = encode_csv(*fig7_energy_magnitude(traj))
+        files[f"fig7_envelope{sfx}.csv"] = encode_csv(*fig7_envelope(traj))
+    files["README.txt"] = (FIG7_README.encode("utf-8"), 0)
 
 
-def _run_validate(cfg: ExperimentConfig, out: _Collector) -> int:
+def _run_validate(cfg: ExperimentConfig, files: dict) -> int:
     report = run_all()
-    out.csv(
-        "validation_report.csv",
+    files["validation_report.csv"] = encode_csv(
         ["check", "status", "measured", "tolerance", "detail"],
         (
             (c.name, "pass" if c.passed else "FAIL", c.measured, c.tolerance, c.detail)
             for c in report.checks
         ),
     )
-    out.csv("approx_audit.csv", AUDIT_HEADER, report.audit_rows)
+    files["approx_audit.csv"] = encode_csv(AUDIT_HEADER, report.audit_rows)
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
         print(
@@ -379,11 +345,17 @@ def _run_validate(cfg: ExperimentConfig, out: _Collector) -> int:
 _RUNNERS = {
     "simulate": _run_simulate,
     "chain": _run_chain,
-    "fig3": lambda cfg, out: out.csv("fig3.csv", *fig3_table(cfg.params, cfg.sweep)),
-    "fig4": lambda cfg, out: out.csv("fig4.csv", *fig4_table(cfg.params, cfg.sweep)),
+    "fig3": lambda cfg, files: files.update(
+        {"fig3.csv": encode_csv(*fig3_table(cfg.params, cfg.sweep))}
+    ),
+    "fig4": lambda cfg, files: files.update(
+        {"fig4.csv": encode_csv(*fig4_table(cfg.params, cfg.sweep))}
+    ),
     "fig5": _run_fig5,
-    "fig6": lambda cfg, out: out.csv(
-        "fig6.csv", *fig6_table(cfg.params, cfg.sweep, cfg.chain.n_steps, cfg.chain.mode)
+    "fig6": lambda cfg, files: files.update(
+        {"fig6.csv": encode_csv(
+            *fig6_table(cfg.params, cfg.sweep, cfg.chain.n_steps, cfg.chain.mode)
+        )}
     ),
     "fig7": _run_fig7,
     "validate": _run_validate,
@@ -394,17 +366,13 @@ KINDS = tuple(_RUNNERS)
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     """Execute one experiment config; returns (exit_code, written_paths).
 
-    A run that raises leaves nothing behind: the files it wrote are
-    deleted, and so is each directory it created that is then empty,
-    before the error propagates.
+    Every file is built in memory and written only once the run has
+    finished, manifest.txt last: a run that raises writes nothing, and an
+    earlier run's files and manifest in the output directory stay whole.
     """
-    out = _Collector(cfg.output_dir)
-    try:
-        code = _RUNNERS[cfg.kind](cfg, out) or 0
-    except BaseException:
-        out.discard()
-        raise
-    return code, out.finish()
+    files: dict[str, tuple[bytes, int]] = {}
+    code = _RUNNERS[cfg.kind](cfg, files) or 0
+    return code, _commit(cfg.output_dir, files)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -434,7 +402,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         code, paths = run_experiment(cfg)
-    except (StepRejectionError, ConvergenceError, DomainError) as exc:
+    except (StepRejectionError, ConvergenceError, DomainError, OSError) as exc:
         print(f"run error: {cfg.kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     for path in paths:

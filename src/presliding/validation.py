@@ -409,13 +409,13 @@ def check_omega_envelope() -> CheckResult:
 def check_determinism() -> CheckResult:
     """Two builds of the same figure dataset are byte-identical."""
     from .figures import fig3_table
-    from ._csv import format_value
+    from ._csv import encode_csv
 
     base = FrictionParams(f_c=1.0, sigma=1.0)
 
-    def render() -> str:
-        _, rows = fig3_table(base, DEFAULT_SWEEPS["fig3"])
-        return "\n".join(",".join(format_value(v) for v in row) for row in rows)
+    def render() -> bytes:
+        data, _ = encode_csv(*fig3_table(base, DEFAULT_SWEEPS["fig3"]))
+        return data
 
     same = render() == render()
     return CheckResult(

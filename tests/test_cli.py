@@ -206,7 +206,7 @@ def test_fig3_table_keeps_callers_gamma():
 
 
 def test_fig3_rows_take_the_plain_float_path():
-    # write_csv formats a row of plain floats with one %-string; a numpy
+    # encode_csv formats a row of plain floats with one %-string; a numpy
     # scalar in a cell sends the row through format_value instead
     _, rows = fig3_table(FrictionParams(1.0, 1.0), [10, 100.0])
     assert {tuple(map(type, row)) for row in rows} == {(float, float, float)}
@@ -374,6 +374,42 @@ def test_failed_run_keeps_existing_directory(tmp_path, capsys, overrides):
     assert main(args) == 3
     assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
     assert (tmp_path / "notes.txt").read_text() == "kept"
+
+
+def test_failed_run_keeps_an_earlier_runs_outputs(tmp_path, capsys):
+    # a run that fails in a directory holding an earlier run's outputs
+    # leaves those files and their manifest as they were
+    args = ["simulate", "--out", str(tmp_path), "--override", "sim.dt=0.02"]
+    assert main(args + ["--override", "sweep=[10,20]"]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(args + ["--override", "sweep=[10,1000]"]) == 3
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()[1:]
+    assert len(lines) == 4
+    for line in lines:
+        name, _, digest = line.split(",")
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_missing_parent_directories_are_created(tmp_path, capsys):
+    out = tmp_path / "a" / "b"
+    assert main(["fig3", "--out", str(out), "--override", "sweep=[1]"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["fig3.csv", "manifest.txt"]
+
+
+@pytest.mark.parametrize(
+    "out, error",
+    [("file", "FileExistsError"), ("file/sub", "NotADirectoryError")],
+    ids=["out_is_a_file", "out_below_a_file"],
+)
+def test_unwritable_output_directory_exit_code(tmp_path, capsys, out, error):
+    (tmp_path / "file").write_text("kept")
+    assert main(["fig3", "--out", str(tmp_path / out), "--override", "sweep=[1]"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"run error: fig3: {error}: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_main_reads_config_file(tmp_path, capsys):

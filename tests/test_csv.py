@@ -1,9 +1,9 @@
-"""Tests of the CSV writer: every row reads as format_value gives its cells."""
+"""Tests of the CSV encoder: every row reads as format_value gives its cells."""
 
 import numpy as np
 import pytest
 
-from presliding._csv import format_value, write_csv
+from presliding._csv import encode_csv, format_value
 
 
 def expected_text(header, rows):
@@ -22,14 +22,12 @@ MIXED_ROWS = [
 
 
 @pytest.mark.parametrize("row", MIXED_ROWS, ids=range(len(MIXED_ROWS)))
-def test_row_text_matches_format_value(tmp_path, row):
+def test_row_text_matches_format_value(row):
     header = [f"c{i}" for i in range(len(row))]
-    path = tmp_path / "t.csv"
-    assert write_csv(path, header, [row]) == 1
-    assert path.read_text(encoding="utf-8") == expected_text(header, [row])
+    assert encode_csv(header, [row]) == (expected_text(header, [row]).encode("utf-8"), 1)
 
 
-def test_rows_whose_cell_types_change(tmp_path):
+def test_rows_whose_cell_types_change():
     # one column through float, int, str, bool and numpy cells, and rows of
     # one type key interleaved with rows of another
     header = ["a", "b", "c"]
@@ -43,12 +41,9 @@ def test_rows_whose_cell_types_change(tmp_path):
         (True, False, -1),
         (0.0625, 5, "w"),
     ]
-    path = tmp_path / "t.csv"
-    assert write_csv(path, header, iter(rows)) == len(rows)
-    assert path.read_bytes() == expected_text(header, rows).encode("utf-8")
+    expected = expected_text(header, rows).encode("utf-8")
+    assert encode_csv(header, iter(rows)) == (expected, len(rows))
 
 
-def test_empty_table_writes_the_header(tmp_path):
-    path = tmp_path / "sub" / "t.csv"
-    assert write_csv(path, ["a", "b"], []) == 0
-    assert path.read_bytes() == b"a,b\n"
+def test_empty_table_writes_the_header():
+    assert encode_csv(["a", "b"], []) == (b"a,b\n", 0)

@@ -29,7 +29,7 @@ from presliding import (
     step,
 )
 import presliding.oscillator as oscillator_module
-from presliding._csv import write_csv
+from presliding._csv import encode_csv
 from presliding.figures import reversals_table, trajectory_table
 from presliding.oscillator import _advance
 
@@ -507,7 +507,8 @@ def test_peak_velocity_missing_index(traj10):
 
 def test_trajectory_csv(tmp_path, traj10):
     path = tmp_path / "traj.csv"
-    n = write_csv(path, *trajectory_table(traj10))
+    data, n = encode_csv(*trajectory_table(traj10))
+    path.write_bytes(data)
     assert n == len(traj10)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,v,F,E_k,E_f_cum"
@@ -517,8 +518,7 @@ def test_trajectory_csv(tmp_path, traj10):
     assert back["E_k"][10] == pytest.approx(0.5 * traj10.v[10] ** 2, rel=1e-16)
 
 
-def test_reversals_csv(tmp_path, traj10):
-    path = tmp_path / "rev.csv"
-    n = write_csv(path, *reversals_table(traj10))
+def test_reversals_csv(traj10):
+    data, n = encode_csv(*reversals_table(traj10))
     assert n == len(traj10.reversals)
-    assert path.read_text().splitlines()[0] == "i,t_i,x_i,F_i,E_p,E_d_halfcycle"
+    assert data.decode().splitlines()[0] == "i,t_i,x_i,F_i,E_p,E_d_halfcycle"

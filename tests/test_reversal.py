@@ -27,7 +27,7 @@ from presliding import (
     reversal_coordinate,
     zero_crossing,
 )
-from presliding._csv import write_csv
+from presliding._csv import encode_csv
 from presliding.figures import chain_table
 from presliding.reversal import _next_force_ratio
 from presliding import validation
@@ -445,7 +445,8 @@ def test_chain_validation():
 def test_chain_csv_roundtrip(tmp_path):
     chain = reversal_chain(-1.0, 5, P1)
     path = tmp_path / "chain.csv"
-    n = write_csv(path, *chain_table(chain))
+    data, n = encode_csv(*chain_table(chain))
+    path.write_bytes(data)
     assert n == 5
     lines = path.read_text().splitlines()
     assert lines[0] == "n,F_n,x_n,E_p,E_d"
