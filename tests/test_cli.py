@@ -1,5 +1,6 @@
 """Tests of the CLI: configs, overrides, datasets, manifests, exit codes."""
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -305,11 +306,16 @@ def test_manifest_lists_every_file_with_true_digests(tmp_path):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_config_manifest_matches_golden(tmp_path, kind):
-    """Each shipped config reproduces its recorded manifest byte for byte."""
+    """Each shipped config reproduces its recorded manifest byte for byte,
+    and every CSV it writes parses to rows of the header's width."""
     cfg = load_config(kind, str(REPO / "configs" / f"{kind}.json"), [], str(tmp_path))
     run_experiment(cfg)
     golden = REPO / "tests" / "data" / "manifests" / f"{kind}.txt"
     assert (tmp_path / "manifest.txt").read_bytes() == golden.read_bytes()
+    for path in tmp_path.glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert {len(row) for row in rows} <= {len(header)}, path.name
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests of the CSV encoder: every row reads as format_value gives its cells."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -47,3 +50,21 @@ def test_rows_whose_cell_types_change():
 
 def test_empty_table_writes_the_header():
     assert encode_csv(["a", "b"], []) == (b"a,b\n", 0)
+
+
+TEXT_CELLS = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", '"', ",", ""]
+
+
+@pytest.mark.parametrize("cell", TEXT_CELLS, ids=range(len(TEXT_CELLS)))
+def test_text_cells_round_trip_through_csv_reader(cell):
+    # RFC 4180: a cell with a comma, a double quote, CR or LF is quoted,
+    # and a double quote inside it is doubled
+    data, n = encode_csv(["name", "x", "text"], [("k", 0.5, cell)])
+    header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    assert (header, rows, n) == (["name", "x", "text"], [["k", "0.5", cell]], 1)
+
+
+def test_only_text_needing_quotes_is_quoted():
+    assert format_value("a,b") == '"a,b"'
+    assert format_value('say "hi"') == '"say ""hi"""'
+    assert format_value("plain text") == "plain text"
