@@ -413,9 +413,8 @@ def check_determinism() -> CheckResult:
 
     base = FrictionParams(f_c=1.0, sigma=1.0)
 
-    def render() -> bytes:
-        data, _ = encode_csv(*fig3_table(base, DEFAULT_SWEEPS["fig3"]))
-        return data
+    def render() -> tuple[bytes, int]:
+        return encode_csv(*fig3_table(base, DEFAULT_SWEEPS["fig3"]))
 
     same = render() == render()
     return CheckResult(

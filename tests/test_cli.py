@@ -323,8 +323,10 @@ def test_config_manifest_matches_golden(tmp_path, kind):
 # ---------------------------------------------------------------------------
 
 def test_main_success(tmp_path, capsys):
-    assert main(["fig3", "--out", str(tmp_path), "--override", "sweep=[1]"]) == 0
+    out = tmp_path / "a" / "b"  # the missing parents are created
+    assert main(["fig3", "--out", str(out), "--override", "sweep=[1]"]) == 0
     assert "fig3.csv" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["fig3.csv", "manifest.txt"]
 
 
 def test_main_config_error(tmp_path, capsys):
@@ -395,12 +397,6 @@ def test_failed_run_keeps_an_earlier_runs_outputs(tmp_path, capsys):
     for line in lines:
         name, _, digest = line.split(",")
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
-
-
-def test_missing_parent_directories_are_created(tmp_path, capsys):
-    out = tmp_path / "a" / "b"
-    assert main(["fig3", "--out", str(out), "--override", "sweep=[1]"]) == 0
-    assert sorted(p.name for p in out.iterdir()) == ["fig3.csv", "manifest.txt"]
 
 
 @pytest.mark.parametrize(

@@ -62,9 +62,3 @@ def test_text_cells_round_trip_through_csv_reader(cell):
     data, n = encode_csv(["name", "x", "text"], [("k", 0.5, cell)])
     header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
     assert (header, rows, n) == (["name", "x", "text"], [["k", "0.5", cell]], 1)
-
-
-def test_only_text_needing_quotes_is_quoted():
-    assert format_value("a,b") == '"a,b"'
-    assert format_value('say "hi"') == '"say ""hi"""'
-    assert format_value("plain text") == "plain text"
