@@ -12,15 +12,13 @@ from .hysteresis import (
     reverse_branch,
     stop_spring_force,
 )
-from .oracle import QuadResult, derivative, find_root, integrate, reference_integrate
+from .oracle import derivative, find_root, integrate
 from .oscillator import (
     OscState,
     ReversalRecord,
     SimConfig,
     Trajectory,
-    kinetic_energy,
     locate_reversal,
-    peak_velocity_between_reversals,
     restoring_energy_between,
     simulate,
     step,

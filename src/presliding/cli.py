@@ -17,7 +17,7 @@ finished, manifest.txt last, so a run that fails writes nothing.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error, 3 a
 run that failed (a step rejected, a solver that did not converge, an
-output directory that cannot be written).
+overflow, an output directory that cannot be written).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .figures import (
 from .hysteresis import FrictionParams
 from .oscillator import SimConfig, simulate
 from .reversal import reversal_chain
-from .validation import AUDIT_HEADER, run_all
 
 __all__ = [
     "KINDS",
@@ -67,6 +66,9 @@ __all__ = [
 
 # kinds built on the reversal closed forms, which hold for gamma == 1 only
 _CLOSED_FORM_KINDS = ("chain", "fig3", "fig4", "fig5", "fig6")
+
+# kinds that write files per sweep entry, named with the entry's suffix
+_PER_ENTRY_KINDS = ("simulate", "chain", "fig7")
 
 # the `sim` section: every SimConfig field but params, at its CLI default
 _SIM_DEFAULTS = {
@@ -97,6 +99,8 @@ class ExperimentConfig:
     sim: SimConfig  # its params are the unswept base params
     chain: ChainSettings
     output_dir: Path
+    # (file-name suffix, params) per sweep entry; ("", params) without a sweep
+    runs: tuple[tuple[str, FrictionParams], ...]
 
 
 def default_config(kind: str) -> dict:
@@ -231,7 +235,38 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         sim=sim,
         chain=chain,
         output_dir=Path(merged["output_dir"]),
+        runs=_sweep_runs(kind, params, sweep),
     )
+
+
+def _sweep_runs(
+    kind: str, params: FrictionParams, sweep: Optional[tuple[float, ...]]
+) -> tuple[tuple[str, FrictionParams], ...]:
+    """(file-name suffix, params) per sweep entry; ("", params) without a sweep.
+
+    fig5 sweeps the friction level, every other kind sigma/f_c. An entry
+    with invalid params, or one whose suffix an earlier entry has in a
+    kind that writes files per entry, raises ConfigError naming it.
+    """
+    if sweep is None:
+        return (("", params),)
+    runs: list[tuple[str, FrictionParams]] = []
+    first: dict[str, int] = {}  # suffix -> index of the first entry with it
+    for i, value in enumerate(sweep):
+        sfx = f"_ratio{value:g}"
+        if kind in _PER_ENTRY_KINDS and sfx in first:
+            raise ConfigError(
+                f"sweep[{first[sfx]}] and sweep[{i}] both name their files {sfx!r} "
+                f"(the suffix keeps 6 significant digits)"
+            )
+        first.setdefault(sfx, i)
+        try:
+            p = (dataclasses.replace(params, f_c=value) if kind == "fig5"
+                 else params_for_ratio(params, value))
+        except DomainError as exc:
+            raise ConfigError(f"sweep[{i}]: {exc}") from exc
+        runs.append((sfx, p))
+    return tuple(runs)
 
 
 def load_config(
@@ -264,13 +299,6 @@ def load_config(
     return config_from_dict(data)
 
 
-def _sweep_runs(cfg: ExperimentConfig) -> list[tuple[str, FrictionParams]]:
-    """(file-name suffix, params) per sweep ratio; the base params without a sweep."""
-    if cfg.sweep is None:
-        return [("", cfg.params)]
-    return [(f"_ratio{r:g}", params_for_ratio(cfg.params, r)) for r in cfg.sweep]
-
-
 def _commit(out_dir: Path, files: dict[str, tuple[bytes, int]]) -> list[Path]:
     """Write a finished run's files into out_dir, manifest.txt last.
 
@@ -296,7 +324,7 @@ def _commit(out_dir: Path, files: dict[str, tuple[bytes, int]]) -> list[Path]:
 
 
 def _run_simulate(cfg: ExperimentConfig, files: dict) -> None:
-    for sfx, p in _sweep_runs(cfg):
+    for sfx, p in cfg.runs:
         traj = simulate(dataclasses.replace(cfg.sim, params=p))
         files[f"trajectory{sfx}.csv"] = encode_csv(*trajectory_table(traj))
         files[f"reversals{sfx}.csv"] = encode_csv(*reversals_table(traj))
@@ -304,7 +332,7 @@ def _run_simulate(cfg: ExperimentConfig, files: dict) -> None:
 
 def _run_chain(cfg: ExperimentConfig, files: dict) -> None:
     c = cfg.chain
-    for sfx, p in _sweep_runs(cfg):
+    for sfx, p in cfg.runs:
         entries = reversal_chain(c.f0_over_fc * p.f_c, c.n_steps, p, mode=c.mode)
         files[f"chain{sfx}.csv"] = encode_csv(*chain_table(entries))
 
@@ -315,15 +343,22 @@ def _run_fig5(cfg: ExperimentConfig, files: dict) -> None:
 
 
 def _run_fig7(cfg: ExperimentConfig, files: dict) -> None:
-    for sfx, p in _sweep_runs(cfg):
+    for sfx, p in cfg.runs:
         traj = simulate(dataclasses.replace(cfg.sim, params=p))
         files[f"fig7_traj{sfx}.csv"] = encode_csv(*fig7_energy_magnitude(traj))
         files[f"fig7_envelope{sfx}.csv"] = encode_csv(*fig7_envelope(traj))
     files["README.txt"] = (FIG7_README.encode("utf-8"), 0)
 
 
+_AUDIT_HEADER = ["grid", "ratio", "F_i_over_Fc", "x_next_exact", "x_next_printed",
+                 "x_next_rederived", "rel_dev_printed", "rel_dev_rederived"]
+
+
 def _run_validate(cfg: ExperimentConfig, files: dict) -> int:
-    report = run_all()
+    # imported here: validation needs numpy, which no other kind loads
+    from . import validation
+
+    report = validation.run_all()
     files["validation_report.csv"] = encode_csv(
         ["check", "status", "measured", "tolerance", "detail"],
         (
@@ -331,7 +366,7 @@ def _run_validate(cfg: ExperimentConfig, files: dict) -> int:
             for c in report.checks
         ),
     )
-    files["approx_audit.csv"] = encode_csv(AUDIT_HEADER, report.audit_rows)
+    files["approx_audit.csv"] = encode_csv(_AUDIT_HEADER, report.audit_rows)
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
         print(
@@ -402,7 +437,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         code, paths = run_experiment(cfg)
-    except (StepRejectionError, ConvergenceError, DomainError, OSError) as exc:
+    except (StepRejectionError, ConvergenceError, DomainError, ArithmeticError, OSError) as exc:
         print(f"run error: {cfg.kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     for path in paths:

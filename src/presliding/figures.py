@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left
 from typing import Iterator
-
-import numpy as np
 
 from .errors import DomainError
 from .hysteresis import FrictionParams
@@ -77,6 +76,18 @@ fig7_envelope_ratio<R>.csv
 """
 
 
+def _linspace(a: float, b: float, n: int) -> list[float]:
+    """np.linspace(a, b, n).tolist() for n >= 2, computed the way numpy does."""
+    delta = b - a
+    step = delta / (n - 1)
+    if step == 0.0:  # numpy's route for a delta that underflows the step
+        grid = [i / (n - 1) * delta + a for i in range(n)]
+    else:
+        grid = [i * step + a for i in range(n)]
+    grid[-1] = b
+    return grid
+
+
 def params_for_ratio(base: FrictionParams, ratio: float) -> FrictionParams:
     """base with sigma set to ratio * f_c; f_c, gamma and mass are kept."""
     return dataclasses.replace(base, sigma=ratio * base.f_c)
@@ -85,7 +96,7 @@ def params_for_ratio(base: FrictionParams, ratio: float) -> FrictionParams:
 def trajectory_table(traj: Trajectory) -> tuple[list[str], Iterator[tuple]]:
     """Samples as t,x,v,F,E_k,E_f_cum; rows are generated lazily."""
     m = traj.config.params.mass if traj.config is not None else 1.0
-    cols = [a.tolist() for a in (traj.t, traj.x, traj.v, traj.f, traj.e_f_cum)]
+    cols = (traj.t, traj.x, traj.v, traj.f, traj.e_f_cum)
     rows = ((t, x, v, f, 0.5 * m * v**2, e) for t, x, v, f, e in zip(*cols))
     return ["t", "x", "v", "F", "E_k", "E_f_cum"], rows
 
@@ -107,7 +118,7 @@ def fig3_table(
     """Recoverable reversal energy over a force grid, one series per ratio."""
     header = ["F_i_over_Fc", "ratio", "E_p"]
     rows = []
-    grid = np.linspace(0.01, 1.0, n_points).tolist()
+    grid = _linspace(0.01, 1.0, n_points)
     for ratio in ratios:
         p = params_for_ratio(base, ratio)
         for u in grid:
@@ -127,8 +138,8 @@ def fig4_table(
             f_i = -u * p.f_c
             x_next = next_reversal_exact(f_i, p)
             approx = omega_approx(f_i, p)
-            for x in np.linspace(0.0, x_next, n_x):
-                rows.append((float(ratio), float(u), float(x), omega(float(x), p), approx.value(float(x))))
+            for x in _linspace(0.0, x_next, n_x):
+                rows.append((float(ratio), float(u), x, omega(x, p), approx.value(x)))
     return header, rows
 
 
@@ -161,8 +172,8 @@ def fig5_tables(
         f_i = -p.f_c
         x_i = reversal_coordinate(f_i, p)
         x_next = next_reversal_exact(f_i, p)
-        for x in np.linspace(x_i, x_next, n_x):
-            curve_rows.append((float(f_c), float(x), next_reversal_force(float(x), f_i, p)))
+        for x in _linspace(x_i, x_next, n_x):
+            curve_rows.append((float(f_c), x, next_reversal_force(x, f_i, p)))
         row = [float(f_c), potential_energy(f_i, p), x_next]
         forces = [next_reversal_force(x_next, f_i, p)]
         for form in ("printed", "rederived"):
@@ -197,9 +208,8 @@ def fig7_energy_magnitude(traj: Trajectory) -> tuple[list[str], list[tuple]]:
     """Restoring-force energy magnitude relative to the first reversal."""
     e_ref = 0.0
     if traj.reversals:
-        k = int(np.searchsorted(traj.t, traj.reversals[0].t_i))
-        e_ref = float(traj.e_f_cum[k])
-    rows = [(t, abs(e - e_ref)) for t, e in zip(traj.t.tolist(), traj.e_f_cum.tolist())]
+        e_ref = traj.e_f_cum[bisect_left(traj.t, traj.reversals[0].t_i)]
+    rows = [(t, abs(e - e_ref)) for t, e in zip(traj.t, traj.e_f_cum)]
     return ["t", "energy_magnitude"], rows
 
 

@@ -91,10 +91,6 @@ class BranchState:
         if self.direction not in (+1, -1):
             raise DomainError(f"direction must be +1 or -1, got {self.direction}")
 
-    def shifted(self, dx: float) -> "BranchState":
-        """Same branch translated by dx along the displacement axis."""
-        return BranchState(self.x_rev + dx, self.f_rev, self.direction)
-
 
 @dataclass(frozen=True)
 class LinearSpringParams:

@@ -1,10 +1,10 @@
 """Independent brute-force numerical kernels.
 
-Adaptive quadrature, bracketed bisection, central finite differences and
-reference fine-step integration. These are the certification tools for
-every closed-form result in the package: they deliberately share no code
-with the analytic branch/energy formulas, so agreement between the two
-routes is evidence rather than tautology.
+Adaptive quadrature, bracketed bisection and central finite differences.
+These are the certification tools for every closed-form result in the
+package: they deliberately share no code with the analytic branch/energy
+formulas, so agreement between the two routes is evidence rather than
+tautology.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "integrate",
     "find_root",
     "derivative",
-    "reference_integrate",
 ]
 
 _MAX_DEPTH = 50
@@ -123,20 +122,3 @@ def derivative(f: Callable[[float], float], x: float, h: float | None = None) ->
         raise DomainError(f"step h must be > 0, got {h}")
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
-
-def reference_integrate(cfg, refinement: int):
-    """Re-run a simulation with the step size divided by `refinement`.
-
-    The returned fine trajectory acts as the convergence oracle for the
-    fixed-step integrator (a 4th-order method shrinks its global error by
-    ~refinement**4). refinement must be >= 2.
-    """
-    if refinement < 2:
-        raise DomainError(f"refinement must be >= 2, got {refinement}")
-    # local import keeps this module free of analytic/simulation imports
-    # at load time (oracle sits below everything else in the dependency order)
-    from dataclasses import replace
-
-    from .oscillator import simulate
-
-    return simulate(replace(cfg, dt=cfg.effective_dt() / refinement))

@@ -18,10 +18,10 @@ independent of each other, so their agreement is evidence.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, StepRejectionError
 from .hysteresis import FrictionParams
@@ -34,9 +34,7 @@ __all__ = [
     "step",
     "locate_reversal",
     "simulate",
-    "kinetic_energy",
     "restoring_energy_between",
-    "peak_velocity_between_reversals",
 ]
 
 # force may overshoot the saturation band by at most this relative amount
@@ -145,15 +143,16 @@ class ReversalRecord:
 class Trajectory:
     """Ordered simulation samples plus the completed reversal records.
 
-    Samples are stored as parallel arrays (t, x, v, f, e_f_cum), strictly
-    increasing in t. Immutable by convention after simulate() returns.
+    Samples are stored as parallel array('d') columns (t, x, v, f, e_f_cum),
+    strictly increasing in t; np.asarray views one without a copy.
+    Immutable by convention after simulate() returns.
     """
 
-    t: np.ndarray
-    x: np.ndarray
-    v: np.ndarray
-    f: np.ndarray
-    e_f_cum: np.ndarray
+    t: array
+    x: array
+    v: array
+    f: array
+    e_f_cum: array
     reversals: list[ReversalRecord] = field(default_factory=list)
     config: Optional[SimConfig] = None
 
@@ -350,50 +349,32 @@ def simulate(cfg: SimConfig) -> Trajectory:
         direction = -direction
 
     return Trajectory(
-        t=np.asarray(ts),
-        x=np.asarray(xs),
-        v=np.asarray(vs),
-        f=np.asarray(fs),
-        e_f_cum=np.asarray(es),
+        t=array("d", ts),
+        x=array("d", xs),
+        v=array("d", vs),
+        f=array("d", fs),
+        e_f_cum=array("d", es),
         reversals=records,
         config=cfg,
     )
 
 
-def kinetic_energy(s: OscState, p: FrictionParams) -> float:
-    """(m/2) * v^2 of a state."""
-    return 0.5 * p.mass * s.v**2
-
-
 def restoring_energy_between(traj: Trajectory, t_a: float, t_b: float) -> float:
     """Restoring-force work over [t_a, t_b]: e_f_cum(t_b) - e_f_cum(t_a).
 
-    Linear interpolation of the accumulated integral between samples; the
-    two endpoints must lie inside the trajectory's time span.
+    Linear interpolation of the accumulated integral between samples, in
+    np.interp's operation order, so the two agree bit for bit; the two
+    endpoints must lie inside the trajectory's time span.
     """
-    t0, t1 = float(traj.t[0]), float(traj.t[-1])
+    ts, es = traj.t, traj.e_f_cum
     for t_q in (t_a, t_b):
-        if not (t0 <= t_q <= t1):
-            raise DomainError(f"time {t_q} outside the trajectory span [{t0}, {t1}]")
-    e_a, e_b = np.interp([t_a, t_b], traj.t, traj.e_f_cum)
-    return float(e_b - e_a)
+        if not (ts[0] <= t_q <= ts[-1]):
+            raise DomainError(f"time {t_q} outside the trajectory span [{ts[0]}, {ts[-1]}]")
 
+    def at(t_q: float) -> float:
+        j = bisect_right(ts, t_q) - 1  # ts[j] <= t_q < ts[j + 1]
+        if j == len(ts) - 1 or ts[j] == t_q:
+            return es[j]
+        return (es[j + 1] - es[j]) / (ts[j + 1] - ts[j]) * (t_q - ts[j]) + es[j]
 
-def peak_velocity_between_reversals(traj: Trajectory, i: int) -> tuple[float, float]:
-    """Sample-level maximizer of |v| between reversals i and i+1.
-
-    Returns (t_0, v_peak) with v_peak signed. The restoring force vanishes
-    there (peak speed coincides with the force zero crossing), which the
-    caller can verify against |f| at t_0.
-    """
-    if i < 0 or i + 1 >= len(traj.reversals):
-        raise IndexError(
-            f"need reversal records {i} and {i + 1}, have {len(traj.reversals)}"
-        )
-    t_lo = traj.reversals[i].t_i
-    t_hi = traj.reversals[i + 1].t_i
-    mask = (traj.t >= t_lo) & (traj.t <= t_hi)
-    idx = np.nonzero(mask)[0]
-    k = idx[np.argmax(np.abs(traj.v[idx]))]
-    return float(traj.t[k]), float(traj.v[k])
-
+    return at(t_b) - at(t_a)

@@ -54,7 +54,6 @@ __all__ = [
     "run_all",
     "approx_form_audit",
     "omega_envelope_deviation",
-    "AUDIT_HEADER",
     "OMEGA_ENVELOPE_BOUND",
     "APPROX_REDERIVED_BOUND",
     "SERIES_99PCT_STEPS",
@@ -63,17 +62,6 @@ __all__ = [
 OMEGA_ENVELOPE_BOUND = 0.07
 APPROX_REDERIVED_BOUND = 0.13
 SERIES_99PCT_STEPS = 18
-
-AUDIT_HEADER = [
-    "grid",
-    "ratio",
-    "F_i_over_Fc",
-    "x_next_exact",
-    "x_next_printed",
-    "x_next_rederived",
-    "rel_dev_printed",
-    "rel_dev_rederived",
-]
 
 
 @dataclass(frozen=True)
@@ -187,11 +175,12 @@ def check_energy_balance(traj: Trajectory, label: str) -> list[CheckResult]:
     cfg = traj.config
     m = cfg.params.mass
     e0 = 0.5 * m * cfg.v0**2
-    drift = float(np.max(np.abs(0.5 * m * traj.v**2 + traj.e_f_cum - e0)) / e0)
+    t, v = np.asarray(traj.t), np.asarray(traj.v)
+    drift = float(np.max(np.abs(0.5 * m * v**2 + np.asarray(traj.e_f_cum) - e0)) / e0)
     v_rev = 0.0
     for r in traj.reversals:
-        k = int(np.searchsorted(traj.t, r.t_i))
-        v_rev = max(v_rev, abs(float(traj.v[k])))
+        k = int(np.searchsorted(t, r.t_i))
+        v_rev = max(v_rev, abs(float(v[k])))
     return [
         CheckResult(f"energy-balance-drift-{label}", drift < 1e-6, drift, 1e-6),
         CheckResult(f"reversal-speed-{label}", v_rev < 1e-9, v_rev, 1e-9),

@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +134,13 @@ def test_closed_form_misuse_rejected_at_parse_time(tmp_path, capsys, kind, overr
     assert main([kind, "--out", str(out), "--override", override]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}:")
     assert not out.exists()
+
+
+def test_sweep_kinds_writing_one_file_accept_repeated_entries():
+    # fig3 puts every entry into one table, so no file names collide
+    data = default_config("fig3")
+    data["sweep"] = [10, 10.0000001]
+    assert config_from_dict(data).sweep == (10.0, 10.0000001)
 
 
 def test_simulation_kinds_accept_any_gamma():
@@ -354,6 +364,51 @@ def test_main_runtime_error_exit_code(tmp_path, capsys, overrides):
     assert err.count("\n") == 1
 
 
+# one row per probed input: arguments, exit code, start of the one stderr line
+PROBES = {
+    # sigma = ratio * f_c overflows to inf for this entry only
+    "sweep_entry_sigma_overflows": (
+        ["fig3", "--override", "sweep=[1e308]", "--override", "params.f_c=10"],
+        2, "config error: sweep[0]: sigma must be finite",
+    ),
+    # entries whose %g suffixes collide would overwrite each other's files
+    "simulate_suffix_collision": (
+        ["simulate", "--override", "sweep=[10,10.0000001]"],
+        2, "config error: sweep[0] and sweep[1] both name their files '_ratio10' ",
+    ),
+    "chain_suffix_collision": (
+        ["chain", "--override", "sweep=[20,5,5]"],
+        2, "config error: sweep[1] and sweep[2] both name their files '_ratio5' ",
+    ),
+    "fig7_suffix_collision": (
+        ["fig7", "--override", "sweep=[100,100.00001]"],
+        2, "config error: sweep[0] and sweep[1] both name their files '_ratio100' ",
+    ),
+    # inputs that overflow while the run computes
+    "fig5_overflow": (
+        ["fig5", "--override", "sweep=[1e200]"], 3, "run error: fig5: OverflowError: ",
+    ),
+    "simulate_gamma_overflow": (
+        ["simulate", "--override", "params.gamma=1e300", "--override", "params.sigma=10"],
+        3, "run error: simulate: OverflowError: ",
+    ),
+    "simulate_energy_overflow": (
+        ["simulate", "--override", "sim.x0=1e308", "--override", "sim.v0=1e308"],
+        3, "run error: simulate: OverflowError: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, code, err_start", PROBES.values(), ids=PROBES.keys())
+def test_probed_inputs_exit_with_one_line(tmp_path, capsys, args, code, err_start):
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(err_start)
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 FAILING_RUNS = {
     # fails on its first step
     "dt_too_large": ["sim.dt=0.5", "params.sigma=1000"],
@@ -420,3 +475,25 @@ def test_main_reads_config_file(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["chain", "--config", str(path)]) == 0
     assert (tmp_path / "chain.csv").exists()
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "validate"])
+def test_kinds_run_without_numpy(tmp_path, kind):
+    # validate alone needs numpy (its random cycles come from numpy's
+    # generator); loading the CLI and running any other kind must not import it
+    script = (
+        "import sys\n"
+        "import presliding.cli as cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported with presliding.cli'\n"
+        f"code = cli.main([{kind!r}, '--config', {str(REPO / 'configs' / f'{kind}.json')!r},"
+        f" '--out', {str(tmp_path)!r}])\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported by the run'\n"
+        "sys.exit(code)\n"
+    )
+    path = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "manifest.txt").exists()

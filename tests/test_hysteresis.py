@@ -175,7 +175,7 @@ def test_branch_rate_independence_translation(p, f_frac, dx_frac, shift):
     b = BranchState(0.0, f_frac * p.f_c, +1)
     x = dx_frac * p.f_c / p.sigma
     f0 = dahl_branch_force(x, b, p)
-    f1 = dahl_branch_force(x + shift, b.shifted(shift), p)
+    f1 = dahl_branch_force(x + shift, BranchState(b.x_rev + shift, b.f_rev, b.direction), p)
     assert f1 == pytest.approx(f0, rel=1e-9, abs=1e-9 * p.f_c)
 
 

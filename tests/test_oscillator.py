@@ -1,7 +1,5 @@
 """Tests of the oscillator integrator, event detection and energy accounting."""
 
-import ast
-import inspect
 import math
 from dataclasses import replace
 
@@ -19,11 +17,8 @@ from presliding import (
     SimConfig,
     StepRejectionError,
     dahl_rate,
-    kinetic_energy,
     locate_reversal,
-    peak_velocity_between_reversals,
     potential_energy,
-    reference_integrate,
     restoring_energy_between,
     simulate,
     step,
@@ -32,6 +27,8 @@ import presliding.oscillator as oscillator_module
 from presliding._csv import encode_csv
 from presliding.figures import reversals_table, trajectory_table
 from presliding.oscillator import _advance
+
+from helpers import package_imports, peak_velocity_between_reversals, reference_integrate
 
 P1 = FrictionParams(f_c=1.0, sigma=1.0)
 P10 = FrictionParams(f_c=1.0, sigma=10.0)
@@ -176,19 +173,7 @@ def test_advance_matches_rk4_over_dahl_rate_bitwise(
 def test_simulator_never_imports_closed_forms():
     # the simulator agrees with the closed forms as evidence only if it
     # never calls them: its package imports stay within errors and hysteresis
-    tree = ast.parse(inspect.getsource(oscillator_module))
-    internal = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level > 0:
-            internal.update([node.module] if node.module else [a.name for a in node.names])
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("presliding"):
-            internal.add(node.module.removeprefix("presliding."))
-        elif isinstance(node, ast.Import):
-            internal.update(
-                a.name.removeprefix("presliding.")
-                for a in node.names
-                if a.name.startswith("presliding")
-            )
+    internal = package_imports(oscillator_module)
     assert internal == {"errors", "hysteresis"}
     assert not internal & {"reversal", "figures", "validation"}
 
@@ -290,15 +275,25 @@ def test_simulate_stop_energy_threshold():
 
 
 def test_simulate_time_strictly_increasing(traj10):
-    assert np.all(np.diff(traj10.t) > 0.0)
+    assert np.all(np.diff(np.asarray(traj10.t)) > 0.0)
+
+
+def test_simulate_columns_are_double_arrays(traj10):
+    # array('d') columns need no numpy to build or write, and np.asarray
+    # views them without a copy
+    for k in ("t", "x", "v", "f", "e_f_cum"):
+        col = getattr(traj10, k)
+        assert col.typecode == "d" and len(col) == len(traj10)
+        assert np.shares_memory(np.asarray(col), np.asarray(col))
 
 
 def test_simulate_reversals_interleave_with_velocity_signs(traj10):
     # between consecutive reversal records, v keeps one sign (post-event)
     recs = traj10.reversals
+    t, v = np.asarray(traj10.t), np.asarray(traj10.v)
     for r0, r1 in zip(recs, recs[1:]):
-        mask = (traj10.t > r0.t_i + 1e-12) & (traj10.t < r1.t_i - 1e-12)
-        vs = traj10.v[mask]
+        mask = (t > r0.t_i + 1e-12) & (t < r1.t_i - 1e-12)
+        vs = v[mask]
         vs = vs[np.abs(vs) > 1e-9]
         assert np.all(vs > 0) or np.all(vs < 0)
 
@@ -307,7 +302,8 @@ def test_simulate_energy_conservation(traj10, traj100):
     for traj in (traj10, traj100):
         m = traj.config.params.mass
         e0 = 0.5 * m * traj.config.v0**2
-        drift = np.abs(0.5 * m * traj.v**2 + traj.e_f_cum - e0) / e0
+        v, e_f_cum = np.asarray(traj.v), np.asarray(traj.e_f_cum)
+        drift = np.abs(0.5 * m * v**2 + e_f_cum - e0) / e0
         assert drift.max() < 1e-6
 
 
@@ -317,10 +313,10 @@ def test_simulate_amplitude_bounded(traj10):
     # farthest excursion: the initial slide absorbs all of e0 within
     # e0/f_c + f_c/sigma of travel; later half-cycles only shrink
     bound = 1.25 * (abs(cfg.x0) + e0 / cfg.params.f_c + cfg.params.f_c / cfg.params.sigma)
-    assert np.max(np.abs(traj10.x)) <= bound
+    assert np.max(np.abs(np.asarray(traj10.x))) <= bound
     # with no pre-stored elastic energy, kinetic energy never exceeds the
     # initial supply
-    assert np.max(0.5 * cfg.params.mass * traj10.v**2) <= e0 * (1.0 + 1e-9)
+    assert np.max(0.5 * cfg.params.mass * np.asarray(traj10.v) ** 2) <= e0 * (1.0 + 1e-9)
 
 
 def test_simulate_asymptotic_positivity(traj10, traj100, traj1000):
@@ -437,13 +433,6 @@ def test_simulate_matches_per_state_reference_bitwise(monkeypatch, params, sim, 
 # energy queries
 # ---------------------------------------------------------------------------
 
-def test_kinetic_energy_values():
-    assert kinetic_energy(OscState(0, 0, 0.0, 0, 0), P1) == 0.0
-    assert kinetic_energy(OscState(0, 0, 2.0, 0, 0), P1) == 2.0
-    p2 = FrictionParams(1.0, 1.0, mass=2.0)
-    assert kinetic_energy(OscState(0, 0, 3.0, 0, 0), p2) == 9.0
-
-
 def test_restoring_energy_zero_interval(traj10):
     t = float(traj10.t[100])
     assert restoring_energy_between(traj10, t, t) == 0.0
@@ -464,6 +453,30 @@ def test_restoring_energy_reversal_to_peak_is_released_potential(traj10):
         released = restoring_energy_between(traj10, r.t_i, t_0)
         analytic = potential_energy(-abs(r.f_i), p)
         assert released == pytest.approx(-analytic, rel=1e-3)
+
+
+def np_restoring_energy(traj, t_a, t_b):
+    """restoring_energy_between written over np.interp."""
+    e_a, e_b = np.interp([t_a, t_b], np.asarray(traj.t), np.asarray(traj.e_f_cum))
+    return float(e_b - e_a)
+
+
+def test_restoring_energy_matches_np_interp_at_samples_and_reversals(traj10):
+    # the equal-areas check in validate's golden report queries reversals
+    t, recs = traj10.t, traj10.reversals
+    queries = [(r0.t_i, r1.t_i) for r0, r1 in zip(recs, recs[1:])]
+    queries += [(t[0], t[-1]), (t[0], t[1]), (t[-2], t[-1]), (t[100], t[101])]
+    for t_a, t_b in queries:
+        got = restoring_energy_between(traj10, t_a, t_b)
+        assert got.hex() == np_restoring_energy(traj10, t_a, t_b).hex()
+
+
+@given(u=st.floats(0.0, 1.0), w=st.floats(0.0, 1.0))
+def test_restoring_energy_matches_np_interp_bitwise(traj10, u, w):
+    t0, t1 = traj10.t[0], traj10.t[-1]
+    t_a, t_b = t0 + u * (t1 - t0), t0 + w * (t1 - t0)
+    got = restoring_energy_between(traj10, t_a, t_b)
+    assert got.hex() == np_restoring_energy(traj10, t_a, t_b).hex()
 
 
 def test_restoring_energy_out_of_range(traj10):
