@@ -46,7 +46,6 @@ from .figures import (
     fig6_table,
     fig7_energy_magnitude,
     fig7_envelope,
-    params_for_ratio,
     reversals_table,
     trajectory_table,
 )
@@ -70,16 +69,9 @@ _CLOSED_FORM_KINDS = ("chain", "fig3", "fig4", "fig5", "fig6")
 # kinds that write files per sweep entry, named with the entry's suffix
 _PER_ENTRY_KINDS = ("simulate", "chain", "fig7")
 
-# the `sim` section: every SimConfig field but params, at its CLI default
-_SIM_DEFAULTS = {
-    "x0": 0.0,
-    "v0": 0.5,
-    "f0": 0.0,
-    "dt": None,
-    "t_max": 200.0,
-    "max_reversals": 12,
-    "stop_energy": None,
-}
+# Largest chain.n_steps (chain and fig6 build each chain in memory): 10**6
+# steps took 12 s and 754 MiB peak RSS for one chain on a 2-vCPU host.
+MAX_CHAIN_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -94,13 +86,11 @@ class ChainSettings:
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
-    params: FrictionParams
-    sweep: Optional[tuple[float, ...]]
     sim: SimConfig  # its params are the unswept base params
     chain: ChainSettings
     output_dir: Path
-    # (file-name suffix, params) per sweep entry; ("", params) without a sweep
-    runs: tuple[tuple[str, FrictionParams], ...]
+    # (file-name suffix, sweep value, params) per entry; ("", None, params) without a sweep
+    runs: tuple[tuple[str, Optional[float], FrictionParams], ...]
 
 
 def default_config(kind: str) -> dict:
@@ -111,7 +101,7 @@ def default_config(kind: str) -> dict:
         "kind": kind,
         "params": {"f_c": 1.0, "sigma": 1.0, "gamma": 1.0, "mass": 1.0},
         "sweep": list(DEFAULT_SWEEPS.get(kind, [])) or None,
-        "sim": dict(_SIM_DEFAULTS),
+        "sim": {f.name: f.default for f in dataclasses.fields(SimConfig) if f.name != "params"},
         "chain": dataclasses.asdict(ChainSettings()),
         "output_dir": "out",
     }
@@ -195,14 +185,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             merged[key] = data.pop(key)
     if data:
         raise ConfigError(f"unknown top-level field(s) {sorted(data)}")
+    if not isinstance(merged["output_dir"], str):
+        raise ConfigError(f"output_dir: expected a string, got {merged['output_dir']!r}")
 
     params = _build_dataclass(FrictionParams, merged["params"], "params")
     sim = _build_dataclass(SimConfig, merged["sim"], "sim", params=params)
     chain = _build_dataclass(ChainSettings, merged["chain"], "chain")
     if chain.mode not in ("exact", "approx"):
         raise ConfigError(f"chain.mode: expected 'exact' or 'approx', got {chain.mode!r}")
-    if chain.n_steps < 1:
-        raise ConfigError(f"chain.n_steps: must be >= 1, got {chain.n_steps}")
+    if not 1 <= chain.n_steps <= MAX_CHAIN_STEPS:
+        raise ConfigError(f"chain.n_steps: expected 1 to {MAX_CHAIN_STEPS}, got {chain.n_steps}")
     if not -1.0 <= chain.f0_over_fc < 0.0:
         raise ConfigError(
             f"chain.f0_over_fc: expected a number in [-1, 0), got {chain.f0_over_fc!r}"
@@ -230,8 +222,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         kind=kind,
-        params=params,
-        sweep=sweep,
         sim=sim,
         chain=chain,
         output_dir=Path(merged["output_dir"]),
@@ -241,16 +231,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def _sweep_runs(
     kind: str, params: FrictionParams, sweep: Optional[tuple[float, ...]]
-) -> tuple[tuple[str, FrictionParams], ...]:
-    """(file-name suffix, params) per sweep entry; ("", params) without a sweep.
+) -> tuple[tuple[str, Optional[float], FrictionParams], ...]:
+    """The runs of ExperimentConfig: fig5 sweeps f_c, every other kind sigma/f_c.
 
-    fig5 sweeps the friction level, every other kind sigma/f_c. An entry
-    with invalid params, or one whose suffix an earlier entry has in a
-    kind that writes files per entry, raises ConfigError naming it.
+    An entry with invalid params, or one whose suffix an earlier entry has
+    in a kind that writes files per entry, raises ConfigError naming it.
     """
     if sweep is None:
-        return (("", params),)
-    runs: list[tuple[str, FrictionParams]] = []
+        return (("", None, params),)
+    runs: list[tuple[str, float, FrictionParams]] = []
     first: dict[str, int] = {}  # suffix -> index of the first entry with it
     for i, value in enumerate(sweep):
         sfx = f"_ratio{value:g}"
@@ -262,10 +251,10 @@ def _sweep_runs(
         first.setdefault(sfx, i)
         try:
             p = (dataclasses.replace(params, f_c=value) if kind == "fig5"
-                 else params_for_ratio(params, value))
+                 else dataclasses.replace(params, sigma=value * params.f_c))
         except DomainError as exc:
             raise ConfigError(f"sweep[{i}]: {exc}") from exc
-        runs.append((sfx, p))
+        runs.append((sfx, value, p))
     return tuple(runs)
 
 
@@ -289,11 +278,9 @@ def load_config(
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         data.setdefault("kind", kind)
-        if data["kind"] != kind:
-            raise ConfigError(
-                f"config kind {data['kind']!r} does not match subcommand {kind!r}"
-            )
     apply_overrides(data, overrides)
+    if data["kind"] != kind:
+        raise ConfigError(f"kind: {data['kind']!r} does not match subcommand {kind!r}")
     if out_dir is not None:
         data["output_dir"] = out_dir
     return config_from_dict(data)
@@ -324,7 +311,7 @@ def _commit(out_dir: Path, files: dict[str, tuple[bytes, int]]) -> list[Path]:
 
 
 def _run_simulate(cfg: ExperimentConfig, files: dict) -> None:
-    for sfx, p in cfg.runs:
+    for sfx, _, p in cfg.runs:
         traj = simulate(dataclasses.replace(cfg.sim, params=p))
         files[f"trajectory{sfx}.csv"] = encode_csv(*trajectory_table(traj))
         files[f"reversals{sfx}.csv"] = encode_csv(*reversals_table(traj))
@@ -332,18 +319,13 @@ def _run_simulate(cfg: ExperimentConfig, files: dict) -> None:
 
 def _run_chain(cfg: ExperimentConfig, files: dict) -> None:
     c = cfg.chain
-    for sfx, p in cfg.runs:
+    for sfx, _, p in cfg.runs:
         entries = reversal_chain(c.f0_over_fc * p.f_c, c.n_steps, p, mode=c.mode)
         files[f"chain{sfx}.csv"] = encode_csv(*chain_table(entries))
 
 
-def _run_fig5(cfg: ExperimentConfig, files: dict) -> None:
-    for name, header, rows in fig5_tables(cfg.params, cfg.sweep):
-        files[name] = encode_csv(header, rows)
-
-
 def _run_fig7(cfg: ExperimentConfig, files: dict) -> None:
-    for sfx, p in cfg.runs:
+    for sfx, _, p in cfg.runs:
         traj = simulate(dataclasses.replace(cfg.sim, params=p))
         files[f"fig7_traj{sfx}.csv"] = encode_csv(*fig7_energy_magnitude(traj))
         files[f"fig7_envelope{sfx}.csv"] = encode_csv(*fig7_envelope(traj))
@@ -380,17 +362,13 @@ def _run_validate(cfg: ExperimentConfig, files: dict) -> int:
 _RUNNERS = {
     "simulate": _run_simulate,
     "chain": _run_chain,
-    "fig3": lambda cfg, files: files.update(
-        {"fig3.csv": encode_csv(*fig3_table(cfg.params, cfg.sweep))}
+    "fig3": lambda cfg, files: files.update({"fig3.csv": encode_csv(*fig3_table(cfg.runs))}),
+    "fig4": lambda cfg, files: files.update({"fig4.csv": encode_csv(*fig4_table(cfg.runs))}),
+    "fig5": lambda cfg, files: files.update(
+        {name: encode_csv(header, rows) for name, header, rows in fig5_tables(cfg.runs)}
     ),
-    "fig4": lambda cfg, files: files.update(
-        {"fig4.csv": encode_csv(*fig4_table(cfg.params, cfg.sweep))}
-    ),
-    "fig5": _run_fig5,
     "fig6": lambda cfg, files: files.update(
-        {"fig6.csv": encode_csv(
-            *fig6_table(cfg.params, cfg.sweep, cfg.chain.n_steps, cfg.chain.mode)
-        )}
+        {"fig6.csv": encode_csv(*fig6_table(cfg.runs, cfg.chain.n_steps, cfg.chain.mode))}
     ),
     "fig7": _run_fig7,
     "validate": _run_validate,

@@ -8,10 +8,9 @@ their normalized magnitude |F_i|/f_c, which is the axis the plots use.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from bisect import bisect_left
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .hysteresis import FrictionParams
@@ -31,7 +30,6 @@ from .reversal import (
 __all__ = [
     "FORCE_FRACTIONS",
     "DEFAULT_SWEEPS",
-    "params_for_ratio",
     "trajectory_table",
     "reversals_table",
     "chain_table",
@@ -88,14 +86,13 @@ def _linspace(a: float, b: float, n: int) -> list[float]:
     return grid
 
 
-def params_for_ratio(base: FrictionParams, ratio: float) -> FrictionParams:
-    """base with sigma set to ratio * f_c; f_c, gamma and mass are kept."""
-    return dataclasses.replace(base, sigma=ratio * base.f_c)
+# the fig3-fig6 builders take ExperimentConfig.runs: (suffix, sweep value, params)
+Runs = Iterable[tuple[str, float, FrictionParams]]
 
 
 def trajectory_table(traj: Trajectory) -> tuple[list[str], Iterator[tuple]]:
     """Samples as t,x,v,F,E_k,E_f_cum; rows are generated lazily."""
-    m = traj.config.params.mass if traj.config is not None else 1.0
+    m = traj.config.params.mass
     cols = (traj.t, traj.x, traj.v, traj.f, traj.e_f_cum)
     rows = ((t, x, v, f, 0.5 * m * v**2, e) for t, x, v, f, e in zip(*cols))
     return ["t", "x", "v", "F", "E_k", "E_f_cum"], rows
@@ -112,47 +109,39 @@ def chain_table(entries: list[ReversalChainEntry]) -> tuple[list[str], list[tupl
     return ["n", "F_n", "x_n", "E_p", "E_d"], [(e.n, e.f_n, e.x_n, e.e_p, e.e_d) for e in entries]
 
 
-def fig3_table(
-    base: FrictionParams, ratios, n_points: int = 100
-) -> tuple[list[str], list[tuple]]:
-    """Recoverable reversal energy over a force grid, one series per ratio."""
+def fig3_table(runs: Runs) -> tuple[list[str], list[tuple]]:
+    """Recoverable reversal energy over 100 force fractions, one series per ratio."""
     header = ["F_i_over_Fc", "ratio", "E_p"]
     rows = []
-    grid = _linspace(0.01, 1.0, n_points)
-    for ratio in ratios:
-        p = params_for_ratio(base, ratio)
+    grid = _linspace(0.01, 1.0, 100)
+    for _, ratio, p in runs:
         for u in grid:
-            rows.append((u, float(ratio), potential_energy(-u * p.f_c, p)))
+            rows.append((u, ratio, potential_energy(-u * p.f_c, p)))
     return header, rows
 
 
-def fig4_table(
-    base: FrictionParams, ratios, fractions=FORCE_FRACTIONS, n_x: int = 101
-) -> tuple[list[str], list[tuple]]:
-    """Exact vs linearized branch decay factor up to the next reversal."""
+def fig4_table(runs: Runs) -> tuple[list[str], list[tuple]]:
+    """Exact vs linearized decay factor to the next reversal, 101 points per curve."""
     header = ["ratio", "F_i_over_Fc", "x", "omega", "omega_star"]
     rows = []
-    for ratio in ratios:
-        p = params_for_ratio(base, ratio)
-        for u in fractions:
+    for _, ratio, p in runs:
+        for u in FORCE_FRACTIONS:
             f_i = -u * p.f_c
             x_next = next_reversal_exact(f_i, p)
             approx = omega_approx(f_i, p)
-            for x in _linspace(0.0, x_next, n_x):
-                rows.append((float(ratio), float(u), x, omega(x, p), approx.value(x)))
+            for x in _linspace(0.0, x_next, 101):
+                rows.append((ratio, u, x, omega(x, p), approx.value(x)))
     return header, rows
 
 
-def fig5_tables(
-    base: FrictionParams, f_c_values, n_x: int = 201
-) -> list[tuple[str, list[str], list[tuple]]]:
+def fig5_tables(runs: Runs) -> list[tuple[str, list[str], list[tuple]]]:
     """Force-displacement curve of one half-cycle per friction level.
 
-    The curve starts at a saturated reversal (force -f_c) and runs to the
-    exactly predicted next reversal; a companion table records where the
-    exact and both linearized predictors put that reversal. Degenerate
-    predictor points are stored as nan. base supplies sigma, gamma and
-    mass; each sweep entry replaces its f_c.
+    The curve of 201 points starts at a saturated reversal (force -f_c) and
+    runs to the exactly predicted next reversal; a companion table records
+    where the exact and both linearized predictors put that reversal.
+    Degenerate predictor points are stored as nan. Each run's value is its
+    friction level f_c.
     """
     curve_header = ["F_c", "x", "F"]
     curve_rows = []
@@ -167,14 +156,13 @@ def fig5_tables(
         "F_next_rederived",
     ]
     pred_rows = []
-    for f_c in f_c_values:
-        p = dataclasses.replace(base, f_c=f_c)
+    for _, f_c, p in runs:
         f_i = -p.f_c
         x_i = reversal_coordinate(f_i, p)
         x_next = next_reversal_exact(f_i, p)
-        for x in _linspace(x_i, x_next, n_x):
-            curve_rows.append((float(f_c), x, next_reversal_force(x, f_i, p)))
-        row = [float(f_c), potential_energy(f_i, p), x_next]
+        for x in _linspace(x_i, x_next, 201):
+            curve_rows.append((f_c, x, next_reversal_force(x, f_i, p)))
+        row = [f_c, potential_energy(f_i, p), x_next]
         forces = [next_reversal_force(x_next, f_i, p)]
         for form in ("printed", "rederived"):
             try:
@@ -191,16 +179,13 @@ def fig5_tables(
     ]
 
 
-def fig6_table(
-    base: FrictionParams, ratios, n_steps: int, mode: str = "exact"
-) -> tuple[list[str], list[tuple]]:
+def fig6_table(runs: Runs, n_steps: int, mode: str) -> tuple[list[str], list[tuple]]:
     """Reversal-chain energies per stiffness ratio, seeded at saturation."""
     header = ["ratio", "n", "F_n", "x_n", "E_p", "E_d"]
     rows = []
-    for ratio in ratios:
-        p = params_for_ratio(base, ratio)
+    for _, ratio, p in runs:
         for e in reversal_chain(-p.f_c, n_steps, p, mode=mode):
-            rows.append((float(ratio), e.n, e.f_n, e.x_n, e.e_p, e.e_d))
+            rows.append((ratio, e.n, e.f_n, e.x_n, e.e_p, e.e_d))
     return header, rows
 
 

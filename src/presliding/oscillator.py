@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError, ConvergenceError, DomainError, StepRejectionError
@@ -67,22 +67,22 @@ class OscState:
 class SimConfig:
     """Simulation setup.
 
-    dt defaults to (1/200)*sqrt(mass*f_c/sigma), a fraction of the
-    characteristic period right after a reversal where the local branch
-    stiffness is ~2*sigma. stop_energy defaults to 1e-12 times the initial
-    kinetic energy and is compared against the recoverable energy of each
-    completed reversal (the only instants where the energy balance is
-    meaningful); the dynamics never reach zero in finite time, so an
-    explicit threshold is required.
+    The defaults are the CLI's `sim` section. dt defaults to
+    (1/200)*sqrt(mass*f_c/sigma), a fraction of the characteristic period
+    right after a reversal where the local branch stiffness is ~2*sigma.
+    stop_energy defaults to 1e-12 times the initial kinetic energy and is
+    compared against the recoverable energy of each completed reversal (the
+    only instants where the energy balance is meaningful); the dynamics
+    never reach zero in finite time, so an explicit threshold is required.
     """
 
     params: FrictionParams
-    x0: float
-    v0: float
+    x0: float = 0.0
+    v0: float = 0.5
     f0: float = 0.0
     dt: Optional[float] = None
-    t_max: float = 100.0
-    max_reversals: Optional[int] = None
+    t_max: float = 200.0
+    max_reversals: Optional[int] = 12
     stop_energy: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -91,6 +91,9 @@ class SimConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.v0 == 0.0:
             raise ConfigError("v0 must be nonzero (the motion starts mid-swing)")
+        # v0*v0 first: effective_stop_energy's v0**2 raises if it overflows
+        if not math.isfinite(0.5 * self.params.mass * (self.v0 * self.v0)):
+            raise ConfigError(f"v0={self.v0} overflows the initial kinetic energy 0.5*m*v0**2")
         if abs(self.f0) > self.params.f_c:
             raise ConfigError(
                 f"|f0|={abs(self.f0)} exceeds the friction level f_c={self.params.f_c}"
@@ -153,8 +156,8 @@ class Trajectory:
     v: array
     f: array
     e_f_cum: array
-    reversals: list[ReversalRecord] = field(default_factory=list)
-    config: Optional[SimConfig] = None
+    reversals: list[ReversalRecord]
+    config: SimConfig
 
     def __len__(self) -> int:
         return len(self.t)

@@ -72,8 +72,6 @@ _LOG1P_EXCESS_COEFFS = tuple((-1) ** (k + 1) / k for k in range(7, 1, -1))
 _HALLEY_STOP = 1e-6
 _HALLEY_MAX_ITER = 8
 
-ApproxForm = Literal["printed", "rederived"]
-
 
 @dataclass(frozen=True)
 class OmegaApprox:
@@ -249,7 +247,9 @@ def next_reversal_exact(f_i: float, p: FrictionParams) -> float:
     return _branch_x(_next_force_ratio(-f_i / p.f_c), p)
 
 
-def next_reversal_approx(f_i: float, p: FrictionParams, *, form: ApproxForm) -> float:
+def next_reversal_approx(
+    f_i: float, p: FrictionParams, *, form: Literal["printed", "rederived"]
+) -> float:
     """Next reversal displacement from the linearized energy balance.
 
     Substituting the linear decay factor into the energy balance makes it
@@ -304,14 +304,13 @@ def reversal_chain(
     n_steps: int,
     p: FrictionParams,
     mode: Literal["exact", "approx"] = "exact",
-    approx_form: ApproxForm = "rederived",
 ) -> list[ReversalChainEntry]:
     """Iterate the half-cycle recursion from a seed reversal force f_0 < 0.
 
     Each step maps the current reversal force ratio phi = |f_n|/f_c to the
     next one: in "exact" mode by the closed-form map of the module
     docstring, which does not involve sigma, in "approx" mode through the
-    linearized predictor and the branch force there. Descending
+    "rederived" linearized predictor and the branch force there. Descending
     half-cycles are handled by sign mirroring, so recorded forces
     alternate sign while their magnitudes decay strictly.
 
@@ -335,7 +334,7 @@ def reversal_chain(
             phi_next = _next_force_ratio(phi)
         else:
             f_up = -phi * p.f_c  # ascending-frame force of this half-cycle
-            x_next = next_reversal_approx(f_up, p, form=approx_form)
+            x_next = next_reversal_approx(f_up, p, form="rederived")
             phi_next = next_reversal_force(x_next, f_up, p) / p.f_c
         e_p_next = _energy(phi_next, p)
         x_n = _branch_x(-phi, p)

@@ -83,12 +83,6 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
-def _sim(ratio: float, max_reversals: int = 12) -> Trajectory:
-    p = FrictionParams(f_c=1.0, sigma=ratio)
-    cfg = SimConfig(params=p, x0=0.0, v0=0.5, max_reversals=max_reversals, t_max=200.0)
-    return simulate(cfg)
-
-
 def check_max_potential_energy() -> CheckResult:
     """E_p at a saturated reversal vs the stated 0.3069*f_c^2/sigma maximum."""
     worst = 0.0
@@ -144,8 +138,8 @@ def check_stop_spring_conservative() -> CheckResult:
     return CheckResult("stop-spring-conservative", abs(delta) < tol, abs(delta), tol)
 
 
-def check_clockwise_dissipation(n_cycles: int = 20) -> CheckResult:
-    """Randomized admissible (closed) Dahl cycles all dissipate (fixed seed).
+def check_clockwise_dissipation() -> CheckResult:
+    """20 randomized admissible (closed) Dahl cycles all dissipate (fixed seed).
 
     A Dahl cycle closes exactly when the two reversal forces are opposite
     (f_hi = -f_lo); those are the paths the closed-cycle dissipation result
@@ -153,7 +147,7 @@ def check_clockwise_dissipation(n_cycles: int = 20) -> CheckResult:
     """
     rng = np.random.default_rng(20230901)
     min_delta = math.inf
-    for _ in range(n_cycles):
+    for _ in range(20):
         f_c = float(rng.uniform(0.5, 2.0))
         sigma = f_c * float(rng.uniform(1.0, 100.0))
         p = FrictionParams(f_c=f_c, sigma=sigma)
@@ -166,7 +160,7 @@ def check_clockwise_dissipation(n_cycles: int = 20) -> CheckResult:
         min_delta = min(min_delta, delta)
     return CheckResult(
         "clockwise-dissipation", min_delta > 0.0, min_delta, 0.0,
-        detail=f"min loop area over {n_cycles} closed cycles",
+        detail="min loop area over 20 closed cycles",
     )
 
 
@@ -197,13 +191,13 @@ def check_equal_areas(traj: Trajectory) -> CheckResult:
     return CheckResult("equal-areas", worst < 1e-5, worst, 1e-5)
 
 
-def check_chain_vs_simulation(traj: Trajectory, n: int = 10) -> CheckResult:
-    """Analytic reversal recursion vs simulated reversal forces."""
+def check_chain_vs_simulation(traj: Trajectory) -> CheckResult:
+    """Analytic reversal recursion vs the first 10 simulated reversal forces."""
     p = traj.config.params
     seed = -abs(traj.reversals[0].f_i)
-    chain = reversal_chain(seed, n, p, mode="exact")
+    chain = reversal_chain(seed, 10, p, mode="exact")
     worst = 0.0
-    for entry, record in zip(chain, traj.reversals[:n]):
+    for entry, record in zip(chain, traj.reversals):
         worst = max(worst, abs(abs(entry.f_n) - abs(record.f_i)) / abs(record.f_i))
     return CheckResult("chain-vs-simulation", worst < 1e-3, worst, 1e-3)
 
@@ -400,10 +394,10 @@ def check_determinism() -> CheckResult:
     from .figures import fig3_table
     from ._csv import encode_csv
 
-    base = FrictionParams(f_c=1.0, sigma=1.0)
+    runs = [("", r, FrictionParams(f_c=1.0, sigma=r)) for r in DEFAULT_SWEEPS["fig3"]]
 
     def render() -> tuple[bytes, int]:
-        return encode_csv(*fig3_table(base, DEFAULT_SWEEPS["fig3"]))
+        return encode_csv(*fig3_table(runs))
 
     same = render() == render()
     return CheckResult(
@@ -414,7 +408,7 @@ def check_determinism() -> CheckResult:
 
 def run_all() -> ValidationReport:
     """Run the full oracle suite and collect the report."""
-    trajs = [_sim(ratio) for ratio in (10.0, 100.0, 1000.0)]
+    trajs = [simulate(SimConfig(FrictionParams(f_c=1.0, sigma=r))) for r in (10.0, 100.0, 1000.0)]
     checks: list[CheckResult] = [
         check_max_potential_energy(),
         check_quadrature_equivalence(),

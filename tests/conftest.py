@@ -5,10 +5,9 @@ import pytest
 from presliding import FrictionParams, SimConfig, simulate
 
 
-def standard_run(ratio: float, max_reversals: int = 12):
-    p = FrictionParams(f_c=1.0, sigma=ratio)
-    cfg = SimConfig(params=p, x0=0.0, v0=0.5, max_reversals=max_reversals, t_max=200.0)
-    return simulate(cfg)
+def standard_run(ratio: float):
+    """The CLI's default simulation at sigma/f_c = ratio."""
+    return simulate(SimConfig(FrictionParams(f_c=1.0, sigma=ratio)))
 
 
 @pytest.fixture(scope="session")

@@ -70,7 +70,7 @@ def test_c04_stop_spring_zero_dissipation():
 
 def test_c05_clockwise_dissipation():
     """20 randomized admissible (closed) Dahl cycles all have positive area."""
-    report_checks(5, [validation.check_clockwise_dissipation(n_cycles=20)], [0.0])
+    report_checks(5, [validation.check_clockwise_dissipation()], [0.0])
 
 
 def test_c06_simulation_energy_balance(traj10, traj100):
@@ -89,7 +89,7 @@ def test_c07_equal_areas(traj10, traj100):
 
 def test_c08_recursion_matches_simulation(traj10):
     """Exact-mode chain forces match simulated reversal forces, 1e-3, 10 reversals."""
-    report_checks(8, [validation.check_chain_vs_simulation(traj10, n=10)], [1e-3])
+    report_checks(8, [validation.check_chain_vs_simulation(traj10)], [1e-3])
 
 
 def test_c09_series_convergence():

@@ -14,6 +14,7 @@ import pytest
 from presliding import ConfigError, DomainError, FrictionParams, SimConfig, simulate
 from presliding.cli import (
     KINDS,
+    MAX_CHAIN_STEPS,
     ExperimentConfig,
     apply_overrides,
     config_from_dict,
@@ -25,6 +26,10 @@ from presliding.cli import (
 from presliding.figures import fig3_table
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def sweep_values(cfg):
+    return [value for _, value, _ in cfg.runs]
 
 
 def run_kind(kind, out_dir, **top):
@@ -140,14 +145,14 @@ def test_sweep_kinds_writing_one_file_accept_repeated_entries():
     # fig3 puts every entry into one table, so no file names collide
     data = default_config("fig3")
     data["sweep"] = [10, 10.0000001]
-    assert config_from_dict(data).sweep == (10.0, 10.0000001)
+    assert sweep_values(config_from_dict(data)) == [10.0, 10.0000001]
 
 
 def test_simulation_kinds_accept_any_gamma():
     for kind in ("simulate", "fig7"):
         data = default_config(kind)
         data["params"]["gamma"] = 0.5
-        assert config_from_dict(data).params.gamma == 0.5
+        assert config_from_dict(data).sim.params.gamma == 0.5
 
 
 def test_overrides_nested_and_typed():
@@ -156,8 +161,8 @@ def test_overrides_nested_and_typed():
         data, ["params.sigma=2.5", "sweep=[1,10]", "sim.max_reversals=null", "output_dir=elsewhere"]
     )
     cfg = config_from_dict(data)
-    assert cfg.params.sigma == 2.5
-    assert cfg.sweep == (1.0, 10.0)
+    assert cfg.sim.params.sigma == 2.5
+    assert sweep_values(cfg) == [1.0, 10.0]
     assert cfg.sim.max_reversals is None
     assert str(cfg.output_dir) == "elsewhere"
 
@@ -165,7 +170,7 @@ def test_overrides_nested_and_typed():
 def test_override_comma_list():
     data = default_config("fig6")
     apply_overrides(data, ["sweep=10,100"])
-    assert config_from_dict(data).sweep == (10.0, 100.0)
+    assert sweep_values(config_from_dict(data)) == [10.0, 100.0]
 
 
 def test_override_requires_key_value():
@@ -213,13 +218,16 @@ def test_fig3_dataset(tmp_path):
 def test_fig3_table_keeps_callers_gamma():
     # the closed forms hold for gamma = 1 only; a builder must not swap it in
     with pytest.raises(DomainError):
-        fig3_table(FrictionParams(1.0, 1.0, gamma=2.0), [10.0])
+        fig3_table([("", 10.0, FrictionParams(1.0, 10.0, gamma=2.0))])
 
 
 def test_fig3_rows_take_the_plain_float_path():
-    # encode_csv formats a row of plain floats with one %-string; a numpy
-    # scalar in a cell sends the row through format_value instead
-    _, rows = fig3_table(FrictionParams(1.0, 1.0), [10, 100.0])
+    # encode_csv formats a row of plain floats with one %-string; an int
+    # sweep entry or a numpy scalar in a cell sends the row through
+    # format_value instead
+    data = default_config("fig3")
+    data["sweep"] = [10, 100.0]
+    _, rows = fig3_table(config_from_dict(data).runs)
     assert {tuple(map(type, row)) for row in rows} == {(float, float, float)}
 
 
@@ -283,7 +291,7 @@ def test_fig7_envelope_matches_direct_simulation(tmp_path):
     run_kind("fig7", tmp_path, sweep=[10])
     env = np.genfromtxt(tmp_path / "fig7_envelope_ratio10.csv", delimiter=",", names=True)
     p = FrictionParams(f_c=1.0, sigma=10.0)
-    traj = simulate(SimConfig(params=p, x0=0.0, v0=0.5, max_reversals=12, t_max=200.0))
+    traj = simulate(SimConfig(params=p))
     assert len(env) == len(traj.reversals)
     for row, rec in zip(env, traj.reversals):
         assert row["E_p"] == rec.e_p
@@ -392,21 +400,62 @@ PROBES = {
         ["simulate", "--override", "params.gamma=1e300", "--override", "params.sigma=10"],
         3, "run error: simulate: OverflowError: ",
     ),
+    # the initial kinetic energy 0.5*mass*v0**2 overflows
     "simulate_energy_overflow": (
         ["simulate", "--override", "sim.x0=1e308", "--override", "sim.v0=1e308"],
-        3, "run error: simulate: OverflowError: ",
+        2, "config error: sim: v0=1e+308 overflows the initial kinetic energy",
+    ),
+    "simulate_v0_energy_overflow": (
+        ["simulate", "--override", "sim.v0=1e200"],
+        2, "config error: sim: v0=1e+200 overflows the initial kinetic energy",
+    ),
+    # an override must not switch the kind the subcommand runs
+    "kind_override": (
+        ["fig3", "--override", "kind=validate"],
+        2, "config error: kind: 'validate' does not match subcommand 'fig3'",
+    ),
+    "output_dir_number": (
+        ["fig3", "--override", "output_dir=5"],
+        2, "config error: output_dir: expected a string, got 5",
+    ),
+    "output_dir_null": (
+        ["fig3", "--override", "output_dir=null"],
+        2, "config error: output_dir: expected a string, got None",
+    ),
+    "output_dir_list": (
+        ["fig3", "--override", "output_dir=[1]"],
+        2, "config error: output_dir: expected a string, got [1]",
+    ),
+    # chains above the bound would run for minutes and hold gigabytes
+    "chain_n_steps_above_bound": (
+        ["chain", "--override", "chain.n_steps=100000000000"],
+        2, "config error: chain.n_steps: expected 1 to 1000000, got ",
+    ),
+    "fig6_n_steps_above_bound": (
+        ["fig6", "--override", "chain.n_steps=1000001"],
+        2, "config error: chain.n_steps: expected 1 to 1000000, got ",
     ),
 }
 
 
 @pytest.mark.parametrize("args, code, err_start", PROBES.values(), ids=PROBES.keys())
-def test_probed_inputs_exit_with_one_line(tmp_path, capsys, args, code, err_start):
-    out = tmp_path / "out"
-    assert main(args + ["--out", str(out)]) == code
+def test_probed_inputs_exit_with_one_line(tmp_path, monkeypatch, capsys, args, code, err_start):
+    # the runs write to the default output directory "out", inside tmp_path
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == code
     err = capsys.readouterr().err
     assert err.startswith(err_start)
     assert err.count("\n") == 1
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_chain_steps_bound_is_inclusive():
+    data = default_config("chain")
+    data["chain"]["n_steps"] = MAX_CHAIN_STEPS
+    assert config_from_dict(data).chain.n_steps == MAX_CHAIN_STEPS
+    data["chain"]["n_steps"] = MAX_CHAIN_STEPS + 1
+    with pytest.raises(ConfigError, match=r"^chain\.n_steps: "):
+        config_from_dict(data)
 
 
 FAILING_RUNS = {
