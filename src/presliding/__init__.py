@@ -19,7 +19,6 @@ from .oscillator import (
     SimConfig,
     Trajectory,
     locate_reversal,
-    restoring_energy_between,
     simulate,
     step,
 )

@@ -340,23 +340,23 @@ def _run_validate(cfg: ExperimentConfig, files: dict) -> int:
     # imported here: validation needs numpy, which no other kind loads
     from . import validation
 
-    report = validation.run_all()
+    checks, audit_rows = validation.run_all()
     files["validation_report.csv"] = encode_csv(
         ["check", "status", "measured", "tolerance", "detail"],
         (
             (c.name, "pass" if c.passed else "FAIL", c.measured, c.tolerance, c.detail)
-            for c in report.checks
+            for c in checks
         ),
     )
-    files["approx_audit.csv"] = encode_csv(_AUDIT_HEADER, report.audit_rows)
-    for c in report.checks:
+    files["approx_audit.csv"] = encode_csv(_AUDIT_HEADER, audit_rows)
+    for c in checks:
         status = "pass" if c.passed else "FAIL"
         print(
             f"[{status}] {c.name}: measured={c.measured:.6g} "
             f"tolerance={c.tolerance:.6g}"
             + (f" ({c.detail})" if c.detail else "")
         )
-    return 0 if report.all_passed else 1
+    return 0 if all(c.passed for c in checks) else 1
 
 
 _RUNNERS = {
@@ -367,9 +367,9 @@ _RUNNERS = {
     "fig5": lambda cfg, files: files.update(
         {name: encode_csv(header, rows) for name, header, rows in fig5_tables(cfg.runs)}
     ),
-    "fig6": lambda cfg, files: files.update(
-        {"fig6.csv": encode_csv(*fig6_table(cfg.runs, cfg.chain.n_steps, cfg.chain.mode))}
-    ),
+    "fig6": lambda cfg, files: files.update({"fig6.csv": encode_csv(*fig6_table(
+        cfg.runs, cfg.chain.f0_over_fc, cfg.chain.n_steps, cfg.chain.mode
+    ))}),
     "fig7": _run_fig7,
     "validate": _run_validate,
 }

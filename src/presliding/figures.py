@@ -179,12 +179,14 @@ def fig5_tables(runs: Runs) -> list[tuple[str, list[str], list[tuple]]]:
     ]
 
 
-def fig6_table(runs: Runs, n_steps: int, mode: str) -> tuple[list[str], list[tuple]]:
-    """Reversal-chain energies per stiffness ratio, seeded at saturation."""
+def fig6_table(
+    runs: Runs, f0_over_fc: float, n_steps: int, mode: str
+) -> tuple[list[str], list[tuple]]:
+    """Reversal-chain energies per stiffness ratio, seeded at f0_over_fc*f_c."""
     header = ["ratio", "n", "F_n", "x_n", "E_p", "E_d"]
     rows = []
     for _, ratio, p in runs:
-        for e in reversal_chain(-p.f_c, n_steps, p, mode=mode):
+        for e in reversal_chain(f0_over_fc * p.f_c, n_steps, p, mode=mode):
             rows.append((ratio, e.n, e.f_n, e.x_n, e.e_p, e.e_d))
     return header, rows
 

@@ -58,6 +58,9 @@ class FrictionParams:
             raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
         if not 0 <= self.gamma < math.inf:
             raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
+        # 2**gamma and the peak Dahl slope sigma*2**gamma must be finite (2.0**gamma raises)
+        if max(math.log2(self.sigma), 0.0) + self.gamma >= 1024.0:
+            raise DomainError(f"gamma={self.gamma} overflows the peak Dahl slope sigma*2**gamma")
         if not 0 < self.mass < math.inf:
             raise DomainError(f"mass must be finite and > 0, got {self.mass}")
 
@@ -181,13 +184,12 @@ def loop_dissipation(
     x_hi: float,
     force_map,
     params,
-    rel_tol: float = 1e-10,
 ) -> float:
     """Area between an ascending and a descending branch over [x_lo, x_hi].
 
     Net dissipated energy of one cycle: integral of
     (force_map(x, b_up) - force_map(x, b_down)) dx, computed by adaptive
-    quadrature to relative tolerance rel_tol. For a clockwise hysteresis
+    quadrature to relative tolerance 1e-10. For a clockwise hysteresis
     map the ascending branch lies above the descending one and the result
     is >= 0; for the unsaturated linear spring it vanishes.
 
@@ -210,4 +212,4 @@ def loop_dissipation(
     def gap(x: float) -> float:
         return force_map(x, b_up, params) - force_map(x, b_down, params)
 
-    return integrate(gap, x_lo, x_hi, rel_tol=rel_tol).value
+    return integrate(gap, x_lo, x_hi, rel_tol=1e-10).value

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +33,6 @@ __all__ = [
     "step",
     "locate_reversal",
     "simulate",
-    "restoring_energy_between",
 ]
 
 # force may overshoot the saturation band by at most this relative amount
@@ -131,7 +129,7 @@ class ReversalRecord:
     part converts fully into kinetic energy at the force zero crossing).
     e_d_halfcycle is the energy dissipated since the previous reversal,
     e_p(previous) - e_p(this); it is 0 by convention for the first record,
-    which has no predecessor.
+    which has no predecessor. t_i is always a sample time of the trajectory.
     """
 
     index: int
@@ -147,7 +145,9 @@ class Trajectory:
     """Ordered simulation samples plus the completed reversal records.
 
     Samples are stored as parallel array('d') columns (t, x, v, f, e_f_cum),
-    strictly increasing in t; np.asarray views one without a copy.
+    strictly increasing in t; np.asarray views one without a copy. Every
+    reversal instant t_i is a sample, so a value at a reversal is read off
+    a column at bisect_left(t, t_i), never interpolated.
     Immutable by convention after simulate() returns.
     """
 
@@ -360,24 +360,3 @@ def simulate(cfg: SimConfig) -> Trajectory:
         reversals=records,
         config=cfg,
     )
-
-
-def restoring_energy_between(traj: Trajectory, t_a: float, t_b: float) -> float:
-    """Restoring-force work over [t_a, t_b]: e_f_cum(t_b) - e_f_cum(t_a).
-
-    Linear interpolation of the accumulated integral between samples, in
-    np.interp's operation order, so the two agree bit for bit; the two
-    endpoints must lie inside the trajectory's time span.
-    """
-    ts, es = traj.t, traj.e_f_cum
-    for t_q in (t_a, t_b):
-        if not (ts[0] <= t_q <= ts[-1]):
-            raise DomainError(f"time {t_q} outside the trajectory span [{ts[0]}, {ts[-1]}]")
-
-    def at(t_q: float) -> float:
-        j = bisect_right(ts, t_q) - 1  # ts[j] <= t_q < ts[j + 1]
-        if j == len(ts) - 1 or ts[j] == t_q:
-            return es[j]
-        return (es[j + 1] - es[j]) / (ts[j + 1] - ts[j]) * (t_q - ts[j]) + es[j]
-
-    return at(t_b) - at(t_a)

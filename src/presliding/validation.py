@@ -20,6 +20,7 @@ Frozen regression constants (measured once with the oracle, then pinned):
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,9 @@ from .hysteresis import (
     stop_spring_force,
 )
 from .oracle import derivative, find_root, integrate
-from .oscillator import SimConfig, Trajectory, restoring_energy_between, simulate
+from .oscillator import SimConfig, Trajectory, simulate
 from .reversal import (
+    SLOPE_EXPONENT,
     next_reversal_approx,
     next_reversal_exact,
     omega,
@@ -50,9 +52,7 @@ from .errors import DomainError
 
 __all__ = [
     "CheckResult",
-    "ValidationReport",
     "run_all",
-    "approx_form_audit",
     "omega_envelope_deviation",
     "OMEGA_ENVELOPE_BOUND",
     "APPROX_REDERIVED_BOUND",
@@ -71,16 +71,6 @@ class CheckResult:
     measured: float
     tolerance: float
     detail: str = ""
-
-
-@dataclass
-class ValidationReport:
-    checks: list[CheckResult]
-    audit_rows: list[tuple]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def check_max_potential_energy() -> CheckResult:
@@ -169,12 +159,11 @@ def check_energy_balance(traj: Trajectory, label: str) -> list[CheckResult]:
     cfg = traj.config
     m = cfg.params.mass
     e0 = 0.5 * m * cfg.v0**2
-    t, v = np.asarray(traj.t), np.asarray(traj.v)
+    v = np.asarray(traj.v)
     drift = float(np.max(np.abs(0.5 * m * v**2 + np.asarray(traj.e_f_cum) - e0)) / e0)
     v_rev = 0.0
     for r in traj.reversals:
-        k = int(np.searchsorted(t, r.t_i))
-        v_rev = max(v_rev, abs(float(v[k])))
+        v_rev = max(v_rev, abs(traj.v[bisect_left(traj.t, r.t_i)]))
     return [
         CheckResult(f"energy-balance-drift-{label}", drift < 1e-6, drift, 1e-6),
         CheckResult(f"reversal-speed-{label}", v_rev < 1e-9, v_rev, 1e-9),
@@ -182,12 +171,11 @@ def check_energy_balance(traj: Trajectory, label: str) -> list[CheckResult]:
 
 
 def check_equal_areas(traj: Trajectory) -> CheckResult:
-    """Restoring-force work between consecutive reversals cancels."""
+    """Restoring-force work between consecutive reversals (e_f_cum samples) cancels."""
+    ks = [bisect_left(traj.t, r.t_i) for r in traj.reversals]
     worst = 0.0
-    for i in range(len(traj.reversals) - 1):
-        r0, r1 = traj.reversals[i], traj.reversals[i + 1]
-        total = restoring_energy_between(traj, r0.t_i, r1.t_i)
-        worst = max(worst, abs(total) / r0.e_p)
+    for r0, k0, k1 in zip(traj.reversals, ks, ks[1:]):
+        worst = max(worst, abs(traj.e_f_cum[k1] - traj.e_f_cum[k0]) / r0.e_p)
     return CheckResult("equal-areas", worst < 1e-5, worst, 1e-5)
 
 
@@ -289,12 +277,12 @@ def check_reversal_frequency_trend(trajs: list[Trajectory]) -> CheckResult:
     )
 
 
-def approx_form_audit() -> tuple[list[tuple], float, float, int]:
+def check_approx_forms() -> tuple[list[CheckResult], list[tuple]]:
     """Compare both linearized-predictor forms to the exact root.
 
-    Returns (rows, max_dev_printed, max_dev_rederived, n_degenerate_printed)
-    over the two standard grids: ratio sweep at fixed f_c, and f_c sweep at
-    fixed sigma = 1 (where the printed form degenerates for f_c > sigma).
+    Returns the checks and the audit rows over the two standard grids:
+    ratio sweep at fixed f_c, and f_c sweep at fixed sigma = 1 (where the
+    printed form degenerates for f_c > sigma).
     """
     rows: list[tuple] = []
     devs = {"printed": 0.0, "rederived": 0.0}
@@ -330,40 +318,35 @@ def approx_form_audit() -> tuple[list[tuple], float, float, int]:
                         dev_by_form["rederived"],
                     )
                 )
-    return rows, devs["printed"], devs["rederived"], n_degenerate
-
-
-def check_approx_forms() -> tuple[list[CheckResult], list[tuple]]:
-    rows, dev_printed, dev_rederived, n_degen = approx_form_audit()
     checks = [
         CheckResult(
             "approx-rederived-bound",
-            dev_rederived <= APPROX_REDERIVED_BOUND,
-            dev_rederived,
+            devs["rederived"] <= APPROX_REDERIVED_BOUND,
+            devs["rederived"],
             APPROX_REDERIVED_BOUND,
             detail="max relative deviation of the rederived form from the exact root",
         ),
         CheckResult(
-            "approx-printed-recorded", True, dev_printed, math.inf,
-            detail=f"informational; {n_degen} grid points degenerate for the printed form",
+            "approx-printed-recorded", True, devs["printed"], math.inf,
+            detail=f"informational; {n_degenerate} grid points degenerate for the printed form",
         ),
         CheckResult(
             "approx-better-form",
-            dev_rederived <= dev_printed,
-            dev_rederived,
-            dev_printed,
+            devs["rederived"] <= devs["printed"],
+            devs["rederived"],
+            devs["printed"],
             detail="the rederived form wins on every audited grid",
         ),
     ]
     return checks, rows
 
 
-def omega_envelope_deviation(exponent: float = 0.6) -> float:
+def omega_envelope_deviation(exponent: float = SLOPE_EXPONENT) -> float:
     """Worst |omega - linearized omega| over the standard grid.
 
     The exponent parameter exists so the check's sensitivity can be
-    demonstrated: nudging it off 0.6 must push the deviation past the
-    frozen bound.
+    demonstrated: nudging it off SLOPE_EXPONENT must push the deviation
+    past the frozen bound.
     """
     worst = 0.0
     for ratio in DEFAULT_SWEEPS["fig4"]:
@@ -406,8 +389,8 @@ def check_determinism() -> CheckResult:
     )
 
 
-def run_all() -> ValidationReport:
-    """Run the full oracle suite and collect the report."""
+def run_all() -> tuple[list[CheckResult], list[tuple]]:
+    """Run the full oracle suite; returns (checks, approx audit rows)."""
     trajs = [simulate(SimConfig(FrictionParams(f_c=1.0, sigma=r))) for r in (10.0, 100.0, 1000.0)]
     checks: list[CheckResult] = [
         check_max_potential_energy(),
@@ -428,4 +411,4 @@ def run_all() -> ValidationReport:
     checks += approx_checks
     checks.append(check_omega_envelope())
     checks.append(check_determinism())
-    return ValidationReport(checks=checks, audit_rows=audit_rows)
+    return checks, audit_rows

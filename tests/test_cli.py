@@ -268,6 +268,15 @@ def test_fig6_dataset(tmp_path):
         assert np.all(np.diff(sub["E_p"]) < 0.0)
 
 
+def test_fig6_seeds_at_chain_f0_over_fc(tmp_path):
+    run_kind("fig6", tmp_path, params={"f_c": 2.0}, chain={"f0_over_fc": -0.5})
+    table = np.genfromtxt(tmp_path / "fig6.csv", delimiter=",", names=True)
+    for ratio in (10.0, 100.0, 1000.0):
+        first = table[table["ratio"] == ratio][0]
+        assert first["n"] == 0
+        assert abs(first["F_n"]) == 0.5 * 2.0
+
+
 def test_fig7_dataset(tmp_path):
     run_kind("fig7", tmp_path)
     readme = (tmp_path / "README.txt").read_text()
@@ -396,9 +405,14 @@ PROBES = {
     "fig5_overflow": (
         ["fig5", "--override", "sweep=[1e200]"], 3, "run error: fig5: OverflowError: ",
     ),
+    # the peak Dahl slope sigma*2**gamma overflows
     "simulate_gamma_overflow": (
         ["simulate", "--override", "params.gamma=1e300", "--override", "params.sigma=10"],
-        3, "run error: simulate: OverflowError: ",
+        2, "config error: params: gamma=1e+300 overflows the peak Dahl slope",
+    ),
+    "simulate_sweep_gamma_overflow": (
+        ["simulate", "--override", "params.gamma=1023.5", "--override", "sweep=[0.5,10]"],
+        2, "config error: sweep[1]: gamma=1023.5 overflows the peak Dahl slope",
     ),
     # the initial kinetic energy 0.5*mass*v0**2 overflows
     "simulate_energy_overflow": (

@@ -32,12 +32,21 @@ P1 = FrictionParams(f_c=1.0, sigma=1.0)
         {"f_c": -1.0, "sigma": 1.0},
         {"f_c": 1.0, "sigma": 0.0},
         {"f_c": 1.0, "sigma": 1.0, "gamma": -0.1},
+        {"f_c": 1.0, "sigma": 10.0, "gamma": 1e300},
+        {"f_c": 1.0, "sigma": 2.0, "gamma": 1023.0},
+        {"f_c": 1.0, "sigma": 0.5, "gamma": 1024.0},
         {"f_c": 1.0, "sigma": 1.0, "mass": 0.0},
     ],
 )
 def test_friction_params_invariants(kwargs):
     with pytest.raises(DomainError):
         FrictionParams(**kwargs)
+
+
+def test_gamma_bound_admits_a_finite_peak_slope():
+    # sigma*2**gamma just below the largest double
+    assert FrictionParams(f_c=1.0, sigma=1.0, gamma=1020.0).gamma == 1020.0
+    assert FrictionParams(f_c=1.0, sigma=1.5, gamma=1023.0).gamma == 1023.0
 
 
 def test_branch_state_direction():

@@ -1,6 +1,7 @@
 """Tests of the oscillator integrator, event detection and energy accounting."""
 
 import math
+from bisect import bisect_left
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,6 @@ from presliding import (
     dahl_rate,
     locate_reversal,
     potential_energy,
-    restoring_energy_between,
     simulate,
     step,
 )
@@ -419,6 +419,8 @@ def test_simulate_matches_per_state_reference_bitwise(monkeypatch, params, sim, 
     for k, ref in cols.items():
         assert getattr(traj, k).tobytes() == ref.tobytes(), k
     assert traj.reversals == records
+    # every reversal instant is a sample, including the bracket cases
+    assert all(traj.t[bisect_left(traj.t, r.t_i)] == r.t_i for r in traj.reversals)
     # each case stops the way its id says
     if ends == "reversals":
         assert len(records) == cfg.max_reversals
@@ -433,57 +435,15 @@ def test_simulate_matches_per_state_reference_bitwise(monkeypatch, params, sim, 
 # energy queries
 # ---------------------------------------------------------------------------
 
-def test_restoring_energy_zero_interval(traj10):
-    t = float(traj10.t[100])
-    assert restoring_energy_between(traj10, t, t) == 0.0
-
-
-def test_restoring_energy_reversal_to_reversal_cancels(traj10):
-    for i in range(len(traj10.reversals) - 1):
-        r0, r1 = traj10.reversals[i], traj10.reversals[i + 1]
-        total = restoring_energy_between(traj10, r0.t_i, r1.t_i)
-        assert abs(total) < 1e-5 * r0.e_p
-
-
 def test_restoring_energy_reversal_to_peak_is_released_potential(traj10):
-    p = traj10.config.params
+    # reversals and peaks are samples: the work is a difference of e_f_cum samples
+    p, t, e = traj10.config.params, traj10.t, traj10.e_f_cum
     for i in range(4):
         r = traj10.reversals[i]
         t_0, _ = peak_velocity_between_reversals(traj10, i)
-        released = restoring_energy_between(traj10, r.t_i, t_0)
+        released = e[bisect_left(t, t_0)] - e[bisect_left(t, r.t_i)]
         analytic = potential_energy(-abs(r.f_i), p)
         assert released == pytest.approx(-analytic, rel=1e-3)
-
-
-def np_restoring_energy(traj, t_a, t_b):
-    """restoring_energy_between written over np.interp."""
-    e_a, e_b = np.interp([t_a, t_b], np.asarray(traj.t), np.asarray(traj.e_f_cum))
-    return float(e_b - e_a)
-
-
-def test_restoring_energy_matches_np_interp_at_samples_and_reversals(traj10):
-    # the equal-areas check in validate's golden report queries reversals
-    t, recs = traj10.t, traj10.reversals
-    queries = [(r0.t_i, r1.t_i) for r0, r1 in zip(recs, recs[1:])]
-    queries += [(t[0], t[-1]), (t[0], t[1]), (t[-2], t[-1]), (t[100], t[101])]
-    for t_a, t_b in queries:
-        got = restoring_energy_between(traj10, t_a, t_b)
-        assert got.hex() == np_restoring_energy(traj10, t_a, t_b).hex()
-
-
-@given(u=st.floats(0.0, 1.0), w=st.floats(0.0, 1.0))
-def test_restoring_energy_matches_np_interp_bitwise(traj10, u, w):
-    t0, t1 = traj10.t[0], traj10.t[-1]
-    t_a, t_b = t0 + u * (t1 - t0), t0 + w * (t1 - t0)
-    got = restoring_energy_between(traj10, t_a, t_b)
-    assert got.hex() == np_restoring_energy(traj10, t_a, t_b).hex()
-
-
-def test_restoring_energy_out_of_range(traj10):
-    with pytest.raises(DomainError):
-        restoring_energy_between(traj10, -1.0, 1.0)
-    with pytest.raises(DomainError):
-        restoring_energy_between(traj10, 0.0, float(traj10.t[-1]) + 1.0)
 
 
 def test_peak_velocity_at_force_zero_crossing(traj10):
