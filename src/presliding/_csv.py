@@ -7,10 +7,15 @@ bytes go.
 
 from __future__ import annotations
 
+from io import BytesIO
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
+# rows formatted per %-string; one block of rows is held at a time
+_BLOCK = 1024
+
 # format_value's text of exact float and int cells, as %-specs; a str cell
-# may need quoting, so its row goes through format_value
+# may need quoting, so its column goes through format_value
 _SPECS = {float: "%.17g", int: "%d"}
 
 
@@ -29,17 +34,32 @@ def format_value(v) -> str:
 def encode_csv(header: Sequence[str], rows: Iterable[Sequence]) -> tuple[bytes, int]:
     """Encode rows under a mandatory header; returns (UTF-8 bytes, data row count).
 
-    A row of float and int cells is formatted with one %-string, built once
-    per tuple of cell types; any other row goes through format_value.
+    Rows are read _BLOCK at a time, and each block is formatted with one
+    %-string. A column of the block whose cells are all float (or all int)
+    gets that type's spec; any other column goes through format_value. A
+    row whose width differs from the header's raises ValueError.
     """
-    formats: dict[tuple, str] = {}  # cell types -> %-string of the row, "" for none
-    lines = [",".join(header) + "\n"]
-    for row in rows:
-        row = tuple(row)
-        key = tuple(map(type, row))
-        fmt = formats.get(key)
-        if fmt is None:
-            specs = [_SPECS.get(t) for t in key]
-            fmt = formats[key] = "" if None in specs else ",".join(specs) + "\n"
-        lines.append(fmt % row if fmt else ",".join(format_value(v) for v in row) + "\n")
-    return "".join(lines).encode("utf-8"), len(lines) - 1
+    width = len(header)
+    out = BytesIO()
+    out.write((",".join(header) + "\n").encode("utf-8"))
+    n = 0
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK)):
+        if set(map(len, block)) != {width}:
+            bad = next(i for i, row in enumerate(block) if len(row) != width)
+            raise ValueError(
+                f"row {n + bad} has {len(block[bad])} cells, the header {width}"
+            )
+        n += len(block)
+        specs = []
+        cols = list(zip(*block))
+        for j, col in enumerate(cols):
+            types = set(map(type, col))
+            spec = _SPECS.get(types.pop()) if len(types) == 1 else None
+            if spec is None:
+                cols[j] = tuple(map(format_value, col))
+                spec = "%s"
+            specs.append(spec)
+        cells = chain.from_iterable(zip(*cols) if "%s" in specs else block)
+        out.write(((",".join(specs) + "\n") * len(block) % tuple(cells)).encode("utf-8"))
+    return out.getvalue(), n

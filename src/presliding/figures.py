@@ -91,10 +91,10 @@ Runs = Iterable[tuple[str, float, FrictionParams]]
 
 
 def trajectory_table(traj: Trajectory) -> tuple[list[str], Iterator[tuple]]:
-    """Samples as t,x,v,F,E_k,E_f_cum; rows are generated lazily."""
+    """Samples as t,x,v,F,E_k,E_f_cum; rows are zipped lazily from the columns."""
     m = traj.config.params.mass
-    cols = (traj.t, traj.x, traj.v, traj.f, traj.e_f_cum)
-    rows = ((t, x, v, f, 0.5 * m * v**2, e) for t, x, v, f, e in zip(*cols))
+    e_k = [0.5 * m * v**2 for v in traj.v]
+    rows = zip(traj.t, traj.x, traj.v, traj.f, e_k, traj.e_f_cum)
     return ["t", "x", "v", "F", "E_k", "E_f_cum"], rows
 
 
@@ -104,9 +104,9 @@ def reversals_table(traj: Trajectory) -> tuple[list[str], list[tuple]]:
     return ["i", "t_i", "x_i", "F_i", "E_p", "E_d_halfcycle"], rows
 
 
-def chain_table(entries: list[ReversalChainEntry]) -> tuple[list[str], list[tuple]]:
-    """A reversal chain as n,F_n,x_n,E_p,E_d."""
-    return ["n", "F_n", "x_n", "E_p", "E_d"], [(e.n, e.f_n, e.x_n, e.e_p, e.e_d) for e in entries]
+def chain_table(entries: list[ReversalChainEntry]) -> tuple[list[str], Iterator[tuple]]:
+    """A reversal chain as n,F_n,x_n,E_p,E_d; rows are generated lazily."""
+    return ["n", "F_n", "x_n", "E_p", "E_d"], ((e.n, e.f_n, e.x_n, e.e_p, e.e_d) for e in entries)
 
 
 def fig3_table(runs: Runs) -> tuple[list[str], list[tuple]]:
@@ -196,7 +196,7 @@ def fig7_energy_magnitude(traj: Trajectory) -> tuple[list[str], list[tuple]]:
     e_ref = 0.0
     if traj.reversals:
         e_ref = traj.e_f_cum[bisect_left(traj.t, traj.reversals[0].t_i)]
-    rows = [(t, abs(e - e_ref)) for t, e in zip(traj.t, traj.e_f_cum)]
+    rows = list(zip(traj.t, [abs(e - e_ref) for e in traj.e_f_cum]))
     return ["t", "energy_magnitude"], rows
 
 

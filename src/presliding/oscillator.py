@@ -44,6 +44,14 @@ _TOL_V_REL = 1e-9
 
 _MAX_BISECTIONS = 100
 
+# Most steps one simulate call takes before it raises StepRejectionError.
+# A sample holds about 41 B while the run lasts: a run stopped here took
+# 8 s and peaked at 136 MiB RSS on a 2-vCPU host. A run that completes
+# just under it and writes its CSV peaks at 618 MiB (simulate) or 670 MiB
+# (fig7), about 210-230 B per sample, below the 754 MiB that a chain of
+# cli.MAX_CHAIN_STEPS steps held before its rows were streamed.
+MAX_STEPS = 3 * 10**6
+
 
 @dataclass(frozen=True)
 class OscState:
@@ -163,64 +171,75 @@ class Trajectory:
         return len(self.t)
 
 
-def _advance(
-    x: float, v: float, f: float, e: float, h: float, p: FrictionParams
-) -> tuple[float, float, float, float]:
-    """One classical 4th-order step of (x, v, f, e_f) in plain floats, clamped as in step.
+def _kernel(p: FrictionParams):
+    """The classical 4th-order step of (x, v, f, e_f) in plain floats, clamped as in step.
 
-    The right-hand side (v, -f/m, dahl_rate(f, v)*v, f*v) does not depend
-    on x, so only the v and f stages are formed. The stage rate is
+    Returns advance(x, v, f, e, h) -> (x, v, f, e) with p's constants bound
+    once. The right-hand side (v, -f/m, dahl_rate(f, v)*v, f*v) does not
+    depend on x, so only the v and f stages are formed. The stage rate is
     dahl_rate(f_k, v_k)*v_k written inline with the same operation order
     (a stage with v_k == 0 gets 0.0*v_k, a stage force outside the band
-    rejects the step); a test pins it bitwise to an RK4 over dahl_rate.
+    rejects the step); at gamma == 1 the power is skipped, which is exact
+    because b**1.0 == b. A test pins it bitwise to an RK4 over dahl_rate.
     """
     f_c, sigma, gamma = p.f_c, p.sigma, p.gamma
     inv_m = 1.0 / p.mass
-    hh = 0.5 * h
-    if v == 0.0:
-        r1 = 0.0 * v
-    elif f > f_c or f < -f_c:
-        raise _band_escape(f, f_c, h)
-    else:
-        r1 = sigma * (1.0 - (f / f_c) * (1.0 if v > 0.0 else -1.0)) ** gamma * v
-    a1 = -f * inv_m
-    v2, f2 = v + hh * a1, f + hh * r1
-    if v2 == 0.0:
-        r2 = 0.0 * v2
-    elif f2 > f_c or f2 < -f_c:
-        raise _band_escape(f2, f_c, h)
-    else:
-        r2 = sigma * (1.0 - (f2 / f_c) * (1.0 if v2 > 0.0 else -1.0)) ** gamma * v2
-    a2 = -f2 * inv_m
-    v3, f3 = v + hh * a2, f + hh * r2
-    if v3 == 0.0:
-        r3 = 0.0 * v3
-    elif f3 > f_c or f3 < -f_c:
-        raise _band_escape(f3, f_c, h)
-    else:
-        r3 = sigma * (1.0 - (f3 / f_c) * (1.0 if v3 > 0.0 else -1.0)) ** gamma * v3
-    a3 = -f3 * inv_m
-    v4, f4 = v + h * a3, f + h * r3
-    if v4 == 0.0:
-        r4 = 0.0 * v4
-    elif f4 > f_c or f4 < -f_c:
-        raise _band_escape(f4, f_c, h)
-    else:
-        r4 = sigma * (1.0 - (f4 / f_c) * (1.0 if v4 > 0.0 else -1.0)) ** gamma * v4
-    c = h / 6.0
-    x_new = x + c * (v + 2.0 * v2 + 2.0 * v3 + v4)
-    v_new = v + c * (a1 + 2.0 * a2 + 2.0 * a3 + -f4 * inv_m)
-    f_new = f + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-    e_new = e + c * (f * v + 2.0 * (f2 * v2) + 2.0 * (f3 * v3) + f4 * v4)
-    if f_new > f_c or f_new < -f_c:
-        over = abs(f_new) - f_c
-        if over > _CLAMP_REL_TOL * f_c:
-            raise StepRejectionError(
-                f"force overshoot {over} exceeds the clamp tolerance at dt={h}; "
-                f"reduce dt for sigma/f_c={p.ratio}"
-            )
-        f_new = math.copysign(f_c, f_new)
-    return x_new, v_new, f_new, e_new
+    unit = gamma == 1.0
+
+    def advance(
+        x: float, v: float, f: float, e: float, h: float
+    ) -> tuple[float, float, float, float]:
+        hh = 0.5 * h
+        if v == 0.0:
+            r1 = 0.0 * v
+        elif f > f_c or f < -f_c:
+            raise _band_escape(f, f_c, h)
+        else:
+            b = 1.0 - (f / f_c) * (1.0 if v > 0.0 else -1.0)
+            r1 = sigma * (b if unit else b**gamma) * v
+        a1 = -f * inv_m
+        v2, f2 = v + hh * a1, f + hh * r1
+        if v2 == 0.0:
+            r2 = 0.0 * v2
+        elif f2 > f_c or f2 < -f_c:
+            raise _band_escape(f2, f_c, h)
+        else:
+            b = 1.0 - (f2 / f_c) * (1.0 if v2 > 0.0 else -1.0)
+            r2 = sigma * (b if unit else b**gamma) * v2
+        a2 = -f2 * inv_m
+        v3, f3 = v + hh * a2, f + hh * r2
+        if v3 == 0.0:
+            r3 = 0.0 * v3
+        elif f3 > f_c or f3 < -f_c:
+            raise _band_escape(f3, f_c, h)
+        else:
+            b = 1.0 - (f3 / f_c) * (1.0 if v3 > 0.0 else -1.0)
+            r3 = sigma * (b if unit else b**gamma) * v3
+        a3 = -f3 * inv_m
+        v4, f4 = v + h * a3, f + h * r3
+        if v4 == 0.0:
+            r4 = 0.0 * v4
+        elif f4 > f_c or f4 < -f_c:
+            raise _band_escape(f4, f_c, h)
+        else:
+            b = 1.0 - (f4 / f_c) * (1.0 if v4 > 0.0 else -1.0)
+            r4 = sigma * (b if unit else b**gamma) * v4
+        c = h / 6.0
+        x_new = x + c * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v_new = v + c * (a1 + 2.0 * a2 + 2.0 * a3 + -f4 * inv_m)
+        f_new = f + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        e_new = e + c * (f * v + 2.0 * (f2 * v2) + 2.0 * (f3 * v3) + f4 * v4)
+        if f_new > f_c or f_new < -f_c:
+            over = abs(f_new) - f_c
+            if over > _CLAMP_REL_TOL * f_c:
+                raise StepRejectionError(
+                    f"force overshoot {over} exceeds the clamp tolerance at dt={h}; "
+                    f"reduce dt for sigma/f_c={p.ratio}"
+                )
+            f_new = math.copysign(f_c, f_new)
+        return x_new, v_new, f_new, e_new
+
+    return advance
 
 
 def _band_escape(f: float, f_c: float, h: float) -> StepRejectionError:
@@ -243,7 +262,7 @@ def step(s: OscState, dt: float, p: FrictionParams) -> OscState:
         raise DomainError(f"|f|={abs(s.f)} already outside the band f_c={p.f_c}")
     if not dt > 0.0:
         raise DomainError(f"dt must be > 0, got {dt}")
-    return OscState(s.t + dt, *_advance(s.x, s.v, s.f, s.e_f_cum, dt, p))
+    return OscState(s.t + dt, *_kernel(p)(s.x, s.v, s.f, s.e_f_cum, dt))
 
 
 def locate_reversal(
@@ -281,6 +300,9 @@ def locate_reversal(
 def simulate(cfg: SimConfig) -> Trajectory:
     """Run the oscillator until t_max, max_reversals or the energy floor.
 
+    A run that none of them stops within MAX_STEPS steps raises
+    StepRejectionError.
+
     Reversal bookkeeping: a record is *completed* once the next reversal is
     found, because its recoverable energy is measured as the peak kinetic
     energy of the half-cycle in between. The returned trajectory therefore
@@ -294,20 +316,25 @@ def simulate(cfg: SimConfig) -> Trajectory:
     t_max = cfg.t_max
 
     t, x, v, f, e = 0.0, cfg.x0, cfg.v0, cfg.f0, 0.0
+    # the samples of the half-cycle under way; each reversal moves them onto
+    # the array('d') columns, which hold 8 B per value against a list's 40
     ts, xs, vs, fs, es = [t], [x], [v], [f], [e]
+    cols = tuple(array("d") for _ in range(5))
 
     records: list[ReversalRecord] = []
     pending: Optional[tuple[int, float, float, float]] = None  # (index, t, x, f)
-    start = 1  # first sample of the current half-cycle, after its reversal sample
     direction = 1.0 if cfg.v0 > 0.0 else -1.0
     last_event_t = -math.inf
+    advance = _kernel(p)
 
-    while t < t_max:
+    # t = 0 < t_max on entry; each pass takes one step and checks t_max last,
+    # so a run of exactly MAX_STEPS steps ends before the else clause
+    for _ in range(MAX_STEPS):
         h = t_max - t if t_max - t < dt else dt
         t_new = t + h
         if t_new <= t:
             break
-        x_new, v_new, f_new, e_new = _advance(x, v, f, e, h, p)
+        x_new, v_new, f_new, e_new = advance(x, v, f, e, h)
         if not v_new * direction < 0.0:
             t, x, v, f, e = t_new, x_new, v_new, f_new, e_new
             ts.append(t)
@@ -315,7 +342,9 @@ def simulate(cfg: SimConfig) -> Trajectory:
             vs.append(v)
             fs.append(f)
             es.append(e)
-            continue
+            if t < t_max:
+                continue
+            break
 
         s_rev = locate_reversal(
             OscState(t, x, v, f, e), OscState(t_new, x_new, v_new, f_new, e_new), p, tol_v
@@ -328,13 +357,14 @@ def simulate(cfg: SimConfig) -> Trajectory:
         last_event_t = s_rev.t
         # the peak speed of the half-cycle just closed; a reversal sample is
         # not part of it, and a left-bracket reversal adds no sample
-        v_peak = max(map(abs, vs[start:]), default=0.0)
+        v_peak = max(map(abs, vs), default=0.0)
         t_prev = t
         t, x, v, f, e = s_rev.t, s_rev.x, s_rev.v, s_rev.f, s_rev.e_f_cum
-        if t > t_prev:
-            for col, value in zip((ts, xs, vs, fs, es), (t, x, v, f, e)):
-                col.append(value)
-        start = len(vs)
+        for col, part, value in zip(cols, (ts, xs, vs, fs, es), (t, x, v, f, e)):
+            if t > t_prev:
+                part.append(value)
+            col.extend(part)
+            part.clear()
         done = False
         if pending is not None:
             idx, t_i, x_i, f_i = pending
@@ -350,13 +380,14 @@ def simulate(cfg: SimConfig) -> Trajectory:
         next_index = pending[0] + 1 if pending is not None else 0
         pending = (next_index, s_rev.t, s_rev.x, s_rev.f)
         direction = -direction
+        if not t < t_max:
+            break
+    else:
+        raise StepRejectionError(
+            f"no stop within MAX_STEPS={MAX_STEPS} steps of dt={dt} "
+            f"(t={t} of t_max={t_max}); raise dt or lower t_max"
+        )
 
-    return Trajectory(
-        t=array("d", ts),
-        x=array("d", xs),
-        v=array("d", vs),
-        f=array("d", fs),
-        e_f_cum=array("d", es),
-        reversals=records,
-        config=cfg,
-    )
+    for col, part in zip(cols, (ts, xs, vs, fs, es)):
+        col.extend(part)
+    return Trajectory(*cols, reversals=records, config=cfg)

@@ -83,7 +83,7 @@ class OmegaApprox:
         return 1.0 - self.k_slope * x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReversalChainEntry:
     """One reversal of the recursive half-cycle chain.
 

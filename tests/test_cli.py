@@ -24,6 +24,7 @@ from presliding.cli import (
     run_experiment,
 )
 from presliding.figures import fig3_table
+import presliding.oscillator as oscillator
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -222,9 +223,9 @@ def test_fig3_table_keeps_callers_gamma():
 
 
 def test_fig3_rows_take_the_plain_float_path():
-    # encode_csv formats a row of plain floats with one %-string; an int
-    # sweep entry or a numpy scalar in a cell sends the row through
-    # format_value instead
+    # encode_csv gives a column of plain floats the %.17g spec; an int
+    # sweep entry or a numpy scalar in a cell sends its column of the block
+    # through format_value instead
     data = default_config("fig3")
     data["sweep"] = [10, 100.0]
     _, rows = fig3_table(config_from_dict(data).runs)
@@ -459,6 +460,20 @@ def test_probed_inputs_exit_with_one_line(tmp_path, monkeypatch, capsys, args, c
     assert main(args) == code
     err = capsys.readouterr().err
     assert err.startswith(err_start)
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_past_the_step_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # nothing but the step budget stops this run; the real budget would take
+    # seconds, so a small one stands in for it
+    monkeypatch.setattr(oscillator, "MAX_STEPS", 1000)
+    monkeypatch.chdir(tmp_path)
+    args = ["simulate", "--override", "sim.t_max=1e300", "--override",
+            "sim.max_reversals=null", "--override", "sim.stop_energy=0"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run error: simulate: StepRejectionError: no stop within MAX_STEPS=1000")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 

@@ -26,7 +26,7 @@ from presliding import (
 import presliding.oscillator as oscillator_module
 from presliding._csv import encode_csv
 from presliding.figures import reversals_table, trajectory_table
-from presliding.oscillator import _advance
+from presliding.oscillator import _kernel
 
 from helpers import package_imports, peak_velocity_between_reversals, reference_integrate
 
@@ -166,8 +166,21 @@ def test_advance_matches_rk4_over_dahl_rate_bitwise(
     p = FrictionParams(f_c=f_c, sigma=sigma, gamma=gamma, mass=mass)
     h = k * math.sqrt(mass * f_c / sigma)
     v = w * h * u * f_c / mass if on_step_scale else 2.0 * w
-    args = (0.3, v, u * f_c, -0.2, h, p)
-    assert _step_outcome(_advance, *args) == _step_outcome(reference_advance, *args)
+    args = (0.3, v, u * f_c, -0.2, h)
+    assert _step_outcome(_kernel(p), *args) == _step_outcome(reference_advance, *args, p)
+
+
+def test_simulate_step_budget_is_inclusive(monkeypatch):
+    # no reversal before t_max, so every sample after the first is one step
+    cfg = SimConfig(P10, t_max=0.2, max_reversals=None)
+    traj = simulate(cfg)
+    assert min(traj.v) > 0.0 and not traj.reversals
+    steps = len(traj) - 1
+    monkeypatch.setattr(oscillator_module, "MAX_STEPS", steps)
+    assert simulate(cfg).t == traj.t
+    monkeypatch.setattr(oscillator_module, "MAX_STEPS", steps - 1)
+    with pytest.raises(StepRejectionError, match=f"^no stop within MAX_STEPS={steps - 1} steps"):
+        simulate(cfg)
 
 
 def test_simulator_never_imports_closed_forms():
