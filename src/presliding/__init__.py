@@ -13,15 +13,7 @@ from .hysteresis import (
     stop_spring_force,
 )
 from .oracle import derivative, find_root, integrate
-from .oscillator import (
-    OscState,
-    ReversalRecord,
-    SimConfig,
-    Trajectory,
-    locate_reversal,
-    simulate,
-    step,
-)
+from .oscillator import ReversalRecord, SimConfig, Trajectory, simulate
 from .reversal import (
     OmegaApprox,
     ReversalChainEntry,

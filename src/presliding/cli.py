@@ -133,7 +133,10 @@ def apply_overrides(data: dict, overrides: Sequence[str]) -> dict:
                 nxt = {}
                 node[part] = nxt
             node = nxt
-        node[parts[-1]] = _parse_override_value(raw)
+        try:
+            node[parts[-1]] = _parse_override_value(raw)
+        except RecursionError as exc:
+            raise ConfigError(f"override {key}: value nests too deeply to parse") from exc
     return data
 
 
@@ -273,7 +276,7 @@ def load_config(
             raise ConfigError(f"config file not found: {path}")
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or not UTF-8
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "StepRejectionError", "ConvergenceError", "ConfigError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the admissible domain of an operation."""

@@ -22,16 +22,13 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError, ConvergenceError, DomainError, StepRejectionError
+from .errors import ConfigError, ConvergenceError, StepRejectionError
 from .hysteresis import FrictionParams
 
 __all__ = [
-    "OscState",
     "SimConfig",
     "ReversalRecord",
     "Trajectory",
-    "step",
-    "locate_reversal",
     "simulate",
 ]
 
@@ -51,22 +48,6 @@ _MAX_BISECTIONS = 100
 # (fig7), about 210-230 B per sample, below the 754 MiB that a chain of
 # cli.MAX_CHAIN_STEPS steps held before its rows were streamed.
 MAX_STEPS = 3 * 10**6
-
-
-@dataclass(frozen=True)
-class OscState:
-    """Instantaneous simulation state.
-
-    e_f_cum is the running integral of F*v dt from t = 0; together with
-    the kinetic energy it is conserved: (m/2)*v^2 + e_f_cum = (m/2)*v0^2
-    up to integrator tolerance.
-    """
-
-    t: float
-    x: float
-    v: float
-    f: float
-    e_f_cum: float
 
 
 @dataclass(frozen=True)
@@ -172,7 +153,7 @@ class Trajectory:
 
 
 def _kernel(p: FrictionParams):
-    """The classical 4th-order step of (x, v, f, e_f) in plain floats, clamped as in step.
+    """The classical 4th-order step of (x, v, f, e_f) in plain floats.
 
     Returns advance(x, v, f, e, h) -> (x, v, f, e) with p's constants bound
     once. The right-hand side (v, -f/m, dahl_rate(f, v)*v, f*v) does not
@@ -180,7 +161,10 @@ def _kernel(p: FrictionParams):
     dahl_rate(f_k, v_k)*v_k written inline with the same operation order
     (a stage with v_k == 0 gets 0.0*v_k, a stage force outside the band
     rejects the step); at gamma == 1 the power is skipped, which is exact
-    because b**1.0 == b. A test pins it bitwise to an RK4 over dahl_rate.
+    because b**1.0 == b. A new force past the band by at most
+    _CLAMP_REL_TOL*f_c (roundoff at the edge) is clamped onto it; a larger
+    overshoot raises StepRejectionError, as the step cannot resolve the
+    branch stiffness. A test pins it bitwise to an RK4 over dahl_rate.
     """
     f_c, sigma, gamma = p.f_c, p.sigma, p.gamma
     inv_m = 1.0 / p.mass
@@ -250,45 +234,27 @@ def _band_escape(f: float, f_c: float, h: float) -> StepRejectionError:
     )
 
 
-def step(s: OscState, dt: float, p: FrictionParams) -> OscState:
-    """Advance the oscillator one fixed step of size dt.
+def locate_reversal(advance, before: tuple, after: tuple, tol_v: float) -> tuple:
+    """Pin down the (t, x, v, f, e_f) sample where the velocity crosses zero.
 
-    The force is kept inside the saturation band: an overshoot below
-    1e-12*f_c (roundoff at the band edge) is clamped, anything larger
-    raises StepRejectionError because the step cannot resolve the branch
-    stiffness.
+    before and after are samples whose velocities bracket the sign change.
+    Bisects on the step size within (before's t, after's t], re-integrating
+    from before with advance, until |v| <= tol_v. A bracket that already
+    meets the tolerance is returned itself. Raises ConvergenceError after
+    _MAX_BISECTIONS bisections without meeting it.
     """
-    if abs(s.f) > p.f_c:
-        raise DomainError(f"|f|={abs(s.f)} already outside the band f_c={p.f_c}")
-    if not dt > 0.0:
-        raise DomainError(f"dt must be > 0, got {dt}")
-    return OscState(s.t + dt, *_kernel(p)(s.x, s.v, s.f, s.e_f_cum, dt))
-
-
-def locate_reversal(
-    s_before: OscState, s_after: OscState, p: FrictionParams, tol_v: float
-) -> OscState:
-    """Pin down the state where the velocity crosses zero.
-
-    Bisects on the step size within (s_before.t, s_after.t], re-integrating
-    from s_before, until |v| < tol_v. If either endpoint already satisfies
-    the tolerance it is returned unchanged. Raises ConvergenceError after
-    100 bisections without hitting the tolerance.
-    """
-    if abs(s_before.v) <= tol_v:
-        return s_before
-    if abs(s_after.v) <= tol_v:
-        return s_after
-    if (s_before.v > 0.0) == (s_after.v > 0.0):
-        raise DomainError("no velocity sign change between the bracketing states")
-    sign_before = 1.0 if s_before.v > 0.0 else -1.0
-    lo, hi = 0.0, s_after.t - s_before.t
+    if abs(before[2]) <= tol_v:
+        return before
+    if abs(after[2]) <= tol_v:
+        return after
+    t, x, v, f, e = before
+    lo, hi = 0.0, after[0] - t
     for _ in range(_MAX_BISECTIONS):
         h = 0.5 * (lo + hi)
-        s_mid = step(s_before, h, p)
-        if abs(s_mid.v) <= tol_v:
-            return s_mid
-        if (s_mid.v > 0.0) == (sign_before > 0.0):
+        x_mid, v_mid, f_mid, e_mid = advance(x, v, f, e, h)
+        if abs(v_mid) <= tol_v:
+            return t + h, x_mid, v_mid, f_mid, e_mid
+        if (v_mid > 0.0) == (v > 0.0):
             lo = h
         else:
             hi = h
@@ -346,20 +312,19 @@ def simulate(cfg: SimConfig) -> Trajectory:
                 continue
             break
 
-        s_rev = locate_reversal(
-            OscState(t, x, v, f, e), OscState(t_new, x_new, v_new, f_new, e_new), p, tol_v
+        t_prev = t
+        t, x, v, f, e = locate_reversal(
+            advance, (t, x, v, f, e), (t_new, x_new, v_new, f_new, e_new), tol_v
         )
-        if s_rev.t <= last_event_t:
+        if t <= last_event_t:
             raise StepRejectionError(
-                f"consecutive reversals inside one step at t={s_rev.t}; "
+                f"consecutive reversals inside one step at t={t}; "
                 f"dt={dt} cannot resolve the oscillation"
             )
-        last_event_t = s_rev.t
+        last_event_t = t
         # the peak speed of the half-cycle just closed; a reversal sample is
         # not part of it, and a left-bracket reversal adds no sample
         v_peak = max(map(abs, vs), default=0.0)
-        t_prev = t
-        t, x, v, f, e = s_rev.t, s_rev.x, s_rev.v, s_rev.f, s_rev.e_f_cum
         for col, part, value in zip(cols, (ts, xs, vs, fs, es), (t, x, v, f, e)):
             if t > t_prev:
                 part.append(value)
@@ -378,7 +343,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
         if done:
             break
         next_index = pending[0] + 1 if pending is not None else 0
-        pending = (next_index, s_rev.t, s_rev.x, s_rev.f)
+        pending = (next_index, t, x, f)
         direction = -direction
         if not t < t_max:
             break

@@ -1,12 +1,19 @@
-"""Reference routes the tests check the simulator against."""
+"""Reference routes the tests check the simulator against.
+
+reference_advance is an RK4 step over hysteresis.dahl_rate, and
+reference_simulate rebuilds simulate on it, one (t, x, v, f, e_f) tuple
+per sample with its own reversal bisection; neither shares code with
+the oscillator module.
+"""
 
 import ast
 import inspect
+import math
 from dataclasses import replace
 
 import numpy as np
 
-from presliding import DomainError, simulate
+from presliding import DomainError, ReversalRecord, StepRejectionError, dahl_rate, simulate
 
 
 def package_imports(module) -> set[str]:
@@ -24,6 +31,89 @@ def package_imports(module) -> set[str]:
                 if a.name.startswith("presliding")
             )
     return internal
+
+
+def reference_advance(x, v, f, e, h, p):
+    """One RK4 step of (x, v, f, e_f) over hysteresis.dahl_rate, clamped at the band."""
+    inv_m = 1.0 / p.mass
+    hh = 0.5 * h
+    try:
+        r1 = dahl_rate(f, v, p) * v
+        v2, f2 = v + hh * (-f * inv_m), f + hh * r1
+        r2 = dahl_rate(f2, v2, p) * v2
+        v3, f3 = v + hh * (-f2 * inv_m), f + hh * r2
+        r3 = dahl_rate(f3, v3, p) * v3
+        v4, f4 = v + h * (-f3 * inv_m), f + h * r3
+        r4 = dahl_rate(f4, v4, p) * v4
+    except DomainError as exc:
+        raise StepRejectionError(f"force escaped the band inside a step of dt={h}: {exc}")
+    c = h / 6.0
+    x_new = x + c * (v + 2.0 * v2 + 2.0 * v3 + v4)
+    v_new = v + c * (-f * inv_m + 2.0 * (-f2 * inv_m) + 2.0 * (-f3 * inv_m) + -f4 * inv_m)
+    f_new = f + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    e_new = e + c * (f * v + 2.0 * (f2 * v2) + 2.0 * (f3 * v3) + f4 * v4)
+    over = abs(f_new) - p.f_c
+    if over > 0.0:
+        if over > 1e-12 * p.f_c:
+            raise StepRejectionError("overshoot")
+        f_new = math.copysign(p.f_c, f_new)
+    return x_new, v_new, f_new, e_new
+
+
+def _reference_reversal(before, after, p, tol_v):
+    """The sample where v crosses zero, bisected on the step size from before."""
+    for s in (before, after):
+        if abs(s[2]) <= tol_v:
+            return s
+    lo, hi = 0.0, after[0] - before[0]
+    for _ in range(100):
+        h = 0.5 * (lo + hi)
+        mid = (before[0] + h, *reference_advance(*before[1:], h, p))
+        if abs(mid[2]) <= tol_v:
+            return mid
+        lo, hi = (h, hi) if (mid[2] > 0.0) == (before[2] > 0.0) else (lo, h)
+    raise AssertionError(f"reversal after t={before[0]} not localized")
+
+
+def reference_simulate(cfg):
+    """simulate rebuilt one (t, x, v, f, e_f) tuple per sample over reference_advance.
+
+    Returns the sample columns as numpy arrays keyed like Trajectory's, and
+    the completed reversal records.
+    """
+    p = cfg.params
+    dt, tol_v, stop_energy = cfg.effective_dt(), cfg.event_tol_v(), cfg.effective_stop_energy()
+    state = (0.0, cfg.x0, cfg.v0, cfg.f0, 0.0)
+    samples = [state]
+    records, pending, v_peak = [], None, 0.0
+    direction = 1.0 if cfg.v0 > 0.0 else -1.0
+    while state[0] < cfg.t_max:
+        h = min(dt, cfg.t_max - state[0])
+        if state[0] + h <= state[0]:
+            break
+        new = (state[0] + h, *reference_advance(*state[1:], h, p))
+        if not ((new[2] > 0.0 and direction < 0.0) or (new[2] < 0.0 and direction > 0.0)):
+            samples.append(new)
+            state = new
+            v_peak = max(v_peak, abs(new[2]))
+            continue
+        rev = _reference_reversal(state, new, p, tol_v)
+        if rev[0] > state[0]:
+            samples.append(rev)
+        state = rev
+        if pending is not None:
+            e_p = 0.5 * p.mass * v_peak**2
+            e_d = records[-1].e_p - e_p if records else 0.0
+            records.append(ReversalRecord(*pending, e_p, e_d))
+            if cfg.max_reversals is not None and len(records) >= cfg.max_reversals:
+                break
+            if e_p < stop_energy:
+                break
+        index = pending[0] + 1 if pending is not None else 0
+        pending = (index, rev[0], rev[1], rev[3])
+        v_peak = 0.0
+        direction = -direction
+    return dict(zip(("t", "x", "v", "f", "e_f_cum"), np.array(samples).T)), records
 
 
 def reference_integrate(cfg, refinement: int):

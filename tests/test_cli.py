@@ -450,6 +450,17 @@ PROBES = {
         ["fig6", "--override", "chain.n_steps=1000001"],
         2, "config error: chain.n_steps: expected 1 to 1000000, got ",
     ),
+    # a step this long carries the undamped spring across two reversals
+    "simulate_consecutive_reversals": (
+        ["simulate", "--override", "params.gamma=0", "--override", "params.sigma=0.1",
+         "--override", "sim.dt=7.9", "--override", "sim.v0=0.01", "--override", "sim.t_max=50"],
+        3, "run error: simulate: StepRejectionError: consecutive reversals inside one step "
+           "at t=5.0357",
+    ),
+    "override_nested_too_deep": (
+        ["fig3", "--override", "params.f_c=" + "[" * 5000 + "]" * 5000],
+        2, "config error: override params.f_c: ",
+    ),
 }
 
 
@@ -460,6 +471,29 @@ def test_probed_inputs_exit_with_one_line(tmp_path, monkeypatch, capsys, args, c
     assert main(args) == code
     err = capsys.readouterr().err
     assert err.startswith(err_start)
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+    ids=["not_utf8", "nested_too_deep"],
+)
+def test_malformed_config_file_exits_2_naming_it(tmp_path, capsys, content):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {path} is not valid JSON: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unlocalized_reversal_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(oscillator, "_MAX_BISECTIONS", 2)
+    assert main(["simulate", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run error: simulate: ConvergenceError: reversal not localized")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 

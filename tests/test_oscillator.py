@@ -11,24 +11,25 @@ from hypothesis import strategies as st
 
 from presliding import (
     ConfigError,
-    DomainError,
+    ConvergenceError,
     FrictionParams,
-    OscState,
-    ReversalRecord,
     SimConfig,
     StepRejectionError,
-    dahl_rate,
-    locate_reversal,
     potential_energy,
     simulate,
-    step,
 )
 import presliding.oscillator as oscillator_module
 from presliding._csv import encode_csv
 from presliding.figures import reversals_table, trajectory_table
-from presliding.oscillator import _kernel
+from presliding.oscillator import _kernel, locate_reversal
 
-from helpers import package_imports, peak_velocity_between_reversals, reference_integrate
+from helpers import (
+    package_imports,
+    peak_velocity_between_reversals,
+    reference_advance,
+    reference_integrate,
+    reference_simulate,
+)
 
 P1 = FrictionParams(f_c=1.0, sigma=1.0)
 P10 = FrictionParams(f_c=1.0, sigma=10.0)
@@ -75,65 +76,30 @@ def test_default_stop_energy():
 # ---------------------------------------------------------------------------
 
 def test_step_rest_state_is_equilibrium():
-    s = OscState(0.0, 0.4, 0.0, 0.0, 0.0)
-    s1 = step(s, 1e-3, P1)
-    assert (s1.x, s1.v, s1.f, s1.e_f_cum) == (0.4, 0.0, 0.0, 0.0)
-    assert s1.t == pytest.approx(1e-3)
+    assert _kernel(P1)(0.4, 0.0, 0.0, 0.0, 1e-3) == (0.4, 0.0, 0.0, 0.0)
 
 
 def test_step_taylor_expansion():
     # leading-order growth from (x=0, v=1, F=0): x ~ dt, F ~ sigma*dt,
     # v ~ 1 - sigma*dt^2/2
-    s = OscState(0.0, 0.0, 1.0, 0.0, 0.0)
-    s1 = step(s, 1e-3, P1)
-    assert s1.x == pytest.approx(1e-3, abs=1e-9)
-    assert s1.f == pytest.approx(1e-3, abs=1e-6)
-    assert s1.v == pytest.approx(1.0 - 5e-7, abs=1e-9)
+    advance = _kernel(P1)
+    s = (0.0, 1.0, 0.0, 0.0)
+    x, v, f, _ = advance(*s, 1e-3)
+    assert x == pytest.approx(1e-3, abs=1e-9)
+    assert f == pytest.approx(1e-3, abs=1e-6)
+    assert v == pytest.approx(1.0 - 5e-7, abs=1e-9)
     # against a 10x finer reference over the same horizon
     fine = s
     for _ in range(10):
-        fine = step(fine, 1e-4, P1)
-    assert s1.x == pytest.approx(fine.x, abs=1e-15)
-    assert s1.v == pytest.approx(fine.v, abs=1e-15)
-    assert s1.f == pytest.approx(fine.f, abs=1e-15)
+        fine = advance(*fine, 1e-4)
+    assert x == pytest.approx(fine[0], abs=1e-15)
+    assert v == pytest.approx(fine[1], abs=1e-15)
+    assert f == pytest.approx(fine[2], abs=1e-15)
 
 
 def test_step_rejects_band_escape():
-    s = OscState(0.0, 0.0, 1.0, 0.999, 0.0)
     with pytest.raises(StepRejectionError):
-        step(s, 5.0, FrictionParams(1.0, 1000.0))
-
-
-def test_step_rejects_invalid_entry_state():
-    with pytest.raises(DomainError):
-        step(OscState(0.0, 0.0, 1.0, 1.5, 0.0), 1e-3, P1)
-
-
-def reference_advance(x, v, f, e, h, p):
-    """One RK4 step of (x, v, f, e_f) over hysteresis.dahl_rate, clamped at the band."""
-    inv_m = 1.0 / p.mass
-    hh = 0.5 * h
-    try:
-        r1 = dahl_rate(f, v, p) * v
-        v2, f2 = v + hh * (-f * inv_m), f + hh * r1
-        r2 = dahl_rate(f2, v2, p) * v2
-        v3, f3 = v + hh * (-f2 * inv_m), f + hh * r2
-        r3 = dahl_rate(f3, v3, p) * v3
-        v4, f4 = v + h * (-f3 * inv_m), f + h * r3
-        r4 = dahl_rate(f4, v4, p) * v4
-    except DomainError as exc:
-        raise StepRejectionError(f"force escaped the band inside a step of dt={h}: {exc}")
-    c = h / 6.0
-    x_new = x + c * (v + 2.0 * v2 + 2.0 * v3 + v4)
-    v_new = v + c * (-f * inv_m + 2.0 * (-f2 * inv_m) + 2.0 * (-f3 * inv_m) + -f4 * inv_m)
-    f_new = f + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-    e_new = e + c * (f * v + 2.0 * (f2 * v2) + 2.0 * (f3 * v3) + f4 * v4)
-    over = abs(f_new) - p.f_c
-    if over > 0.0:
-        if over > 1e-12 * p.f_c:
-            raise StepRejectionError("overshoot")
-        f_new = math.copysign(p.f_c, f_new)
-    return x_new, v_new, f_new, e_new
+        _kernel(FrictionParams(1.0, 1000.0))(0.0, 1.0, 0.999, 0.0, 5.0)
 
 
 def _step_outcome(kernel, *args):
@@ -212,32 +178,30 @@ def test_fourth_order_convergence():
 # ---------------------------------------------------------------------------
 
 def test_locate_returns_exact_zero_sample():
-    s0 = OscState(0.0, 0.1, 0.0, 0.5, 0.0)
-    s1 = OscState(0.01, 0.1, -0.01, 0.5, 0.0)
-    assert locate_reversal(s0, s1, P1, tol_v=1e-9) is s0
+    before = (0.0, 0.1, 0.0, 0.5, 0.0)
+    after = (0.01, 0.1, -0.01, 0.5, 0.0)
+    assert locate_reversal(_kernel(P1), before, after, tol_v=1e-9) is before
 
 
 def test_locate_bisection_contract():
     p = P10
-    cfg = SimConfig(params=p, x0=0.0, v0=0.5, t_max=100.0)
-    s = OscState(0.0, 0.0, 0.5, 0.0, 0.0)
-    dt = cfg.effective_dt()
-    prev = s
+    dt = SimConfig(params=p, x0=0.0, v0=0.5, t_max=100.0).effective_dt()
+    advance = _kernel(p)
+    prev = (0.0, 0.0, 0.5, 0.0, 0.0)
     while True:
-        nxt = step(prev, dt, p)
-        if nxt.v < 0.0:
+        nxt = (prev[0] + dt, *advance(*prev[1:], dt))
+        if nxt[2] < 0.0:
             break
         prev = nxt
-    rev = locate_reversal(prev, nxt, p, tol_v=1e-9)
-    assert abs(rev.v) <= 1e-9
-    assert prev.t < rev.t <= nxt.t
+    rev = locate_reversal(advance, prev, nxt, tol_v=1e-9)
+    assert abs(rev[2]) <= 1e-9
+    assert prev[0] < rev[0] <= nxt[0]
 
 
-def test_locate_requires_bracket():
-    s0 = OscState(0.0, 0.0, 0.5, 0.0, 0.0)
-    s1 = OscState(0.01, 0.005, 0.4, 0.01, 0.0)
-    with pytest.raises(DomainError):
-        locate_reversal(s0, s1, P1, tol_v=1e-12)
+def test_locate_gives_up_after_max_bisections(monkeypatch):
+    monkeypatch.setattr(oscillator_module, "_MAX_BISECTIONS", 2)
+    with pytest.raises(ConvergenceError, match="reversal not localized"):
+        simulate(SimConfig(P10, max_reversals=1))
 
 
 def test_first_reversal_self_consistency():
@@ -352,44 +316,6 @@ def test_simulate_rescaled_mass_matches():
         assert b.f_i == pytest.approx(a.f_i, rel=1e-6)
 
 
-def reference_simulate(cfg):
-    """simulate written over the public step/locate_reversal, one OscState per step."""
-    p = cfg.params
-    dt, tol_v, stop_energy = cfg.effective_dt(), cfg.event_tol_v(), cfg.effective_stop_energy()
-    state = OscState(0.0, cfg.x0, cfg.v0, cfg.f0, 0.0)
-    samples = [state]
-    records, pending, v_peak = [], None, 0.0
-    direction = 1.0 if cfg.v0 > 0.0 else -1.0
-    while state.t < cfg.t_max:
-        h = min(dt, cfg.t_max - state.t)
-        if state.t + h <= state.t:
-            break
-        new = step(state, h, p)
-        if not ((new.v > 0.0 and direction < 0.0) or (new.v < 0.0 and direction > 0.0)):
-            samples.append(new)
-            state = new
-            v_peak = max(v_peak, abs(new.v))
-            continue
-        s_rev = locate_reversal(state, new, p, tol_v)
-        if s_rev.t > state.t:
-            samples.append(s_rev)
-        state = s_rev
-        if pending is not None:
-            e_p = 0.5 * p.mass * v_peak**2
-            e_d = records[-1].e_p - e_p if records else 0.0
-            records.append(ReversalRecord(*pending, e_p, e_d))
-            if cfg.max_reversals is not None and len(records) >= cfg.max_reversals:
-                break
-            if e_p < stop_energy:
-                break
-        index = pending[0] + 1 if pending is not None else 0
-        pending = (index, s_rev.t, s_rev.x, s_rev.f)
-        v_peak = 0.0
-        direction = -direction
-    cols = {k: np.array([getattr(s, k) for s in samples]) for k in ("t", "x", "v", "f", "e_f_cum")}
-    return cols, records
-
-
 # v0 values (found by bisection on v0) where the full step right before
 # the second reversal lands within event_tol_v of zero velocity: on the
 # side before the sign change (locate_reversal returns its left bracket
@@ -419,10 +345,12 @@ V0_RIGHT_BRACKET = 0.5363251089782543
 def test_simulate_matches_per_state_reference_bitwise(monkeypatch, params, sim, ends, bracket):
     returned = []  # per reversal: which bracket locate_reversal returned, if either
 
-    def spy(s_before, s_after, p, tol_v):
-        s_rev = locate_reversal(s_before, s_after, p, tol_v)
-        returned.append("left" if s_rev is s_before else "right" if s_rev is s_after else None)
-        return s_rev
+    def spy(advance, before, after, tol_v):
+        # simulate hands over a bracket: v changes sign, or before is the reversal
+        assert abs(before[2]) <= tol_v or before[2] * after[2] < 0.0
+        rev = locate_reversal(advance, before, after, tol_v)
+        returned.append("left" if rev is before else "right" if rev is after else None)
+        return rev
 
     monkeypatch.setattr(oscillator_module, "locate_reversal", spy)
     cfg = SimConfig(params=params, **{"x0": 0.0, "max_reversals": 8, "t_max": 200.0, **sim})
