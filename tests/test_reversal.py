@@ -1,5 +1,6 @@
 """Tests of the closed-form reversal calculus, cross-checked by the oracle."""
 
+import hashlib
 import math
 from decimal import Context
 
@@ -28,7 +29,7 @@ from presliding import (
     zero_crossing,
 )
 from presliding._csv import encode_csv
-from presliding.figures import chain_table
+from presliding.figures import chain_table, fig6_table
 from presliding.reversal import _next_force_ratio
 from presliding import validation
 from presliding.reversal import OmegaApprox
@@ -453,3 +454,51 @@ def test_chain_csv_roundtrip(tmp_path):
     assert len(lines) == 6
     back = np.genfromtxt(path, delimiter=",", names=True)
     assert back["E_p"][0] == pytest.approx(chain[0].e_p, rel=1e-16)
+
+
+# sha256 of the chain CSV per (mode, sigma/f_c, f0/f_c) at f_c = 0.3, 300 steps.
+# The seeds reach the series branch of log1p(t) - t and the phi < 1e-6
+# shortcut of the next force ratio; the golden configs start at f0 = -f_c only.
+CHAIN_DIGESTS = {
+    ("exact", 1.0, -1.0): "f2a1538afaa5e4c19939a356e1f2534370784c41e43e3d2a1746eedf65335f17",
+    ("exact", 1.0, -0.6): "159c3ce4e397850f03ff729c38bc90648b18f2931dd4e288d9a78befe06bbf38",
+    ("exact", 1.0, -0.05): "41ed4cc20692f84e71a632d4796ecb50522a6dd2e010636178695df2e5f0fd13",
+    ("exact", 1.0, -1e-4): "c8e901a1d318936c8cb2ad54c010a3221272e062607698b17df46de9c343b8e2",
+    ("exact", 1.0, -1e-7): "0557e578aadfb87c8d242ab30bb9224c3a5ff355c14429aa369371aec8d17f2f",
+    ("exact", 1000.0, -1.0): "e9b72bfae443acd9565c00ac9578280afc98d8c93c066939a4733595c037cfc6",
+    ("exact", 1000.0, -0.6): "4fe4d6665a2c6ab5f0e41bce0fc5715f737c68a308c0c27980e0ff94f6b0a799",
+    ("exact", 1000.0, -0.05): "bbd2d7332aa9b8ddc40bde6b51172af46abc631ddc96a60c4994b78774df821e",
+    ("exact", 1000.0, -1e-4): "33f06da404d18a697aee98620dfeb8036b0ee8083c67215c2f9a292d7bc53c4d",
+    ("exact", 1000.0, -1e-7): "61f9cd3f2139c4bd0bf43dfd9255234a0694b0504e74cc13b8fcc7286ea6699e",
+    ("approx", 1.0, -1.0): "2a9e9b94838676130064cc11d6522fbbf7b32d75130685a9885ff3d7a5351952",
+    ("approx", 1.0, -0.6): "79efc5c064e412bdc96cf14ca4f944729f2a6812e4defaf91becf7534271b54e",
+    ("approx", 1.0, -0.05): "6b56f0e1ec5aa05122eaca4f0ef440abdfc099530f1246f23b1e73de2307df31",
+    ("approx", 1.0, -1e-4): "55fe41ee24e37894d84b96ec1ebbc10f016184d3814b7f44e5c32bad4d7c4af6",
+    ("approx", 1.0, -1e-7): "3e03b2bcfe751eae53a77d9a8448fb8024c411d878077e149de4d13a583ef289",
+    ("approx", 1000.0, -1.0): "582e1ee65010a550cd934aa9038b69ec2f2712b9530ca725267fd61340f85301",
+    ("approx", 1000.0, -0.6): "ed4c8fd704faf518604fb8a3d048d136964b5bebfab5c13e27628f07fbd12722",
+    ("approx", 1000.0, -0.05): "cb3236e0e9703a4e9263fc4745c873c6c08060960c777bcb744f6661b843df7c",
+    ("approx", 1000.0, -1e-4): "a0114d2b340c3c6b6f5dc64c822cff8a5bb347aeaedf4262ee53bdf9686b2963",
+    ("approx", 1000.0, -1e-7): "a837f4786f55c1046f5e8f431003af3cab1980a87f7b2ebc8460153381d70cf2",
+}
+
+
+@pytest.mark.parametrize("mode, ratio, f0", CHAIN_DIGESTS)
+def test_chain_bytes_are_pinned(mode, ratio, f0):
+    p = FrictionParams(f_c=0.3, sigma=0.3 * ratio)
+    chain = reversal_chain(f0 * p.f_c, 300, p, mode)
+    assert type(chain) is list
+    data, n = encode_csv(*chain_table(chain))
+    assert n == 300
+    assert hashlib.sha256(data).hexdigest() == CHAIN_DIGESTS[mode, ratio, f0]
+
+
+def test_fig6_bytes_are_pinned():
+    runs = [("", r, FrictionParams(f_c=0.3, sigma=0.3 * r)) for r in (1.0, 1000.0)]
+    header, rows = fig6_table(runs, -0.3, 300, "exact")
+    assert type(rows) is list
+    data, n = encode_csv(header, rows)
+    assert n == 600
+    assert hashlib.sha256(data).hexdigest() == (
+        "a52fcace39f77971fbe765f867cc03ff0de0e845b54819fc85cbdc62e4990fc6"
+    )
