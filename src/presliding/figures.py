@@ -104,9 +104,9 @@ def reversals_table(traj: Trajectory) -> tuple[list[str], list[tuple]]:
     return ["i", "t_i", "x_i", "F_i", "E_p", "E_d_halfcycle"], rows
 
 
-def chain_table(entries: list[ReversalChainEntry]) -> tuple[list[str], Iterator[tuple]]:
-    """A reversal chain as n,F_n,x_n,E_p,E_d; rows are generated lazily."""
-    return ["n", "F_n", "x_n", "E_p", "E_d"], ((e.n, e.f_n, e.x_n, e.e_p, e.e_d) for e in entries)
+def chain_table(entries: list[ReversalChainEntry]) -> tuple[list[str], list[ReversalChainEntry]]:
+    """A reversal chain as n,F_n,x_n,E_p,E_d; the rows are the entries themselves."""
+    return ["n", "F_n", "x_n", "E_p", "E_d"], entries
 
 
 def fig3_table(runs: Runs) -> tuple[list[str], list[tuple]]:
@@ -187,7 +187,7 @@ def fig6_table(
     rows = []
     for _, ratio, p in runs:
         for e in reversal_chain(f0_over_fc * p.f_c, n_steps, p, mode=mode):
-            rows.append((ratio, e.n, e.f_n, e.x_n, e.e_p, e.e_d))
+            rows.append((ratio, *e))
     return header, rows
 
 

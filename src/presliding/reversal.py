@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import ConvergenceError, DomainError
 from .hysteresis import FrictionParams
@@ -83,8 +83,7 @@ class OmegaApprox:
         return 1.0 - self.k_slope * x
 
 
-@dataclass(frozen=True, slots=True)
-class ReversalChainEntry:
+class ReversalChainEntry(NamedTuple):
     """One reversal of the recursive half-cycle chain.
 
     n    step index (0 is the seed reversal).
@@ -127,15 +126,15 @@ def _log1p_excess(t: float) -> float:
     return math.log1p(t) - t
 
 
-def _branch_x(s: float, p: FrictionParams) -> float:
+def _branch_x(s: float, x_scale: float) -> float:
     # zero-crossing-frame displacement where the ascending branch
-    # f(x) = f_c*(1 - exp(-(sigma/f_c)*x)) carries the force s*f_c
-    return -(p.f_c / p.sigma) * math.log1p(-s)
+    # f(x) = f_c*(1 - exp(-x/x_scale)) carries the force s*f_c; x_scale = f_c/sigma
+    return -x_scale * math.log1p(-s)
 
 
-def _energy(phi: float, p: FrictionParams) -> float:
-    # recoverable energy of a reversal with force ratio phi = |f_i|/f_c
-    return (p.f_c**2 / p.sigma) * -_log1p_excess(phi)
+def _energy(phi: float, e_scale: float) -> float:
+    # recoverable energy of a reversal with force ratio phi = |f_i|/f_c; e_scale = f_c**2/sigma
+    return e_scale * -_log1p_excess(phi)
 
 
 def _next_force_ratio(phi: float) -> float:
@@ -181,7 +180,7 @@ def reversal_coordinate(f_i: float, p: FrictionParams) -> float:
     """
     p.require_gamma_one()
     _check_reversal_force(f_i, p)
-    return _branch_x(f_i / p.f_c, p)
+    return _branch_x(f_i / p.f_c, p.f_c / p.sigma)
 
 
 def energy_antiderivative(x: float, p: FrictionParams) -> float:
@@ -206,7 +205,7 @@ def potential_energy(f_i: float, p: FrictionParams) -> float:
     """
     p.require_gamma_one()
     _check_reversal_force(f_i, p, allow_zero=True)
-    return _energy(-f_i / p.f_c, p)
+    return _energy(-f_i / p.f_c, p.f_c**2 / p.sigma)
 
 
 def potential_energy_bound(p: FrictionParams) -> float:
@@ -244,7 +243,7 @@ def next_reversal_exact(f_i: float, p: FrictionParams) -> float:
     """
     p.require_gamma_one()
     _check_reversal_force(f_i, p)
-    return _branch_x(_next_force_ratio(-f_i / p.f_c), p)
+    return _branch_x(_next_force_ratio(-f_i / p.f_c), p.f_c / p.sigma)
 
 
 def next_reversal_approx(
@@ -325,25 +324,24 @@ def reversal_chain(
     if mode not in ("exact", "approx"):
         raise DomainError(f"unknown chain mode {mode!r}")
 
+    f_c = p.f_c
+    x_scale = f_c / p.sigma
+    e_scale = f_c**2 / p.sigma
     entries: list[ReversalChainEntry] = []
     f_n = f_0
-    phi = -f_0 / p.f_c
-    e_p = _energy(phi, p)
+    phi = -f_0 / f_c
+    e_p = _energy(phi, e_scale)
     for n in range(n_steps):
         if mode == "exact":
             phi_next = _next_force_ratio(phi)
         else:
-            f_up = -phi * p.f_c  # ascending-frame force of this half-cycle
+            f_up = -phi * f_c  # ascending-frame force of this half-cycle
             x_next = next_reversal_approx(f_up, p, form="rederived")
-            phi_next = next_reversal_force(x_next, f_up, p) / p.f_c
-        e_p_next = _energy(phi_next, p)
-        x_n = _branch_x(-phi, p)
-        entries.append(
-            ReversalChainEntry(
-                n=n, f_n=f_n, x_n=x_n if f_n < 0.0 else -x_n, e_p=e_p, e_d=e_p - e_p_next
-            )
-        )
+            phi_next = next_reversal_force(x_next, f_up, p) / f_c
+        e_p_next = _energy(phi_next, e_scale)
+        x_n = _branch_x(-phi, x_scale)
+        entries.append(ReversalChainEntry(n, f_n, x_n if f_n < 0.0 else -x_n, e_p, e_p - e_p_next))
         phi, e_p = phi_next, e_p_next
-        f_n = phi * p.f_c if f_n < 0.0 else -phi * p.f_c
+        f_n = phi * f_c if f_n < 0.0 else -phi * f_c
     return entries
 
