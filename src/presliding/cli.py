@@ -216,19 +216,41 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"sweep: expected a list, got {sweep!r}")
         if len(sweep) == 0:
             raise ConfigError("sweep: must not be empty")
-        try:
-            sweep = tuple(float(v) for v in sweep)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep: {exc}") from exc
+        values = []
+        for i, v in enumerate(sweep):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"sweep[{i}]: expected a number, got {v!r}")
+            try:
+                values.append(float(v))
+            except OverflowError as exc:  # an int beyond the float range
+                raise ConfigError(f"sweep[{i}]: {exc}") from exc
+        sweep = tuple(values)
         if not all(0 < v < math.inf for v in sweep):
             raise ConfigError("sweep: entries must be positive and finite")
+
+    runs = _sweep_runs(kind, params, sweep)
+    if kind in _CLOSED_FORM_KINDS:
+        # the closed forms scale by these three; one that overflows puts inf
+        # or nan cells into the tables
+        for i, (_, value, p) in enumerate(runs):
+            try:
+                finite = all(map(math.isfinite, (p.sigma / p.f_c, p.f_c / p.sigma,
+                                                 p.f_c**2 / p.sigma)))
+            except OverflowError:
+                finite = False
+            if not finite:
+                where = "params" if value is None else f"sweep[{i}]"
+                raise ConfigError(
+                    f"{where}: f_c={p.f_c!r} and sigma={p.sigma!r} overflow a closed-form "
+                    f"scale: sigma/f_c, f_c/sigma and f_c**2/sigma must be finite"
+                )
 
     return ExperimentConfig(
         kind=kind,
         sim=sim,
         chain=chain,
         output_dir=Path(merged["output_dir"]),
-        runs=_sweep_runs(kind, params, sweep),
+        runs=runs,
     )
 
 

@@ -168,6 +168,16 @@ def test_overrides_nested_and_typed():
     assert str(cfg.output_dir) == "elsewhere"
 
 
+def test_scale_check_spares_the_simulation_kinds():
+    # simulate and fig7 use no closed form, so no closed-form scale is checked
+    data = default_config("simulate")
+    data["params"]["sigma"] = 1e-320
+    assert config_from_dict(data).runs[0][2].sigma == 1e-320
+    data = default_config("fig7")
+    data["sweep"] = [1e-320]
+    assert config_from_dict(data).runs[0][2].sigma == 1e-320
+
+
 def test_override_comma_list():
     data = default_config("fig6")
     apply_overrides(data, ["sweep=10,100"])
@@ -382,6 +392,8 @@ def test_main_runtime_error_exit_code(tmp_path, capsys, overrides):
     assert err.count("\n") == 1
 
 
+_SCALE_ERROR = "config error: {}: f_c={!r} and sigma={!r} overflow a closed-form scale: "
+
 # one row per probed input: arguments, exit code, start of the one stderr line
 PROBES = {
     # sigma = ratio * f_c overflows to inf for this entry only
@@ -402,9 +414,57 @@ PROBES = {
         ["fig7", "--override", "sweep=[100,100.00001]"],
         2, "config error: sweep[0] and sweep[1] both name their files '_ratio100' ",
     ),
-    # inputs that overflow while the run computes
+    # a closed-form scale sigma/f_c, f_c/sigma or f_c**2/sigma overflows:
+    # f_c**2 raises OverflowError, and an infinite scale writes inf or nan cells
     "fig5_overflow": (
-        ["fig5", "--override", "sweep=[1e200]"], 3, "run error: fig5: OverflowError: ",
+        ["fig5", "--override", "sweep=[1e200]"], 2, _SCALE_ERROR.format("sweep[0]", 1e200, 1.0),
+    ),
+    "chain_f_c_squared_overflows": (
+        ["chain", "--override", "params.f_c=1e200"], 2, _SCALE_ERROR.format("params", 1e200, 1.0),
+    ),
+    "chain_sigma_subnormal": (
+        ["chain", "--override", "params.sigma=1e-320"],
+        2, _SCALE_ERROR.format("params", 1.0, 1e-320),
+    ),
+    # only f_c/sigma overflows
+    "chain_length_scale_overflows": (
+        ["chain", "--override", "params.f_c=1e-10", "--override", "params.sigma=1e-319"],
+        2, _SCALE_ERROR.format("params", 1e-10, 1e-319),
+    ),
+    "fig3_energy_scale_overflows": (
+        ["fig3", "--override", "sweep=[1e-320]"], 2, _SCALE_ERROR.format("sweep[0]", 1.0, 1e-320),
+    ),
+    "fig4_length_scale_overflows": (
+        ["fig4", "--override", "sweep=[1,1e-320]"],
+        2, _SCALE_ERROR.format("sweep[1]", 1.0, 1e-320),
+    ),
+    # fig5 sweeps f_c: sigma/f_c overflows
+    "fig5_ratio_overflows": (
+        ["fig5", "--override", "sweep=[1e-320]"], 2, _SCALE_ERROR.format("sweep[0]", 1e-320, 1.0),
+    ),
+    "fig6_energy_scale_overflows": (
+        ["fig6", "--override", "sweep=[1e-309]"], 2, _SCALE_ERROR.format("sweep[0]", 1.0, 1e-309),
+    ),
+    # sweep entries are numbers, as every other number field
+    "sweep_entry_bool": (
+        ["fig3", "--override", "sweep=[true]"],
+        2, "config error: sweep[0]: expected a number, got True",
+    ),
+    "sweep_entry_numeric_string": (
+        ["fig3", "--override", 'sweep=[1, "10"]'],
+        2, "config error: sweep[1]: expected a number, got '10'",
+    ),
+    "sweep_entry_padded_string": (
+        ["chain", "--override", 'sweep=[" 1e1 "]'],
+        2, "config error: sweep[0]: expected a number, got ' 1e1 '",
+    ),
+    "sweep_entry_underscored_string": (
+        ["fig6", "--override", 'sweep=["1_000"]'],
+        2, "config error: sweep[0]: expected a number, got '1_000'",
+    ),
+    "sweep_entry_int_beyond_float": (
+        ["fig3", "--override", f"sweep=[{10**400}]"],
+        2, "config error: sweep[0]: int too large to convert to float",
     ),
     # the peak Dahl slope sigma*2**gamma overflows
     "simulate_gamma_overflow": (
