@@ -70,7 +70,8 @@ _CLOSED_FORM_KINDS = ("chain", "fig3", "fig4", "fig5", "fig6")
 _PER_ENTRY_KINDS = ("simulate", "chain", "fig7")
 
 # Largest chain.n_steps (chain and fig6 build each chain in memory): 10**6
-# steps took 9 s and 352 MiB peak RSS for one chain on a 2-vCPU host.
+# steps took 9-10 s and 368 MiB peak RSS for one chain, and 31 s and 1177 MiB
+# for fig6's three default ratios, on a 2-vCPU host.
 MAX_CHAIN_STEPS = 10**6
 
 
