@@ -15,12 +15,10 @@ from .hysteresis import (
 from .oracle import derivative, find_root, integrate
 from .oscillator import ReversalRecord, SimConfig, Trajectory, simulate
 from .reversal import (
-    OmegaApprox,
     ReversalChainEntry,
     energy_antiderivative,
     next_reversal_approx,
     next_reversal_exact,
-    next_reversal_force,
     omega,
     omega_approx,
     potential_energy,

@@ -13,13 +13,12 @@ from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .hysteresis import FrictionParams
+from .hysteresis import BranchState, FrictionParams, dahl_branch_force
 from .oscillator import Trajectory
 from .reversal import (
     ReversalChainEntry,
     next_reversal_approx,
     next_reversal_exact,
-    next_reversal_force,
     omega,
     omega_approx,
     potential_energy,
@@ -128,9 +127,9 @@ def fig4_table(runs: Runs) -> tuple[list[str], list[tuple]]:
         for u in FORCE_FRACTIONS:
             f_i = -u * p.f_c
             x_next = next_reversal_exact(f_i, p)
-            approx = omega_approx(f_i, p)
+            k = omega_approx(f_i, p)
             for x in _linspace(0.0, x_next, 101):
-                rows.append((ratio, u, x, omega(x, p), approx.value(x)))
+                rows.append((ratio, u, x, omega(x, p), 1.0 - k * x))
     return header, rows
 
 
@@ -158,17 +157,17 @@ def fig5_tables(runs: Runs) -> list[tuple[str, list[str], list[tuple]]]:
     pred_rows = []
     for _, f_c, p in runs:
         f_i = -p.f_c
-        x_i = reversal_coordinate(f_i, p)
+        branch = BranchState(reversal_coordinate(f_i, p), f_i, +1)
         x_next = next_reversal_exact(f_i, p)
-        for x in _linspace(x_i, x_next, 201):
-            curve_rows.append((f_c, x, next_reversal_force(x, f_i, p)))
+        for x in _linspace(branch.x_rev, x_next, 201):
+            curve_rows.append((f_c, x, dahl_branch_force(x, branch, p)))
         row = [f_c, potential_energy(f_i, p), x_next]
-        forces = [next_reversal_force(x_next, f_i, p)]
+        forces = [dahl_branch_force(x_next, branch, p)]
         for form in ("printed", "rederived"):
             try:
                 x_a = next_reversal_approx(f_i, p, form=form)
                 row.append(x_a)
-                forces.append(next_reversal_force(x_a, f_i, p))
+                forces.append(dahl_branch_force(x_a, branch, p))
             except DomainError:
                 row.append(math.nan)
                 forces.append(math.nan)

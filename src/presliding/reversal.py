@@ -38,7 +38,6 @@ against the exact root instead of guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 from .errors import ConvergenceError, DomainError
@@ -46,7 +45,6 @@ from .hysteresis import FrictionParams
 
 __all__ = [
     "ReversalChainEntry",
-    "OmegaApprox",
     "zero_crossing",
     "reversal_coordinate",
     "energy_antiderivative",
@@ -56,7 +54,6 @@ __all__ = [
     "omega_approx",
     "next_reversal_exact",
     "next_reversal_approx",
-    "next_reversal_force",
     "reversal_chain",
 ]
 
@@ -71,16 +68,6 @@ _LOG1P_EXCESS_COEFFS = tuple((-1) ** (k + 1) / k for k in range(7, 1, -1))
 # a Halley step this small leaves an error of the order of its cube
 _HALLEY_STOP = 1e-6
 _HALLEY_MAX_ITER = 8
-
-
-@dataclass(frozen=True)
-class OmegaApprox:
-    """Linear stand-in for the branch decay factor: value(x) = 1 - k_slope*x."""
-
-    k_slope: float
-
-    def value(self, x: float) -> float:
-        return 1.0 - self.k_slope * x
 
 
 class ReversalChainEntry(NamedTuple):
@@ -111,9 +98,9 @@ def _check_reversal_force(f_i: float, p: FrictionParams, allow_zero: bool = Fals
         )
 
 
-def _log_force_ratio(f_i: float, p: FrictionParams) -> float:
-    # ln(f_c / (f_c - f_i)), evaluated stably for f_i near 0
-    return -math.log1p(-f_i / p.f_c)
+def _slope_correction(f_i: float, p: FrictionParams) -> float:
+    # (f_c/(f_c - f_i))**0.6, with ln(f_c/(f_c - f_i)) evaluated stably for f_i near 0
+    return math.exp(SLOPE_EXPONENT * -math.log1p(-f_i / p.f_c))
 
 
 def _log1p_excess(t: float) -> float:
@@ -167,9 +154,7 @@ def zero_crossing(x_i: float, f_i: float, p: FrictionParams) -> float:
 
     x_0 = x_i - (f_c/sigma) * ln(f_c / (f_c - f_i)); always ahead of x_i.
     """
-    p.require_gamma_one()
-    _check_reversal_force(f_i, p)
-    return x_i - (p.f_c / p.sigma) * _log_force_ratio(f_i, p)
+    return x_i - reversal_coordinate(f_i, p)
 
 
 def reversal_coordinate(f_i: float, p: FrictionParams) -> float:
@@ -219,17 +204,16 @@ def omega(x: float, p: FrictionParams) -> float:
     return math.exp(-(p.sigma / p.f_c) * x)
 
 
-def omega_approx(f_i: float, p: FrictionParams) -> OmegaApprox:
-    """Linear approximation of the decay factor, anchored at value 1 at x = 0.
+def omega_approx(f_i: float, p: FrictionParams) -> float:
+    """Slope K of the linearized decay factor 1 - K*x, anchored at 1 at x = 0.
 
-    The slope K = (sigma/f_c) * (f_c/(f_c - f_i))**0.6 folds in the
-    reversal state so the chord stays close to the exponential over the
-    upcoming half-cycle.
+    K = (sigma/f_c) * (f_c/(f_c - f_i))**0.6 folds in the reversal state
+    so the chord stays close to the exponential over the upcoming
+    half-cycle.
     """
     p.require_gamma_one()
     _check_reversal_force(f_i, p)
-    k = (p.sigma / p.f_c) * math.exp(SLOPE_EXPONENT * _log_force_ratio(f_i, p))
-    return OmegaApprox(k_slope=k)
+    return (p.sigma / p.f_c) * _slope_correction(f_i, p)
 
 
 def next_reversal_exact(f_i: float, p: FrictionParams) -> float:
@@ -266,8 +250,8 @@ def next_reversal_approx(
     """
     p.require_gamma_one()
     _check_reversal_force(f_i, p)
-    e_p = potential_energy(f_i, p)
-    correction = math.exp(SLOPE_EXPONENT * _log_force_ratio(f_i, p))
+    e_p = _energy(-f_i / p.f_c, p.f_c**2 / p.sigma)
+    correction = _slope_correction(f_i, p)
     if form == "printed":
         denom = 1.0 - (p.f_c / p.sigma) * correction
     elif form == "rederived":
@@ -280,22 +264,6 @@ def next_reversal_approx(
             f"sigma/f_c={p.ratio}"
         )
     return (e_p / p.f_c) / denom
-
-
-def next_reversal_force(x_next: float, f_i: float, p: FrictionParams) -> float:
-    """Restoring force where the ascending branch from f_i reaches x_next.
-
-    x_next is given in the zero-crossing frame (same frame as the
-    predictors); it must not lie behind the reversal coordinate of f_i.
-    """
-    p.require_gamma_one()
-    _check_reversal_force(f_i, p)
-    x_i = reversal_coordinate(f_i, p)
-    if x_next < x_i:
-        raise DomainError(
-            f"x_next={x_next} lies behind the reversal coordinate {x_i}"
-        )
-    return p.f_c - (p.f_c - f_i) * math.exp(-(p.sigma / p.f_c) * (x_next - x_i))
 
 
 def reversal_chain(
@@ -337,7 +305,8 @@ def reversal_chain(
         else:
             f_up = -phi * f_c  # ascending-frame force of this half-cycle
             x_next = next_reversal_approx(f_up, p, form="rederived")
-            phi_next = next_reversal_force(x_next, f_up, p) / f_c
+            x_up = _branch_x(f_up / f_c, x_scale)  # ascending-frame reversal coordinate
+            phi_next = (f_c - (f_c - f_up) * omega(x_next - x_up, p)) / f_c
         e_p_next = _energy(phi_next, e_scale)
         x_n = _branch_x(-phi, x_scale)
         entries.append(ReversalChainEntry(n, f_n, x_n if f_n < 0.0 else -x_n, e_p, e_p - e_p_next))

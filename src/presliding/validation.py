@@ -365,7 +365,7 @@ def check_omega_envelope() -> CheckResult:
     worst = omega_envelope_deviation()
     # the linear factor must also reproduce the exact construction
     p = FrictionParams(f_c=1.0, sigma=2.0)
-    exact = abs(omega_approx(-1.0, p).k_slope - 2.0 * 0.5**0.6) < 1e-15 and omega(0.0, p) == 1.0
+    exact = abs(omega_approx(-1.0, p) - 2.0 * 0.5**0.6) < 1e-15 and omega(0.0, p) == 1.0
     return CheckResult(
         "omega-envelope", exact and worst <= OMEGA_ENVELOPE_BOUND, worst, OMEGA_ENVELOPE_BOUND,
         detail="max |exact - linearized| decay factor over the standard grid",

@@ -1,10 +1,14 @@
-"""Tests of the table grids."""
+"""Tests of the table grids and of the bytes the closed-form figure tables encode to."""
+
+import hashlib
 
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from presliding.figures import _linspace
+from presliding import FrictionParams
+from presliding._csv import encode_csv
+from presliding.figures import _linspace, fig4_table, fig5_tables
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -17,3 +21,22 @@ def test_linspace_matches_numpy_bitwise(a, b, n):
     with np.errstate(all="ignore"):
         expected = np.linspace(a, b, n).tolist()
     assert list(map(float.hex, _linspace(a, b, n))) == list(map(float.hex, expected))
+
+
+def test_fig4_fig5_bytes_are_pinned():
+    # fig4 at sigma/f_c 1 and 1000 with f_c = 0.3; fig5 at f_c 0.3 and 3 with
+    # sigma = 1, where the printed predictor degenerates at f_c = 3 (nan cells)
+    runs = [("", r, FrictionParams(f_c=0.3, sigma=0.3 * r)) for r in (1.0, 1000.0)]
+    tables = [("fig4.csv", *fig4_table(runs))]
+    tables += fig5_tables([("", f_c, FrictionParams(f_c=f_c, sigma=1.0)) for f_c in (0.3, 3.0)])
+    digests = {}
+    for name, header, rows in tables:
+        data, n = encode_csv(header, rows)
+        digests[name] = (n, hashlib.sha256(data).hexdigest())
+    assert digests == {
+        "fig4.csv": (1010, "9294de959367334b92c76aabfd3807678915a351a6bf01c3267e8efdfca60a7a"),
+        "fig5.csv": (402, "d23a896f9a0cd98a62fd478bbf32f593fec6e55bee824076b3d7c270a3285287"),
+        "fig5_predictions.csv": (
+            2, "04fb34c456e45a1c0ce01474dd41b32c95c5dd2ec947172022639c2028715de6"
+        ),
+    }

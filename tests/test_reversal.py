@@ -19,7 +19,6 @@ from presliding import (
     integrate,
     next_reversal_approx,
     next_reversal_exact,
-    next_reversal_force,
     omega,
     omega_approx,
     potential_energy,
@@ -32,7 +31,6 @@ from presliding._csv import encode_csv
 from presliding.figures import chain_table, fig6_table
 from presliding.reversal import _next_force_ratio
 from presliding import validation
-from presliding.reversal import OmegaApprox
 from presliding.validation import (
     OMEGA_ENVELOPE_BOUND,
     check_exact_predictor_vs_oracle,
@@ -196,16 +194,12 @@ def test_omega_values():
 
 
 def test_omega_approx_saturated():
-    assert omega_approx(-1.0, P1).k_slope == pytest.approx(0.5**0.6, rel=1e-15)
+    assert omega_approx(-1.0, P1) == pytest.approx(0.5**0.6, rel=1e-15)
 
 
 def test_omega_approx_small_force_limit():
     p = FrictionParams(1.0, 7.0)
-    assert omega_approx(-1e-12, p).k_slope == pytest.approx(p.sigma / p.f_c, rel=1e-9)
-
-
-def test_omega_approx_anchored_at_one():
-    assert omega_approx(-0.3, P1).value(0.0) == 1.0
+    assert omega_approx(-1e-12, p) == pytest.approx(p.sigma / p.f_c, rel=1e-9)
 
 
 def test_omega_approx_domain():
@@ -225,7 +219,7 @@ def test_omega_envelope_detects_tampered_exponent():
 def test_omega_envelope_check_fails_on_wrong_slope(monkeypatch):
     # the slope construction is part of the check, not an assert that -O strips
     assert check_omega_envelope().passed
-    monkeypatch.setattr(validation, "omega_approx", lambda f_i, p: OmegaApprox(k_slope=1.0))
+    monkeypatch.setattr(validation, "omega_approx", lambda f_i, p: 1.0)
     assert not check_omega_envelope().passed
 
 
@@ -327,26 +321,32 @@ def test_approx_unknown_form():
         next_reversal_approx(-0.5, P1, form="fancy")
 
 
+def ascending_branch(f_i, p):
+    """The ascending branch leaving a reversal with force f_i, in the zero-crossing frame."""
+    return BranchState(reversal_coordinate(f_i, p), f_i, +1)
+
+
 def test_next_force_at_reversal_coordinate():
-    x_i = reversal_coordinate(-0.7, P1)
-    assert next_reversal_force(x_i, -0.7, P1) == pytest.approx(-0.7, rel=1e-14)
+    branch = ascending_branch(-0.7, P1)
+    x = math.nextafter(branch.x_rev, 1.0)  # past the pass-through of the reversal point
+    assert dahl_branch_force(x, branch, P1) == pytest.approx(-0.7, rel=1e-14)
 
 
 def test_next_force_at_zero_crossing():
-    assert abs(next_reversal_force(0.0, -0.7, P1)) < 1e-15
+    assert abs(dahl_branch_force(0.0, ascending_branch(-0.7, P1), P1)) < 1e-15
 
 
 def test_next_force_composed_with_exact_predictor():
     x = next_reversal_exact(-1.0, P1)
-    f_next = next_reversal_force(x, -1.0, P1)
+    f_next = dahl_branch_force(x, ascending_branch(-1.0, P1), P1)
     assert 0.0 < f_next < 1.0
     assert f_next == pytest.approx(0.5936242600399892, abs=1e-10)
 
 
 def test_next_force_frame_violation():
-    x_i = reversal_coordinate(-0.7, P1)
+    branch = ascending_branch(-0.7, P1)
     with pytest.raises(DomainError):
-        next_reversal_force(x_i - 0.01, -0.7, P1)
+        dahl_branch_force(branch.x_rev - 0.01, branch, P1)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ def test_chain_single_step_composes_primitives():
     assert e.x_n == pytest.approx(reversal_coordinate(-0.6, p), rel=1e-15)
     assert e.e_p == pytest.approx(potential_energy(-0.6, p), rel=1e-15)
     x1 = next_reversal_exact(-0.6, p)
-    f1 = next_reversal_force(x1, -0.6, p)
+    f1 = dahl_branch_force(x1, ascending_branch(-0.6, p), p)
     assert e.e_d == pytest.approx(potential_energy(-f1, p) * -1 + e.e_p, rel=1e-12)
 
 
