@@ -153,6 +153,23 @@ def _numeric_fields(cls) -> dict[str, tuple[type, bool]]:
     return out
 
 
+def _check_number(value, where: str, kind: type = float):
+    """A config number as a float, or as is for kind int.
+
+    Raises ConfigError naming where for a bool, a non-number, or an int
+    beyond the float range in a float field.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        expected = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    if kind is int:
+        return value
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _build_dataclass(cls, data: dict, path: str, **fixed):
     """cls(**data, **fixed); the fixed fields are not config fields."""
     known = {f.name for f in dataclasses.fields(cls)} - set(fixed)
@@ -161,11 +178,8 @@ def _build_dataclass(cls, data: dict, path: str, **fixed):
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
     for name, (kind, nullable) in _numeric_fields(cls).items():
         value = data.get(name)
-        if name not in data or (value is None and nullable):
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, kind)):
-            expected = "a number" if kind is float else "an integer"
-            raise ConfigError(f"{path}.{name}: expected {expected}, got {value!r}")
+        if name in data and not (value is None and nullable):
+            _check_number(value, f"{path}.{name}", kind)  # the field keeps the value as given
     try:
         return cls(**data, **fixed)
     except (ConfigError, DomainError, TypeError) as exc:
@@ -217,33 +231,27 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"sweep: expected a list, got {sweep!r}")
         if len(sweep) == 0:
             raise ConfigError("sweep: must not be empty")
-        values = []
-        for i, v in enumerate(sweep):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"sweep[{i}]: expected a number, got {v!r}")
-            try:
-                values.append(float(v))
-            except OverflowError as exc:  # an int beyond the float range
-                raise ConfigError(f"sweep[{i}]: {exc}") from exc
-        sweep = tuple(values)
+        sweep = tuple(_check_number(v, f"sweep[{i}]") for i, v in enumerate(sweep))
         if not all(0 < v < math.inf for v in sweep):
             raise ConfigError("sweep: entries must be positive and finite")
 
     runs = _sweep_runs(kind, params, sweep)
     if kind in _CLOSED_FORM_KINDS:
-        # the closed forms scale by these three; one that overflows puts inf
-        # or nan cells into the tables
+        # the closed forms scale by these three, and fig5's curve spans about
+        # 1.59*f_c/sigma; one that overflows puts inf or nan cells into the tables
+        span = ", 2*f_c/sigma" if kind == "fig5" else ""
         for i, (_, value, p) in enumerate(runs):
             try:
                 finite = all(map(math.isfinite, (p.sigma / p.f_c, p.f_c / p.sigma,
-                                                 p.f_c**2 / p.sigma)))
+                                                 p.f_c**2 / p.sigma,
+                                                 2.0 * p.f_c / p.sigma if span else 0.0)))
             except OverflowError:
                 finite = False
             if not finite:
                 where = "params" if value is None else f"sweep[{i}]"
                 raise ConfigError(
                     f"{where}: f_c={p.f_c!r} and sigma={p.sigma!r} overflow a closed-form "
-                    f"scale: sigma/f_c, f_c/sigma and f_c**2/sigma must be finite"
+                    f"scale: sigma/f_c, f_c/sigma{span} and f_c**2/sigma must be finite"
                 )
 
     return ExperimentConfig(

@@ -466,6 +466,21 @@ PROBES = {
         ["fig3", "--override", f"sweep=[{10**400}]"],
         2, "config error: sweep[0]: int too large to convert to float",
     ),
+    # number fields take the same check as sweep entries
+    "sim_v0_int_beyond_float": (
+        ["simulate", "--override", f"sim.v0={10**400}"],
+        2, "config error: sim.v0: int too large to convert to float",
+    ),
+    "params_f_c_int_beyond_float": (
+        ["simulate", "--override", f"params.f_c={10**400}"],
+        2, "config error: params.f_c: int too large to convert to float",
+    ),
+    # fig5's curve spans about 1.59*f_c/sigma, which overflows here while
+    # f_c/sigma stays finite
+    "fig5_curve_span_overflows": (
+        ["fig5", "--override", "params.sigma=6.7e-309", "--override", "sweep=[1]"],
+        2, _SCALE_ERROR.format("sweep[0]", 1.0, 6.7e-309),
+    ),
     # the peak Dahl slope sigma*2**gamma overflows
     "simulate_gamma_overflow": (
         ["simulate", "--override", "params.gamma=1e300", "--override", "params.sigma=10"],
