@@ -31,3 +31,47 @@ def test_package_imports_only_names_in_all():
         assert node.level == 1, node.module
         public = importlib.import_module(f"presliding.{node.module}").__all__
         assert [a.name for a in node.names if a.name not in public] == [], node.module
+
+
+def test_removed_closed_form_names_stay_gone():
+    # the linear decay factor is a plain slope, and the branch force is dahl_branch_force
+    with pytest.raises(ImportError):
+        from presliding import OmegaApprox  # noqa: F401
+    with pytest.raises(ImportError):
+        from presliding import next_reversal_force  # noqa: F401
+    with pytest.raises(ImportError):
+        from presliding.reversal import OmegaApprox  # noqa: F401,F811
+    with pytest.raises(ImportError):
+        from presliding.reversal import next_reversal_force  # noqa: F401,F811
+
+
+def package_imports(name: str) -> set[str]:
+    """Package modules that presliding.<name> imports anywhere in its source."""
+    source = inspect.getsource(importlib.import_module(f"presliding.{name}"))
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "presliding":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:  # from . import x, from presliding import x
+                found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "presliding" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_oracle_and_simulator_stay_independent():
+    # the oracle certifies the analytic modules, so it must not reuse them,
+    # and the simulator never calls a closed form
+    assert package_imports("oracle") <= {"errors"}
+    assert package_imports("oscillator").isdisjoint({"reversal", "figures", "validation", "cli"})
+    # the walk sees imports in function bodies too
+    assert "validation" in package_imports("cli")
