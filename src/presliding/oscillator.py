@@ -6,10 +6,13 @@ accumulated restoring-force work e_f = integral of F*v dt. So the full
 state is (x, v, F, e_f) and the exact dynamics conserve
 (m/2)*v^2 + e_f along the whole trajectory.
 
-Integration is classical fixed-step 4th order. Velocity-sign changes
-(motion reversals) are localized by bisecting on the step size and
-re-integrating from the last accepted state, which keeps the event
-machinery deterministic. At each reversal the simulator re-arms the
+Integration is classical fixed-step 4th order. One call of the loop
+march that _kernel(p) builds steps through a half-cycle, appending each
+sample, and returns the step whose velocity changed sign; its rewrites of
+the step arithmetic give the same IEEE results (see _kernel). Velocity-sign
+changes (motion reversals) are localized by bisecting on the step size and
+re-integrating from the last accepted state with one-step march calls,
+which keeps the event machinery deterministic. At each reversal the simulator re-arms the
 hysteresis branch from the *integrated* state rather than from the
 algebraic branch formula; that keeps simulation and closed-form analysis
 independent of each other, so their agreement is evidence.
@@ -153,77 +156,104 @@ class Trajectory:
 
 
 def _kernel(p: FrictionParams):
-    """The classical 4th-order step of (x, v, f, e_f) in plain floats.
+    """The classical 4th-order stepping loop over (t, x, v, f, e_f) in plain floats.
 
-    Returns advance(x, v, f, e, h) -> (x, v, f, e) with p's constants bound
-    once. The right-hand side (v, -f/m, dahl_rate(f, v)*v, f*v) does not
-    depend on x, so only the v and f stages are formed. The stage rate is
+    Returns march(t, x, v, f, e, dt, t_max, direction, n, ts, xs, vs, fs, es)
+    with p's constants bound once. march takes up to n steps of
+    h = min(dt, t_max - t), appends each accepted sample to the five lists
+    and returns (steps taken, last accepted (t, x, v, f, e), after). after is
+    the first stepped sample whose velocity turned against direction and is
+    not appended; it is None when t reached t_max, a step underflowed
+    (t + h <= t) or n steps were taken. With t_max = inf, direction = 0.0
+    and n = 1, march takes one step of exactly dt.
+
+    The right-hand side (v, -f/m, dahl_rate(f, v)*v, f*v) does not depend
+    on x, so only the v and f stages are formed. The stage rate is
     dahl_rate(f_k, v_k)*v_k written inline with the same operation order
     (a stage with v_k == 0 gets 0.0*v_k, a stage force outside the band
-    rejects the step); at gamma == 1 the power is skipped, which is exact
-    because b**1.0 == b. A new force past the band by at most
-    _CLAMP_REL_TOL*f_c (roundoff at the edge) is clamped onto it; a larger
-    overshoot raises StepRejectionError, as the step cannot resolve the
-    branch stiffness. A test pins it bitwise to an RK4 over dahl_rate.
+    rejects the step). Each rewrite gives the same IEEE result: at
+    gamma == 1 the power is skipped, as b**1.0 == b; 0.5*h and h/6.0 are
+    formed from dt once per call, and from h only on the short step to
+    t_max; f*(-1/m) is -f*(1/m), as round-to-nearest is sign-symmetric;
+    1.0 + q is 1.0 - q*(-1.0), as a - (-b) == a + b. A new force past the
+    band by at most _CLAMP_REL_TOL*f_c (roundoff at the edge) is clamped
+    onto it; a larger overshoot raises StepRejectionError, as the step
+    cannot resolve the branch stiffness. Tests pin it bitwise to an RK4
+    over dahl_rate.
     """
     f_c, sigma, gamma = p.f_c, p.sigma, p.gamma
-    inv_m = 1.0 / p.mass
+    neg_f_c, neg_inv_m = -f_c, -1.0 / p.mass
     unit = gamma == 1.0
 
-    def advance(
-        x: float, v: float, f: float, e: float, h: float
-    ) -> tuple[float, float, float, float]:
-        hh = 0.5 * h
-        if v == 0.0:
-            r1 = 0.0 * v
-        elif f > f_c or f < -f_c:
-            raise _band_escape(f, f_c, h)
-        else:
-            b = 1.0 - (f / f_c) * (1.0 if v > 0.0 else -1.0)
-            r1 = sigma * (b if unit else b**gamma) * v
-        a1 = -f * inv_m
-        v2, f2 = v + hh * a1, f + hh * r1
-        if v2 == 0.0:
-            r2 = 0.0 * v2
-        elif f2 > f_c or f2 < -f_c:
-            raise _band_escape(f2, f_c, h)
-        else:
-            b = 1.0 - (f2 / f_c) * (1.0 if v2 > 0.0 else -1.0)
-            r2 = sigma * (b if unit else b**gamma) * v2
-        a2 = -f2 * inv_m
-        v3, f3 = v + hh * a2, f + hh * r2
-        if v3 == 0.0:
-            r3 = 0.0 * v3
-        elif f3 > f_c or f3 < -f_c:
-            raise _band_escape(f3, f_c, h)
-        else:
-            b = 1.0 - (f3 / f_c) * (1.0 if v3 > 0.0 else -1.0)
-            r3 = sigma * (b if unit else b**gamma) * v3
-        a3 = -f3 * inv_m
-        v4, f4 = v + h * a3, f + h * r3
-        if v4 == 0.0:
-            r4 = 0.0 * v4
-        elif f4 > f_c or f4 < -f_c:
-            raise _band_escape(f4, f_c, h)
-        else:
-            b = 1.0 - (f4 / f_c) * (1.0 if v4 > 0.0 else -1.0)
-            r4 = sigma * (b if unit else b**gamma) * v4
-        c = h / 6.0
-        x_new = x + c * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v_new = v + c * (a1 + 2.0 * a2 + 2.0 * a3 + -f4 * inv_m)
-        f_new = f + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-        e_new = e + c * (f * v + 2.0 * (f2 * v2) + 2.0 * (f3 * v3) + f4 * v4)
-        if f_new > f_c or f_new < -f_c:
-            over = abs(f_new) - f_c
-            if over > _CLAMP_REL_TOL * f_c:
-                raise StepRejectionError(
-                    f"force overshoot {over} exceeds the clamp tolerance at dt={h}; "
-                    f"reduce dt for sigma/f_c={p.ratio}"
-                )
-            f_new = math.copysign(f_c, f_new)
-        return x_new, v_new, f_new, e_new
+    def march(t, x, v, f, e, dt, t_max, direction, n, ts, xs, vs, fs, es):
+        hh_dt, c_dt = 0.5 * dt, dt / 6.0
+        for i in range(n):
+            if t_max - t < dt:
+                h = t_max - t
+                hh, c = 0.5 * h, h / 6.0
+            else:
+                h, hh, c = dt, hh_dt, c_dt
+            t_new = t + h
+            if t_new <= t:
+                return i, (t, x, v, f, e), None
+            if v == 0.0:
+                r1 = 0.0 * v
+            elif f > f_c or f < neg_f_c:
+                raise _band_escape(f, f_c, h)
+            else:
+                b = 1.0 - f / f_c if v > 0.0 else 1.0 + f / f_c
+                r1 = sigma * (b if unit else b**gamma) * v
+            a1 = f * neg_inv_m
+            v2, f2 = v + hh * a1, f + hh * r1
+            if v2 == 0.0:
+                r2 = 0.0 * v2
+            elif f2 > f_c or f2 < neg_f_c:
+                raise _band_escape(f2, f_c, h)
+            else:
+                b = 1.0 - f2 / f_c if v2 > 0.0 else 1.0 + f2 / f_c
+                r2 = sigma * (b if unit else b**gamma) * v2
+            a2 = f2 * neg_inv_m
+            v3, f3 = v + hh * a2, f + hh * r2
+            if v3 == 0.0:
+                r3 = 0.0 * v3
+            elif f3 > f_c or f3 < neg_f_c:
+                raise _band_escape(f3, f_c, h)
+            else:
+                b = 1.0 - f3 / f_c if v3 > 0.0 else 1.0 + f3 / f_c
+                r3 = sigma * (b if unit else b**gamma) * v3
+            a3 = f3 * neg_inv_m
+            v4, f4 = v + h * a3, f + h * r3
+            if v4 == 0.0:
+                r4 = 0.0 * v4
+            elif f4 > f_c or f4 < neg_f_c:
+                raise _band_escape(f4, f_c, h)
+            else:
+                b = 1.0 - f4 / f_c if v4 > 0.0 else 1.0 + f4 / f_c
+                r4 = sigma * (b if unit else b**gamma) * v4
+            x_new = x + c * (v + 2.0 * v2 + 2.0 * v3 + v4)
+            v_new = v + c * (a1 + 2.0 * a2 + 2.0 * a3 + f4 * neg_inv_m)
+            f_new = f + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+            e_new = e + c * (f * v + 2.0 * (f2 * v2) + 2.0 * (f3 * v3) + f4 * v4)
+            if f_new > f_c or f_new < neg_f_c:
+                over = abs(f_new) - f_c
+                if over > _CLAMP_REL_TOL * f_c:
+                    raise StepRejectionError(
+                        f"force overshoot {over} exceeds the clamp tolerance at dt={h}; "
+                        f"reduce dt for sigma/f_c={p.ratio}"
+                    )
+                f_new = math.copysign(f_c, f_new)
+            if v_new * direction < 0.0:
+                return i + 1, (t, x, v, f, e), (t_new, x_new, v_new, f_new, e_new)
+            ts.append(t := t_new)
+            xs.append(x := x_new)
+            vs.append(v := v_new)
+            fs.append(f := f_new)
+            es.append(e := e_new)
+            if not t < t_max:
+                return i + 1, (t, x, v, f, e), None
+        return n, (t, x, v, f, e), None
 
-    return advance
+    return march
 
 
 def _band_escape(f: float, f_c: float, h: float) -> StepRejectionError:
@@ -234,14 +264,14 @@ def _band_escape(f: float, f_c: float, h: float) -> StepRejectionError:
     )
 
 
-def locate_reversal(advance, before: tuple, after: tuple, tol_v: float) -> tuple:
+def locate_reversal(march, before: tuple, after: tuple, tol_v: float) -> tuple:
     """Pin down the (t, x, v, f, e_f) sample where the velocity crosses zero.
 
     before and after are samples whose velocities bracket the sign change.
     Bisects on the step size within (before's t, after's t], re-integrating
-    from before with advance, until |v| <= tol_v. A bracket that already
-    meets the tolerance is returned itself. Raises ConvergenceError after
-    _MAX_BISECTIONS bisections without meeting it.
+    from before with one march step, until |v| <= tol_v. A bracket that
+    already meets the tolerance is returned itself. Raises ConvergenceError
+    after _MAX_BISECTIONS bisections without meeting it.
     """
     if abs(before[2]) <= tol_v:
         return before
@@ -249,9 +279,13 @@ def locate_reversal(advance, before: tuple, after: tuple, tol_v: float) -> tuple
         return after
     t, x, v, f, e = before
     lo, hi = 0.0, after[0] - t
+    scratch: list[float] = []  # collects the bisection samples; none is kept
     for _ in range(_MAX_BISECTIONS):
         h = 0.5 * (lo + hi)
-        x_mid, v_mid, f_mid, e_mid = advance(x, v, f, e, h)
+        # timed from 0.0, so no step of h underflows; the sample is at t + h
+        _, (_, x_mid, v_mid, f_mid, e_mid), _ = march(
+            0.0, x, v, f, e, h, math.inf, 0.0, 1, scratch, scratch, scratch, scratch, scratch
+        )
         if abs(v_mid) <= tol_v:
             return t + h, x_mid, v_mid, f_mid, e_mid
         if (v_mid > 0.0) == (v > 0.0):
@@ -267,7 +301,8 @@ def simulate(cfg: SimConfig) -> Trajectory:
     """Run the oscillator until t_max, max_reversals or the energy floor.
 
     A run that none of them stops within MAX_STEPS steps raises
-    StepRejectionError.
+    StepRejectionError. Each accepted step counts one, and so does each
+    step that detects a reversal; the bisection steps that locate it do not.
 
     Reversal bookkeeping: a record is *completed* once the next reversal is
     found, because its recoverable energy is measured as the peak kinetic
@@ -281,41 +316,34 @@ def simulate(cfg: SimConfig) -> Trajectory:
     stop_energy = cfg.effective_stop_energy()
     t_max = cfg.t_max
 
-    t, x, v, f, e = 0.0, cfg.x0, cfg.v0, cfg.f0, 0.0
+    state = (0.0, cfg.x0, cfg.v0, cfg.f0, 0.0)
     # the samples of the half-cycle under way; each reversal moves them onto
     # the array('d') columns, which hold 8 B per value against a list's 40
-    ts, xs, vs, fs, es = [t], [x], [v], [f], [e]
+    parts = ts, xs, vs, fs, es = tuple([value] for value in state)
     cols = tuple(array("d") for _ in range(5))
 
     records: list[ReversalRecord] = []
     pending: Optional[tuple[int, float, float, float]] = None  # (index, t, x, f)
     direction = 1.0 if cfg.v0 > 0.0 else -1.0
     last_event_t = -math.inf
-    advance = _kernel(p)
+    march = _kernel(p)
+    steps = 0
 
-    # t = 0 < t_max on entry; each pass takes one step and checks t_max last,
-    # so a run of exactly MAX_STEPS steps ends before the else clause
-    for _ in range(MAX_STEPS):
-        h = t_max - t if t_max - t < dt else dt
-        t_new = t + h
-        if t_new <= t:
-            break
-        x_new, v_new, f_new, e_new = advance(x, v, f, e, h)
-        if not v_new * direction < 0.0:
-            t, x, v, f, e = t_new, x_new, v_new, f_new, e_new
-            ts.append(t)
-            xs.append(x)
-            vs.append(v)
-            fs.append(f)
-            es.append(e)
-            if t < t_max:
-                continue
-            break
-
-        t_prev = t
-        t, x, v, f, e = locate_reversal(
-            advance, (t, x, v, f, e), (t_new, x_new, v_new, f_new, e_new), tol_v
+    # each pass marches through one half-cycle, t = 0 < t_max on entry
+    while True:
+        taken, before, after = march(
+            *state, dt, t_max, direction, MAX_STEPS - steps, ts, xs, vs, fs, es
         )
+        steps += taken
+        if after is None:
+            if steps < MAX_STEPS or not before[0] < t_max:
+                break
+            raise StepRejectionError(
+                f"no stop within MAX_STEPS={MAX_STEPS} steps of dt={dt} "
+                f"(t={before[0]} of t_max={t_max}); raise dt or lower t_max"
+            )
+
+        state = t, x, v, f, e = locate_reversal(march, before, after, tol_v)
         if t <= last_event_t:
             raise StepRejectionError(
                 f"consecutive reversals inside one step at t={t}; "
@@ -325,8 +353,8 @@ def simulate(cfg: SimConfig) -> Trajectory:
         # the peak speed of the half-cycle just closed; a reversal sample is
         # not part of it, and a left-bracket reversal adds no sample
         v_peak = max(map(abs, vs), default=0.0)
-        for col, part, value in zip(cols, (ts, xs, vs, fs, es), (t, x, v, f, e)):
-            if t > t_prev:
+        for col, part, value in zip(cols, parts, state):
+            if t > before[0]:
                 part.append(value)
             col.extend(part)
             part.clear()
@@ -347,12 +375,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
         direction = -direction
         if not t < t_max:
             break
-    else:
-        raise StepRejectionError(
-            f"no stop within MAX_STEPS={MAX_STEPS} steps of dt={dt} "
-            f"(t={t} of t_max={t_max}); raise dt or lower t_max"
-        )
 
-    for col, part in zip(cols, (ts, xs, vs, fs, es)):
+    for col, part in zip(cols, parts):
         col.extend(part)
     return Trajectory(*cols, reversals=records, config=cfg)

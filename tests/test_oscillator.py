@@ -75,23 +75,28 @@ def test_default_stop_energy():
 # single step
 # ---------------------------------------------------------------------------
 
+def _step(x, v, f, e, h, p):
+    """One march step of size h from (x, v, f, e): the state it accepts."""
+    _, (_, *state), _ = _kernel(p)(0.0, x, v, f, e, h, math.inf, 0.0, 1, [], [], [], [], [])
+    return tuple(state)
+
+
 def test_step_rest_state_is_equilibrium():
-    assert _kernel(P1)(0.4, 0.0, 0.0, 0.0, 1e-3) == (0.4, 0.0, 0.0, 0.0)
+    assert _step(0.4, 0.0, 0.0, 0.0, 1e-3, P1) == (0.4, 0.0, 0.0, 0.0)
 
 
 def test_step_taylor_expansion():
     # leading-order growth from (x=0, v=1, F=0): x ~ dt, F ~ sigma*dt,
     # v ~ 1 - sigma*dt^2/2
-    advance = _kernel(P1)
     s = (0.0, 1.0, 0.0, 0.0)
-    x, v, f, _ = advance(*s, 1e-3)
+    x, v, f, _ = _step(*s, 1e-3, P1)
     assert x == pytest.approx(1e-3, abs=1e-9)
     assert f == pytest.approx(1e-3, abs=1e-6)
     assert v == pytest.approx(1.0 - 5e-7, abs=1e-9)
     # against a 10x finer reference over the same horizon
     fine = s
     for _ in range(10):
-        fine = advance(*fine, 1e-4)
+        fine = _step(*fine, 1e-4, P1)
     assert x == pytest.approx(fine[0], abs=1e-15)
     assert v == pytest.approx(fine[1], abs=1e-15)
     assert f == pytest.approx(fine[2], abs=1e-15)
@@ -99,13 +104,22 @@ def test_step_taylor_expansion():
 
 def test_step_rejects_band_escape():
     with pytest.raises(StepRejectionError):
-        _kernel(FrictionParams(1.0, 1000.0))(0.0, 1.0, 0.999, 0.0, 5.0)
+        _step(0.0, 1.0, 0.999, 0.0, 5.0, FrictionParams(1.0, 1000.0))
 
 
-def _step_outcome(kernel, *args):
-    """Result bits of one step, or the rejection message."""
+def _bits(value):
+    """value with each float as its hex string, inside tuples and lists too."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_bits, value))
+    return value
+
+
+def _step_outcome(step, *args):
+    """Result bits of one step or of several, or the rejection message."""
     try:
-        return tuple(map(float.hex, kernel(*args)))
+        return _bits(step(*args))
     except StepRejectionError as exc:
         return str(exc) if str(exc).startswith("force escaped") else "overshoot"
 
@@ -133,7 +147,62 @@ def test_advance_matches_rk4_over_dahl_rate_bitwise(
     h = k * math.sqrt(mass * f_c / sigma)
     v = w * h * u * f_c / mass if on_step_scale else 2.0 * w
     args = (0.3, v, u * f_c, -0.2, h)
-    assert _step_outcome(_kernel(p), *args) == _step_outcome(reference_advance, *args, p)
+    assert _step_outcome(_step, *args, p) == _step_outcome(reference_advance, *args, p)
+
+
+def _march(state, dt, t_max, direction, n, p):
+    """march's return value and the samples it appended, as tuples."""
+    cols = [], [], [], [], []
+    taken, last, after = _kernel(p)(*state, dt, t_max, direction, n, *cols)
+    return taken, last, after, list(zip(*cols))
+
+
+def _reference_march(state, dt, t_max, direction, n, p):
+    """_march over chained reference_advance steps of h = min(dt, t_max - t)."""
+    samples = []
+    for _ in range(n):
+        t = state[0]
+        h = min(dt, t_max - t)
+        if t + h <= t:
+            break
+        new = (t + h, *reference_advance(*state[1:], h, p))
+        if new[2] * direction < 0.0:
+            return len(samples) + 1, state, new, samples
+        samples.append(new)
+        state = new
+        if new[0] >= t_max:
+            break
+    return len(samples), state, None, samples
+
+
+@given(
+    gamma=st.sampled_from([0.5, 1.0, 2.0]),
+    sigma=st.floats(0.5, 2000.0),
+    f_c=st.floats(0.1, 10.0),
+    mass=st.floats(0.1, 10.0),
+    u=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+    w=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    t0=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    k=st.floats(1e-3, 0.5),
+    direction=st.sampled_from([-1.0, 0.0, 1.0]),
+    n=st.integers(0, 60),
+    tail_step=st.integers(0, 61),
+    tail_part=st.floats(0.0, 1.0),
+)
+def test_march_matches_chained_reference_steps_bitwise(
+    gamma, sigma, f_c, mass, u, w, t0, k, direction, n, tail_step, tail_part
+):
+    # march forms 0.5*dt and dt/6 once per call; the short step that ends
+    # at t_max must form them from its own h. t_max falls inside step
+    # tail_step + 1, which is past the last of the n steps when tail_step >= n.
+    # v on the pre-sliding scale f_c/sqrt(sigma*m) reverses within tens of
+    # steps of dt up to half the branch time scale sqrt(m*f_c/sigma)
+    p = FrictionParams(f_c=f_c, sigma=sigma, gamma=gamma, mass=mass)
+    dt = k * math.sqrt(mass * f_c / sigma)
+    t_max = t0 + (tail_step + tail_part) * dt
+    state = (t0, 0.3, w * f_c / math.sqrt(sigma * mass), u * f_c, -0.2)
+    args = (state, dt, t_max, direction, n, p)
+    assert _step_outcome(_march, *args) == _step_outcome(_reference_march, *args)
 
 
 def test_simulate_step_budget_is_inclusive(monkeypatch):
@@ -186,14 +255,13 @@ def test_locate_returns_exact_zero_sample():
 def test_locate_bisection_contract():
     p = P10
     dt = SimConfig(params=p, x0=0.0, v0=0.5, t_max=100.0).effective_dt()
-    advance = _kernel(p)
     prev = (0.0, 0.0, 0.5, 0.0, 0.0)
     while True:
-        nxt = (prev[0] + dt, *advance(*prev[1:], dt))
+        nxt = (prev[0] + dt, *_step(*prev[1:], dt, p))
         if nxt[2] < 0.0:
             break
         prev = nxt
-    rev = locate_reversal(advance, prev, nxt, tol_v=1e-9)
+    rev = locate_reversal(_kernel(p), prev, nxt, tol_v=1e-9)
     assert abs(rev[2]) <= 1e-9
     assert prev[0] < rev[0] <= nxt[0]
 
@@ -345,10 +413,10 @@ V0_RIGHT_BRACKET = 0.5363251089782543
 def test_simulate_matches_per_state_reference_bitwise(monkeypatch, params, sim, ends, bracket):
     returned = []  # per reversal: which bracket locate_reversal returned, if either
 
-    def spy(advance, before, after, tol_v):
+    def spy(march, before, after, tol_v):
         # simulate hands over a bracket: v changes sign, or before is the reversal
         assert abs(before[2]) <= tol_v or before[2] * after[2] < 0.0
-        rev = locate_reversal(advance, before, after, tol_v)
+        rev = locate_reversal(march, before, after, tol_v)
         returned.append("left" if rev is before else "right" if rev is after else None)
         return rev
 
@@ -370,6 +438,24 @@ def test_simulate_matches_per_state_reference_bitwise(monkeypatch, params, sim, 
         assert 0.0 < traj.t[-1] - traj.t[-2] < cfg.effective_dt()
     else:
         assert records[-1].e_p < cfg.stop_energy <= records[-2].e_p
+
+
+@pytest.mark.parametrize(
+    "v0, threshold", [(0.5, 2370), (V0_LEFT_BRACKET, 2385)], ids=["ratio10", "left_bracket"]
+)
+def test_simulate_step_budget_counts_reversal_steps(monkeypatch, v0, threshold):
+    # each accepted step counts one, and so does each step that detects a
+    # reversal (bisection steps do not): every step adds one sample to the
+    # initial one, except that a left-bracket reversal adds none
+    cfg = SimConfig(P10, v0=v0, max_reversals=3)
+    traj = simulate(cfg)
+    assert len(traj.reversals) == 3
+    assert threshold == len(traj) - (1 if v0 == 0.5 else 0)
+    monkeypatch.setattr(oscillator_module, "MAX_STEPS", threshold)
+    assert simulate(cfg).t == traj.t
+    monkeypatch.setattr(oscillator_module, "MAX_STEPS", threshold - 1)
+    with pytest.raises(StepRejectionError, match=f"^no stop within MAX_STEPS={threshold - 1} "):
+        simulate(cfg)
 
 
 # ---------------------------------------------------------------------------
