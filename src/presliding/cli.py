@@ -217,6 +217,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(
             f"chain.f0_over_fc: expected a number in [-1, 0), got {chain.f0_over_fc!r}"
         )
+    if kind == "validate":
+        # validation.run_all builds its own cases, so a changed value would go unread
+        defaults = default_config(kind)
+        fields = [(key, f"{key}.{name}", merged[key][name], default)
+                  for key in ("params", "sim", "chain") for name, default in defaults[key].items()]
+        fields.append(("sweep", "sweep", merged["sweep"], defaults["sweep"]))
+        for key, where, value, default in fields:
+            if value != default:
+                raise ConfigError(
+                    f"{where}: kind 'validate' runs a fixed suite and reads no {key}, "
+                    f"got {value!r}"
+                )
     if kind in _CLOSED_FORM_KINDS and params.gamma != 1.0:
         raise ConfigError(
             f"params.gamma: kind {kind!r} uses closed forms that hold for gamma = 1 only, "

@@ -532,6 +532,16 @@ PROBES = {
         3, "run error: simulate: StepRejectionError: consecutive reversals inside one step "
            "at t=5.0357",
     ),
+    # validate runs a fixed suite, which reads none of these values
+    "validate_params_gamma": (
+        ["validate", "--override", "params.gamma=2"],
+        2, "config error: params.gamma: kind 'validate' runs a fixed suite and reads no params, "
+           "got 2\n",
+    ),
+    "validate_sweep": (
+        ["validate", "--override", "sweep=[10]"],
+        2, "config error: sweep: kind 'validate' runs a fixed suite and reads no sweep, got [10]\n",
+    ),
     "override_nested_too_deep": (
         ["fig3", "--override", "params.f_c=" + "[" * 5000 + "]" * 5000],
         2, "config error: override params.f_c: ",
