@@ -12,10 +12,11 @@ sample, and returns the step whose velocity changed sign; its rewrites of
 the step arithmetic give the same IEEE results (see _kernel). Velocity-sign
 changes (motion reversals) are localized by bisecting on the step size and
 re-integrating from the last accepted state with one-step march calls,
-which keeps the event machinery deterministic. At each reversal the simulator re-arms the
-hysteresis branch from the *integrated* state rather than from the
-algebraic branch formula; that keeps simulation and closed-form analysis
-independent of each other, so their agreement is evidence.
+which keeps the event machinery deterministic. At each reversal the
+simulator re-arms the hysteresis branch from the *integrated* state rather
+than from the algebraic branch formula; that keeps simulation and
+closed-form analysis independent of each other, so their agreement is
+evidence.
 """
 
 from __future__ import annotations

@@ -441,16 +441,17 @@ def test_simulate_matches_per_state_reference_bitwise(monkeypatch, params, sim, 
 
 
 @pytest.mark.parametrize(
-    "v0, threshold", [(0.5, 2370), (V0_LEFT_BRACKET, 2385)], ids=["ratio10", "left_bracket"]
+    "v0, threshold, samples",
+    [(0.5, 2370, 2371), (V0_LEFT_BRACKET, 2385, 2385)],
+    ids=["ratio10", "left_bracket"],
 )
-def test_simulate_step_budget_counts_reversal_steps(monkeypatch, v0, threshold):
+def test_simulate_step_budget_counts_reversal_steps(monkeypatch, v0, threshold, samples):
     # each accepted step counts one, and so does each step that detects a
     # reversal (bisection steps do not): every step adds one sample to the
     # initial one, except that a left-bracket reversal adds none
     cfg = SimConfig(P10, v0=v0, max_reversals=3)
     traj = simulate(cfg)
-    assert len(traj.reversals) == 3
-    assert threshold == len(traj) - (1 if v0 == 0.5 else 0)
+    assert len(traj.reversals) == 3 and len(traj) == samples
     monkeypatch.setattr(oscillator_module, "MAX_STEPS", threshold)
     assert simulate(cfg).t == traj.t
     monkeypatch.setattr(oscillator_module, "MAX_STEPS", threshold - 1)
