@@ -63,8 +63,20 @@ __all__ = [
     "main",
 ]
 
-# kinds built on the reversal closed forms, which hold for gamma == 1 only
-_CLOSED_FORM_KINDS = ("chain", "fig3", "fig4", "fig5", "fig6")
+# The config values each kind reads: a section name stands for all its
+# fields. A given sweep replaces params.sigma (fig5: params.f_c), which is
+# then not read. The closed forms hold for gamma == 1 and need no mass, so
+# the kinds built on them name their params one by one.
+_READS = {
+    "simulate": {"params", "sim", "sweep"},
+    "chain": {"params.f_c", "params.sigma", "chain", "sweep"},
+    "fig3": {"params.f_c", "sweep"},
+    "fig4": {"params.f_c", "sweep"},
+    "fig5": {"params.sigma", "sweep"},
+    "fig6": {"params.f_c", "chain", "sweep"},
+    "fig7": {"params", "sim", "sweep"},
+    "validate": set(),  # validation.run_all builds its own cases
+}
 
 # kinds that write files per sweep entry, named with the entry's suffix
 _PER_ENTRY_KINDS = ("simulate", "chain", "fig7")
@@ -191,13 +203,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     kind = data.pop("kind", None)
     if kind not in KINDS:
         raise ConfigError(f"kind: expected one of {KINDS}, got {kind!r}")
-    merged = default_config(kind)
+    defaults = default_config(kind)
+    merged = dict(defaults)
     for key in ("params", "sim", "chain"):
         section = data.pop(key, None)
         if section is not None:
             if not isinstance(section, dict):
                 raise ConfigError(f"{key}: expected an object, got {section!r}")
-            merged[key].update(section)
+            merged[key] = {**defaults[key], **section}
     for key in ("sweep", "output_dir"):
         if key in data:
             merged[key] = data.pop(key)
@@ -217,23 +230,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(
             f"chain.f0_over_fc: expected a number in [-1, 0), got {chain.f0_over_fc!r}"
         )
-    if kind == "validate":
-        # validation.run_all builds its own cases, so a changed value would go unread
-        defaults = default_config(kind)
-        fields = [(key, f"{key}.{name}", merged[key][name], default)
-                  for key in ("params", "sim", "chain") for name, default in defaults[key].items()]
-        fields.append(("sweep", "sweep", merged["sweep"], defaults["sweep"]))
-        for key, where, value, default in fields:
-            if value != default:
-                raise ConfigError(
-                    f"{where}: kind 'validate' runs a fixed suite and reads no {key}, "
-                    f"got {value!r}"
-                )
-    if kind in _CLOSED_FORM_KINDS and params.gamma != 1.0:
-        raise ConfigError(
-            f"params.gamma: kind {kind!r} uses closed forms that hold for gamma = 1 only, "
-            f"got {params.gamma}"
-        )
+    # checked on the built dataclasses, so a bool has been rejected before True == 1.0
+    reads = _READS[kind]
+    swept = None if merged["sweep"] is None else "params.f_c" if kind == "fig5" else "params.sigma"
+    fields = [(f"{key}.{name}", merged[key][name], default)
+              for key in ("params", "sim", "chain") for name, default in defaults[key].items()]
+    for where, value, default in fields + [("sweep", merged["sweep"], defaults["sweep"])]:
+        read = where != swept and (where in reads or where.partition(".")[0] in reads)
+        if not read and value != default:
+            raise ConfigError(
+                f"{where}: kind {kind!r} does not read it"
+                f"{' with a sweep' if where == swept else ''}; "
+                f"expected the default {default!r}, got {value!r}"
+            )
 
     sweep = merged["sweep"]
     if sweep is None and kind in DEFAULT_SWEEPS:
@@ -248,7 +257,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError("sweep: entries must be positive and finite")
 
     runs = _sweep_runs(kind, params, sweep)
-    if kind in _CLOSED_FORM_KINDS:
+    if "params" not in reads:  # the closed-form kinds, and validate's default params
         # the closed forms scale by these three, and fig5's curve spans about
         # 1.59*f_c/sigma; one that overflows puts inf or nan cells into the tables
         span = ", 2*f_c/sigma" if kind == "fig5" else ""

@@ -49,8 +49,7 @@ _MAX_BISECTIONS = 100
 # A sample holds about 41 B while the run lasts: a run stopped here took
 # 8 s and peaked at 136 MiB RSS on a 2-vCPU host. A run that completes
 # just under it and writes its CSV peaks at 618 MiB (simulate) or 670 MiB
-# (fig7), about 210-230 B per sample, below the 754 MiB that a chain of
-# cli.MAX_CHAIN_STEPS steps held before its rows were streamed.
+# (fig7), about 210-230 B per sample.
 MAX_STEPS = 3 * 10**6
 
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presliding import ConfigError, DomainError, FrictionParams, SimConfig, simulate
 from presliding.cli import (
@@ -24,6 +26,7 @@ from presliding.cli import (
     run_experiment,
 )
 from presliding.figures import fig3_table
+import presliding.cli as cli
 import presliding.oscillator as oscillator
 
 REPO = Path(__file__).resolve().parents[1]
@@ -142,6 +145,101 @@ def test_closed_form_misuse_rejected_at_parse_time(tmp_path, capsys, kind, overr
     assert not out.exists()
 
 
+# the config values each kind reads (README, config schema): a section name
+# stands for all its fields, and a given sweep replaces params.sigma (fig5:
+# params.f_c)
+READ_SETS = {
+    "simulate": {"params", "sim", "sweep"},
+    "chain": {"params.f_c", "params.sigma", "chain", "sweep"},
+    "fig3": {"params.f_c", "sweep"},
+    "fig4": {"params.f_c", "sweep"},
+    "fig5": {"params.sigma", "sweep"},
+    "fig6": {"params.f_c", "chain", "sweep"},
+    "fig7": {"params", "sim", "sweep"},
+    "validate": set(),
+}
+
+SECTIONS = ("params", "sim", "chain")
+# every config path below the kind: each section's fields, and sweep
+LEAVES = ["sweep"] + [f"{key}.{name}" for key in SECTIONS for name in default_config("fig3")[key]]
+
+
+def other_value(default):
+    """A value for a config leaf that is valid for every kind and not its default."""
+    if default is None:
+        return 0.01  # sim.dt, sim.stop_energy
+    if isinstance(default, str):
+        return "approx"  # chain.mode
+    return default + (1 if isinstance(default, int) else 0.5)
+
+
+def read_rule_cases():
+    """(kind, sweep, path, value): each leaf at a non-default value, with and
+    without a sweep where the kind allows both."""
+    for kind in KINDS:
+        data = default_config(kind)
+        sweeps = ([data["sweep"]] if data["sweep"] is not None
+                  else [None, [3.0]] if "sweep" in READ_SETS[kind] else [None])
+        for sweep in sweeps:
+            for path in LEAVES:
+                if path == "sweep":
+                    if sweep == sweeps[0]:
+                        yield pytest.param(kind, sweep, path, [3.0], id=f"{kind}-sweep")
+                    continue
+                key, name = path.split(".")
+                yield pytest.param(kind, sweep, path, other_value(data[key][name]),
+                                   id=f"{kind}-{path}-{'swept' if sweep else 'unswept'}")
+
+
+@pytest.mark.parametrize("kind, sweep, path, value", read_rule_cases())
+def test_a_value_the_kind_does_not_read_must_keep_its_default(kind, sweep, path, value):
+    data = default_config(kind)
+    data["sweep"] = sweep
+    apply_overrides(data, [f"{path}={json.dumps(value)}"])
+    swept = sweep is not None and path == ("params.f_c" if kind == "fig5" else "params.sigma")
+    reads = READ_SETS[kind]
+    if not swept and (path in reads or path.split(".")[0] in reads):
+        assert isinstance(config_from_dict(data), ExperimentConfig)
+    else:
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert str(info.value).startswith(f"{path}: kind {kind!r} does not read it")
+
+
+def test_read_sets_cover_the_kinds_and_name_schema_paths():
+    assert set(cli._READS) == set(KINDS)
+    for reads in cli._READS.values():
+        assert reads <= set(LEAVES) | set(SECTIONS)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.text(max_size=6)
+    | st.floats()  # nan, inf and subnormals included
+    | st.sampled_from([1e308, -1e308, 5e-324, 10**400, -10**400]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(KINDS),
+       changes=st.lists(st.tuples(st.sampled_from(LEAVES), JSON_VALUES), max_size=4))
+def test_config_from_dict_returns_a_config_or_raises_config_error(kind, changes):
+    data = default_config(kind)
+    for path, value in changes:
+        key, _, name = path.partition(".")
+        if name:
+            data[key][name] = value
+        else:
+            data[key] = value
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+
+
 def test_sweep_kinds_writing_one_file_accept_repeated_entries():
     # fig3 puts every entry into one table, so no file names collide
     data = default_config("fig3")
@@ -157,15 +255,15 @@ def test_simulation_kinds_accept_any_gamma():
 
 
 def test_overrides_nested_and_typed():
-    data = default_config("fig3")
-    apply_overrides(
-        data, ["params.sigma=2.5", "sweep=[1,10]", "sim.max_reversals=null", "output_dir=elsewhere"]
-    )
+    data = default_config("simulate")
+    apply_overrides(data, ["params.sigma=2.5", "sim.max_reversals=null", "output_dir=elsewhere"])
     cfg = config_from_dict(data)
     assert cfg.sim.params.sigma == 2.5
-    assert sweep_values(cfg) == [1.0, 10.0]
     assert cfg.sim.max_reversals is None
     assert str(cfg.output_dir) == "elsewhere"
+    data = default_config("fig3")
+    apply_overrides(data, ["sweep=[1,10]"])
+    assert sweep_values(config_from_dict(data)) == [1.0, 10.0]
 
 
 def test_scale_check_spares_the_simulation_kinds():
@@ -532,15 +630,44 @@ PROBES = {
         3, "run error: simulate: StepRejectionError: consecutive reversals inside one step "
            "at t=5.0357",
     ),
-    # validate runs a fixed suite, which reads none of these values
+    # a value the kind does not read must keep its default: validate runs a
+    # fixed suite and reads none
     "validate_params_gamma": (
         ["validate", "--override", "params.gamma=2"],
-        2, "config error: params.gamma: kind 'validate' runs a fixed suite and reads no params, "
-           "got 2\n",
+        2, "config error: params.gamma: kind 'validate' does not read it; "
+           "expected the default 1.0, got 2\n",
     ),
     "validate_sweep": (
         ["validate", "--override", "sweep=[10]"],
-        2, "config error: sweep: kind 'validate' runs a fixed suite and reads no sweep, got [10]\n",
+        2, "config error: sweep: kind 'validate' does not read it; "
+           "expected the default None, got [10]\n",
+    ),
+    "fig3_sim_v0": (["fig3", "--override", "sim.v0=0.9"], 2, "config error: sim.v0: "),
+    "chain_sim_dt": (["chain", "--override", "sim.dt=0.1"], 2, "config error: sim.dt: "),
+    "simulate_chain_n_steps": (
+        ["simulate", "--override", "chain.n_steps=5"], 2, "config error: chain.n_steps: ",
+    ),
+    "fig5_chain_mode": (
+        ["fig5", "--override", "chain.mode=approx"], 2, "config error: chain.mode: ",
+    ),
+    # the closed forms need no mass
+    "chain_params_mass": (
+        ["chain", "--override", "params.mass=2"], 2, "config error: params.mass: ",
+    ),
+    "fig6_params_mass": (
+        ["fig6", "--override", "params.mass=3"], 2, "config error: params.mass: ",
+    ),
+    # the sweep sets sigma (fig5: f_c) of every run
+    "fig5_params_f_c": (
+        ["fig5", "--override", "params.f_c=2"],
+        2, "config error: params.f_c: kind 'fig5' does not read it with a sweep; "
+           "expected the default 1.0, got 2\n",
+    ),
+    "fig3_params_sigma": (
+        ["fig3", "--override", "params.sigma=5"], 2, "config error: params.sigma: ",
+    ),
+    "fig7_params_sigma": (
+        ["fig7", "--override", "params.sigma=7"], 2, "config error: params.sigma: ",
     ),
     "override_nested_too_deep": (
         ["fig3", "--override", "params.f_c=" + "[" * 5000 + "]" * 5000],
