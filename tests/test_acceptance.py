@@ -69,8 +69,26 @@ def test_c04_stop_spring_zero_dissipation():
 
 
 def test_c05_clockwise_dissipation():
-    """20 randomized admissible (closed) Dahl cycles all have positive area."""
+    """24 admissible (closed) Dahl cycles on a fixed corner grid all have positive area."""
     report_checks(5, [validation.check_clockwise_dissipation()], [0.0])
+
+
+def test_c05_grid_holds_the_corners_and_a_negative_area_fails(monkeypatch):
+    loop_dissipation = validation.loop_dissipation
+    cycles = []
+
+    def recorded(b_up, b_down, x_lo, x_hi, force, p):
+        cycles.append((-b_up.f_rev / p.f_c, p.sigma / p.f_c))
+        return loop_dissipation(b_up, b_down, x_lo, x_hi, force, p)
+
+    monkeypatch.setattr(validation, "loop_dissipation", recorded)
+    assert validation.check_clockwise_dissipation().passed
+    assert len(cycles) >= 20
+    cs, ratios = {round(c, 12) for c, _ in cycles}, {round(r, 12) for _, r in cycles}
+    assert {0.1, 0.95} <= cs and {1.0, 100.0} <= ratios
+    # a check that cannot fail shows nothing: counterclockwise loops must fail it
+    monkeypatch.setattr(validation, "loop_dissipation", lambda *args: -loop_dissipation(*args))
+    assert validation.check_clockwise_dissipation().passed is False
 
 
 def test_c06_simulation_energy_balance(traj10, traj100):

@@ -4,12 +4,15 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import presliding
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(presliding.__path__))
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -45,11 +48,15 @@ def test_removed_closed_form_names_stay_gone():
         from presliding.reversal import next_reversal_force  # noqa: F401,F811
 
 
+def import_nodes(source: str) -> list[ast.stmt]:
+    """Every import statement in the source, function bodies included."""
+    return [n for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
 def package_imports(name: str) -> set[str]:
     """Package modules that presliding.<name> imports anywhere in its source."""
-    source = inspect.getsource(importlib.import_module(f"presliding.{name}"))
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in import_nodes(inspect.getsource(importlib.import_module(f"presliding.{name}"))):
         if isinstance(node, ast.ImportFrom):
             parts = (node.module or "").split(".")
             if node.level == 0:
@@ -60,7 +67,7 @@ def package_imports(name: str) -> set[str]:
                 found.add(parts[0])
             else:  # from . import x, from presliding import x
                 found.update(a.name for a in node.names)
-        elif isinstance(node, ast.Import):
+        else:
             for a in node.names:
                 parts = a.name.split(".")
                 if parts[0] == "presliding" and len(parts) > 1:
@@ -75,3 +82,25 @@ def test_oracle_and_simulator_stay_independent():
     assert package_imports("oscillator").isdisjoint({"reversal", "figures", "validation", "cli"})
     # the walk sees imports in function bodies too
     assert "validation" in package_imports("cli")
+
+
+def test_no_module_imports_numpy():
+    # numpy is a test dependency only, so the package must run without it
+    files = sorted(Path(presliding.__file__).parent.glob("*.py"))
+    assert "__init__.py" in [f.name for f in files]
+    for path in files:
+        roots = set()
+        for node in import_nodes(path.read_text()):
+            if isinstance(node, ast.Import):
+                roots.update(a.name.split(".")[0] for a in node.names)
+            elif node.level == 0:
+                roots.add(node.module.split(".")[0])
+        assert "numpy" not in roots, path.name
+
+
+def test_numpy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    test_extra = project["optional-dependencies"]["test"]
+    assert "numpy" in [re.match(r"[\w.-]+", req).group() for req in test_extra]
