@@ -147,14 +147,18 @@ def dahl_branch_force(x: float, b: BranchState, p: FrictionParams) -> float:
     d = b.direction. Defined only forward of the reversal point; querying
     behind it raises (the branch has no physical meaning there). The result
     is bounded, |F| <= f_c, and tends monotonically to direction*f_c.
+    One test covers both preconditions; only when it fails are they checked
+    in turn, so each error keeps its type, wording and order.
     """
-    p.require_gamma_one()
-    _check_branch(x, b, p.f_c)
-    if x == b.x_rev:
-        return b.f_rev  # exact pass-through of the initial condition
-    d = float(b.direction)
-    expo = math.exp(-d * (p.sigma / p.f_c) * (x - b.x_rev))
-    return d * (p.f_c - (p.f_c - d * b.f_rev) * expo)
+    x_rev, f_rev, direction, f_c = b.x_rev, b.f_rev, b.direction, p.f_c
+    if p.gamma != 1.0 or abs(f_rev) > f_c or (x - x_rev) * direction < 0.0:
+        p.require_gamma_one()
+        _check_branch(x, b, f_c)
+    if x == x_rev:
+        return f_rev  # exact pass-through of the initial condition
+    d = 1.0 if direction > 0 else -1.0
+    expo = math.exp(-d * (p.sigma / f_c) * (x - x_rev))
+    return d * (f_c - (f_c - d * f_rev) * expo)
 
 
 def reverse_branch(b: BranchState, x_new: float, p: FrictionParams) -> BranchState:

@@ -318,7 +318,9 @@ def simulate(cfg: SimConfig) -> Trajectory:
 
     state = (0.0, cfg.x0, cfg.v0, cfg.f0, 0.0)
     # the samples of the half-cycle under way; each reversal moves them onto
-    # the array('d') columns, which hold 8 B per value against a list's 40
+    # the array('d') columns, which hold at most 8.5 B per value against a
+    # list's 32 (pointer and float); fromlist grows a column once per move,
+    # where extend would append value by value through the list's iterator
     parts = ts, xs, vs, fs, es = tuple([value] for value in state)
     cols = tuple(array("d") for _ in range(5))
 
@@ -356,7 +358,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
         for col, part, value in zip(cols, parts, state):
             if t > before[0]:
                 part.append(value)
-            col.extend(part)
+            col.fromlist(part)
             part.clear()
         done = False
         if pending is not None:
@@ -377,5 +379,5 @@ def simulate(cfg: SimConfig) -> Trajectory:
             break
 
     for col, part in zip(cols, parts):
-        col.extend(part)
+        col.fromlist(part)
     return Trajectory(*cols, reversals=records, config=cfg)

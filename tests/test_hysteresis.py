@@ -151,6 +151,39 @@ def test_branch_rejects_out_of_band_memory():
         dahl_branch_force(0.1, b, P1)
 
 
+@pytest.mark.parametrize(
+    "x, b, p, message",
+    [
+        # every precondition broken: gamma is checked first
+        (
+            -0.01,
+            BranchState(0.0, 1.5, +1),
+            FrictionParams(1.0, 1.0, gamma=2.0),
+            "closed-form branch operations require gamma == 1, got 2.0",
+        ),
+        (0.1, BranchState(0.0, 1.5, +1), P1, "|f_rev|=1.5 exceeds f_c=1.0"),
+        # out-of-band memory is reported before a query behind the reversal
+        (-0.01, BranchState(0.0, -1.5, +1), P1, "|f_rev|=1.5 exceeds f_c=1.0"),
+        (
+            -0.01,
+            BranchState(0.0, -0.5, +1),
+            P1,
+            "x=-0.01 lies behind the reversal point x_rev=0.0 for direction +1",
+        ),
+        (
+            0.25,
+            BranchState(0.0, 0.5, -1),
+            P1,
+            "x=0.25 lies behind the reversal point x_rev=0.0 for direction -1",
+        ),
+    ],
+)
+def test_branch_error_order_and_wording(x, b, p, message):
+    with pytest.raises(DomainError) as exc:
+        dahl_branch_force(x, b, p)
+    assert str(exc.value) == message
+
+
 branch_params = st.builds(
     FrictionParams,
     f_c=st.floats(0.1, 10.0),

@@ -28,6 +28,26 @@ def test_integrate_empty_interval():
     assert integrate(lambda x: x**2, 2.0, 2.0).value == 0.0
 
 
+@pytest.mark.parametrize(
+    "f, a, b, expected",
+    [
+        (math.exp, 0.0, 10.0, 2185),  # 3, plus 2 per refinement
+        (lambda x: 1.0 - 2.0 * x + 0.5 * x**3, -1.0, 2.0, 5),  # exact at once
+        (lambda x: x**2, 2.0, 2.0, 0),  # empty interval: f is never called
+    ],
+)
+def test_integrate_evaluations_count_calls_of_f(f, a, b, expected):
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return f(x)
+
+    res = integrate(counted, a, b, rel_tol=1e-12)
+    assert res.evaluations == calls == expected
+
+
 def test_integrate_reversed_bounds_rejected():
     with pytest.raises(DomainError):
         integrate(lambda x: x, 1.0, 0.0)
