@@ -1,15 +1,16 @@
 """Deterministic CSV text: 17 significant digits, LF endings, header row.
 
-Text cells holding a comma, a double quote, CR or LF are quoted as in
-RFC 4180. Tables are encoded in memory; the caller decides where the
-bytes go.
+A table is given as its columns, one sequence per header name. Text
+cells holding a comma, a double quote, CR or LF are quoted as in RFC
+4180. Tables are encoded in memory; the caller decides where the bytes
+go.
 """
 
 from __future__ import annotations
 
+from array import array
 from io import BytesIO
-from itertools import chain, islice
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # rows formatted per %-string; one block of rows is held at a time
 _BLOCK = 1024
@@ -31,35 +32,40 @@ def format_value(v) -> str:
     return f"{float(v):.17g}"
 
 
-def encode_csv(header: Sequence[str], rows: Iterable[Sequence]) -> tuple[bytes, int]:
-    """Encode rows under a mandatory header; returns (UTF-8 bytes, data row count).
+def encode_csv(header: Sequence[str], columns: Sequence[Sequence]) -> tuple[bytes, int]:
+    """Encode columns under a mandatory header; returns (UTF-8 bytes, data row count).
 
-    Rows are read _BLOCK at a time, and each block is formatted with one
-    %-string. A column of the block whose cells are all float (or all int)
-    gets that type's spec; any other column goes through format_value. A
-    row whose width differs from the header's raises ValueError.
+    Each column is a sequence (array('d'), list or tuple), one per header
+    name and all of one length, the row count; anything else raises
+    ValueError. Rows are formatted _BLOCK at a time with one %-string.
+    Within a block, an array('d') column gets %.17g, a column whose cells
+    are all float (or all int) gets that type's spec, and any other column
+    goes through format_value.
     """
     width = len(header)
+    if len(columns) != width:
+        raise ValueError(f"{len(columns)} columns, the header {width}")
+    n = len(columns[0]) if columns else 0
+    for name, col in zip(header, columns):
+        if len(col) != n:
+            raise ValueError(f"column {name} has {len(col)} cells, column {header[0]} {n}")
     out = BytesIO()
     out.write((",".join(header) + "\n").encode("utf-8"))
-    n = 0
-    rows = iter(rows)
-    while block := list(islice(rows, _BLOCK)):
-        if set(map(len, block)) != {width}:
-            bad = next(i for i, row in enumerate(block) if len(row) != width)
-            raise ValueError(
-                f"row {n + bad} has {len(block[bad])} cells, the header {width}"
-            )
-        n += len(block)
+    for start in range(0, n, _BLOCK):
+        rows = min(_BLOCK, n - start)
+        cells = [None] * (rows * width)
         specs = []
-        cols = list(zip(*block))
-        for j, col in enumerate(cols):
-            types = set(map(type, col))
-            spec = _SPECS.get(types.pop()) if len(types) == 1 else None
-            if spec is None:
-                cols[j] = tuple(map(format_value, col))
-                spec = "%s"
+        for j, col in enumerate(columns):
+            part = col[start:start + rows]
+            if isinstance(part, array) and part.typecode == "d":
+                spec = "%.17g"
+            else:
+                types = set(map(type, part))
+                spec = _SPECS.get(types.pop()) if len(types) == 1 else None
+                if spec is None:
+                    part = list(map(format_value, part))
+                    spec = "%s"
+            cells[j::width] = part
             specs.append(spec)
-        cells = chain.from_iterable(zip(*cols) if "%s" in specs else block)
-        out.write(((",".join(specs) + "\n") * len(block) % tuple(cells)).encode("utf-8"))
+        out.write(((",".join(specs) + "\n") * rows % tuple(cells)).encode("utf-8"))
     return out.getvalue(), n

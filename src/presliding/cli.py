@@ -39,6 +39,7 @@ from .errors import ConfigError, ConvergenceError, DomainError, StepRejectionErr
 from .figures import (
     DEFAULT_SWEEPS,
     FIG7_README,
+    _columns,
     chain_table,
     fig3_table,
     fig4_table,
@@ -82,8 +83,9 @@ _READS = {
 _PER_ENTRY_KINDS = ("simulate", "chain", "fig7")
 
 # Largest chain.n_steps (chain and fig6 build each chain in memory): 10**6
-# steps took 9-10 s and 368 MiB peak RSS for one chain, and 31 s and 1177 MiB
-# for fig6's three default ratios, on a 2-vCPU host.
+# steps took 8.1 s and 406 MiB peak RSS for one chain (99 MB of CSV), and
+# 28.6 s and 1109 MiB for fig6's three default ratios (310 MB), each in a
+# fresh process (resource.getrusage) on a 2-vCPU host.
 MAX_CHAIN_STEPS = 10**6
 
 
@@ -397,14 +399,12 @@ def _run_validate(cfg: ExperimentConfig, files: dict) -> int:
     from . import validation
 
     checks, audit_rows = validation.run_all()
+    report = [(c.name, "pass" if c.passed else "FAIL", c.measured, c.tolerance, c.detail)
+              for c in checks]
     files["validation_report.csv"] = encode_csv(
-        ["check", "status", "measured", "tolerance", "detail"],
-        (
-            (c.name, "pass" if c.passed else "FAIL", c.measured, c.tolerance, c.detail)
-            for c in checks
-        ),
+        ["check", "status", "measured", "tolerance", "detail"], _columns(report, 5)
     )
-    files["approx_audit.csv"] = encode_csv(_AUDIT_HEADER, audit_rows)
+    files["approx_audit.csv"] = encode_csv(_AUDIT_HEADER, _columns(audit_rows, len(_AUDIT_HEADER)))
     for c in checks:
         status = "pass" if c.passed else "FAIL"
         print(
@@ -421,7 +421,7 @@ _RUNNERS = {
     "fig3": lambda cfg, files: files.update({"fig3.csv": encode_csv(*fig3_table(cfg.runs))}),
     "fig4": lambda cfg, files: files.update({"fig4.csv": encode_csv(*fig4_table(cfg.runs))}),
     "fig5": lambda cfg, files: files.update(
-        {name: encode_csv(header, rows) for name, header, rows in fig5_tables(cfg.runs)}
+        {name: encode_csv(header, columns) for name, header, columns in fig5_tables(cfg.runs)}
     ),
     "fig6": lambda cfg, files: files.update({"fig6.csv": encode_csv(*fig6_table(
         cfg.runs, cfg.chain.f0_over_fc, cfg.chain.n_steps, cfg.chain.mode

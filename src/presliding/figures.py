@@ -1,16 +1,18 @@
 """Builders for every CSV table the CLI writes, and the grids behind them.
 
-Every builder returns plain (header, rows) pairs so the CLI can write
-them deterministically; nothing here touches the filesystem. Reversal
-forces on an ascending branch are negative; the figure tables store
-their normalized magnitude |F_i|/f_c, which is the axis the plots use.
+Every builder returns a header and one column per header name, which
+the CLI encodes deterministically; nothing here touches the filesystem.
+Reversal forces on an ascending branch are negative; the figure tables
+store their normalized magnitude |F_i|/f_c, which is the axis the plots
+use.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .hysteresis import BranchState, FrictionParams, dahl_branch_force
@@ -89,26 +91,36 @@ def _linspace(a: float, b: float, n: int) -> list[float]:
 Runs = Iterable[tuple[str, float, FrictionParams]]
 
 
-def trajectory_table(traj: Trajectory) -> tuple[list[str], Iterator[tuple]]:
-    """Samples as t,x,v,F,E_k,E_f_cum; rows are zipped lazily from the columns."""
+def _columns(rows: Sequence[Sequence], width: int) -> list[list]:
+    """Rows transposed into `width` columns; zero rows give `width` empty columns.
+
+    Each column is one pass of itemgetter over the rows. zip(*rows) would
+    create one iterator per row, and for a long chain those allocations
+    set off cyclic-GC passes over the entries.
+    """
+    return [list(map(itemgetter(j), rows)) for j in range(width)]
+
+
+def trajectory_table(traj: Trajectory) -> tuple[list[str], list[Sequence]]:
+    """Samples as t,x,v,F,E_k,E_f_cum; the sample columns are handed over as they are."""
     m = traj.config.params.mass
     e_k = [0.5 * m * v**2 for v in traj.v]
-    rows = zip(traj.t, traj.x, traj.v, traj.f, e_k, traj.e_f_cum)
-    return ["t", "x", "v", "F", "E_k", "E_f_cum"], rows
+    columns = [traj.t, traj.x, traj.v, traj.f, e_k, traj.e_f_cum]
+    return ["t", "x", "v", "F", "E_k", "E_f_cum"], columns
 
 
-def reversals_table(traj: Trajectory) -> tuple[list[str], list[tuple]]:
+def reversals_table(traj: Trajectory) -> tuple[list[str], list[Sequence]]:
     """Reversal records as i,t_i,x_i,F_i,E_p,E_d_halfcycle."""
     rows = [(r.index, r.t_i, r.x_i, r.f_i, r.e_p, r.e_d_halfcycle) for r in traj.reversals]
-    return ["i", "t_i", "x_i", "F_i", "E_p", "E_d_halfcycle"], rows
+    return ["i", "t_i", "x_i", "F_i", "E_p", "E_d_halfcycle"], _columns(rows, 6)
 
 
-def chain_table(entries: list[ReversalChainEntry]) -> tuple[list[str], list[ReversalChainEntry]]:
-    """A reversal chain as n,F_n,x_n,E_p,E_d; the rows are the entries themselves."""
-    return ["n", "F_n", "x_n", "E_p", "E_d"], entries
+def chain_table(entries: list[ReversalChainEntry]) -> tuple[list[str], list[list]]:
+    """A reversal chain as n,F_n,x_n,E_p,E_d; the entries transposed into columns."""
+    return ["n", "F_n", "x_n", "E_p", "E_d"], _columns(entries, 5)
 
 
-def fig3_table(runs: Runs) -> tuple[list[str], list[tuple]]:
+def fig3_table(runs: Runs) -> tuple[list[str], list[list]]:
     """Recoverable reversal energy over 100 force fractions, one series per ratio."""
     header = ["F_i_over_Fc", "ratio", "E_p"]
     rows = []
@@ -116,10 +128,10 @@ def fig3_table(runs: Runs) -> tuple[list[str], list[tuple]]:
     for _, ratio, p in runs:
         for u in grid:
             rows.append((u, ratio, potential_energy(-u * p.f_c, p)))
-    return header, rows
+    return header, _columns(rows, 3)
 
 
-def fig4_table(runs: Runs) -> tuple[list[str], list[tuple]]:
+def fig4_table(runs: Runs) -> tuple[list[str], list[list]]:
     """Exact vs linearized decay factor to the next reversal, 101 points per curve."""
     header = ["ratio", "F_i_over_Fc", "x", "omega", "omega_star"]
     rows = []
@@ -130,10 +142,10 @@ def fig4_table(runs: Runs) -> tuple[list[str], list[tuple]]:
             k = omega_approx(f_i, p)
             for x in _linspace(0.0, x_next, 101):
                 rows.append((ratio, u, x, omega(x, p), 1.0 - k * x))
-    return header, rows
+    return header, _columns(rows, 5)
 
 
-def fig5_tables(runs: Runs) -> list[tuple[str, list[str], list[tuple]]]:
+def fig5_tables(runs: Runs) -> list[tuple[str, list[str], list[list]]]:
     """Force-displacement curve of one half-cycle per friction level.
 
     The curve of 201 points starts at a saturated reversal (force -f_c) and
@@ -173,33 +185,34 @@ def fig5_tables(runs: Runs) -> list[tuple[str, list[str], list[tuple]]]:
                 forces.append(math.nan)
         pred_rows.append(tuple(row + forces))
     return [
-        ("fig5.csv", curve_header, curve_rows),
-        ("fig5_predictions.csv", pred_header, pred_rows),
+        ("fig5.csv", curve_header, _columns(curve_rows, 3)),
+        ("fig5_predictions.csv", pred_header, _columns(pred_rows, len(pred_header))),
     ]
 
 
 def fig6_table(
     runs: Runs, f0_over_fc: float, n_steps: int, mode: str
-) -> tuple[list[str], list[tuple]]:
+) -> tuple[list[str], list[list]]:
     """Reversal-chain energies per stiffness ratio, seeded at f0_over_fc*f_c."""
     header = ["ratio", "n", "F_n", "x_n", "E_p", "E_d"]
-    rows = []
+    columns = [[] for _ in header]
     for _, ratio, p in runs:
-        for e in reversal_chain(f0_over_fc * p.f_c, n_steps, p, mode=mode):
-            rows.append((ratio, *e))
-    return header, rows
+        entries = reversal_chain(f0_over_fc * p.f_c, n_steps, p, mode=mode)
+        columns[0] += [ratio] * len(entries)
+        for col, values in zip(columns[1:], _columns(entries, 5)):
+            col += values
+    return header, columns
 
 
-def fig7_energy_magnitude(traj: Trajectory) -> tuple[list[str], list[tuple]]:
+def fig7_energy_magnitude(traj: Trajectory) -> tuple[list[str], list[Sequence]]:
     """Restoring-force energy magnitude relative to the first reversal."""
     e_ref = 0.0
     if traj.reversals:
         e_ref = traj.e_f_cum[bisect_left(traj.t, traj.reversals[0].t_i)]
-    rows = list(zip(traj.t, [abs(e - e_ref) for e in traj.e_f_cum]))
-    return ["t", "energy_magnitude"], rows
+    return ["t", "energy_magnitude"], [traj.t, [abs(e - e_ref) for e in traj.e_f_cum]]
 
 
-def fig7_envelope(traj: Trajectory) -> tuple[list[str], list[tuple]]:
+def fig7_envelope(traj: Trajectory) -> tuple[list[str], list[Sequence]]:
     """Envelope points: recoverable energy at each detected reversal instant."""
     rows = [(r.index, r.t_i, r.e_p) for r in traj.reversals]
-    return ["i", "t_i", "E_p"], rows
+    return ["i", "t_i", "E_p"], _columns(rows, 3)

@@ -124,9 +124,10 @@ def _energy(phi: float, e_scale: float) -> float:
     return e_scale * -_log1p_excess(phi)
 
 
-def _next_force_ratio(phi: float) -> float:
+def _next_force_ratio(phi: float, rhs: float) -> float:
     """Next reversal force ratio q from phi = |f_i|/f_c in (0, 1].
 
+    rhs is _log1p_excess(phi), which the caller has at hand for E_p.
     Solves log1p(-q) + q = log1p(phi) - phi, the log form of
     q = 1 + W0(-(1 + phi)*exp(-(1 + phi))), by Halley's method. The start
     phi/(1 + 2*phi/3) is the [1/1] Pade form of the small-phi series
@@ -138,7 +139,6 @@ def _next_force_ratio(phi: float) -> float:
     q = phi / (1.0 + phi * (2.0 / 3.0))
     if phi < 1e-6:
         return q
-    rhs = _log1p_excess(phi)
     for _ in range(_HALLEY_MAX_ITER):
         # h(q) = log1p(-q) + q - rhs has h' = -q/(1-q) and h'' = -1/(1-q)**2
         h = _log1p_excess(-q) - rhs
@@ -227,7 +227,8 @@ def next_reversal_exact(f_i: float, p: FrictionParams) -> float:
     """
     p.require_gamma_one()
     _check_reversal_force(f_i, p)
-    return _branch_x(_next_force_ratio(-f_i / p.f_c), p.f_c / p.sigma)
+    phi = -f_i / p.f_c
+    return _branch_x(_next_force_ratio(phi, _log1p_excess(phi)), p.f_c / p.sigma)
 
 
 def next_reversal_approx(
@@ -298,16 +299,18 @@ def reversal_chain(
     entries: list[ReversalChainEntry] = []
     f_n = f_0
     phi = -f_0 / f_c
-    e_p = _energy(phi, e_scale)
+    excess = _log1p_excess(phi)  # E_p = e_scale * -excess, as in _energy
+    e_p = e_scale * -excess
     for n in range(n_steps):
         if mode == "exact":
-            phi_next = _next_force_ratio(phi)
+            phi_next = _next_force_ratio(phi, excess)
         else:
             f_up = -phi * f_c  # ascending-frame force of this half-cycle
             x_next = next_reversal_approx(f_up, p, form="rederived")
             x_up = _branch_x(f_up / f_c, x_scale)  # ascending-frame reversal coordinate
             phi_next = (f_c - (f_c - f_up) * omega(x_next - x_up, p)) / f_c
-        e_p_next = _energy(phi_next, e_scale)
+        excess = _log1p_excess(phi_next)
+        e_p_next = e_scale * -excess
         x_n = _branch_x(-phi, x_scale)
         entries.append(ReversalChainEntry(n, f_n, x_n if f_n < 0.0 else -x_n, e_p, e_p - e_p_next))
         phi, e_p = phi_next, e_p_next

@@ -343,8 +343,9 @@ def test_fig3_rows_take_the_plain_float_path():
     # through format_value instead
     data = default_config("fig3")
     data["sweep"] = [10, 100.0]
-    _, rows = fig3_table(config_from_dict(data).runs)
-    assert {tuple(map(type, row)) for row in rows} == {(float, float, float)}
+    header, columns = fig3_table(config_from_dict(data).runs)
+    assert len(columns) == len(header)
+    assert [set(map(type, col)) for col in columns] == [{float}] * len(header)
 
 
 def test_fig4_dataset(tmp_path):

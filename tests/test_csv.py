@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from presliding._csv import _BLOCK, encode_csv, format_value
 
 
-def expected_text(header, rows):
+def expected_text(header, columns):
+    rows = zip(*columns)
     lines = [",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]
     return "".join(line + "\n" for line in lines)
 
@@ -30,7 +32,8 @@ MIXED_ROWS = [
 @pytest.mark.parametrize("row", MIXED_ROWS, ids=range(len(MIXED_ROWS)))
 def test_row_text_matches_format_value(row):
     header = [f"c{i}" for i in range(len(row))]
-    assert encode_csv(header, [row]) == (expected_text(header, [row]).encode("utf-8"), 1)
+    columns = [[v] for v in row]
+    assert encode_csv(header, columns) == (expected_text(header, columns).encode("utf-8"), 1)
 
 
 def test_rows_whose_cell_types_change():
@@ -47,12 +50,13 @@ def test_rows_whose_cell_types_change():
         (True, False, -1),
         (0.0625, 5, "w"),
     ]
-    expected = expected_text(header, rows).encode("utf-8")
-    assert encode_csv(header, iter(rows)) == (expected, len(rows))
+    columns = list(zip(*rows))
+    expected = expected_text(header, columns).encode("utf-8")
+    assert encode_csv(header, columns) == (expected, len(rows))
 
 
 def test_empty_table_writes_the_header():
-    assert encode_csv(["a", "b"], []) == (b"a,b\n", 0)
+    assert encode_csv(["a", "b"], [[], array("d")]) == (b"a,b\n", 0)
 
 
 TEXT_CELLS = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", '"', ",", ""]
@@ -62,7 +66,7 @@ TEXT_CELLS = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", '"', ",", ""
 def test_text_cells_round_trip_through_csv_reader(cell):
     # RFC 4180: a cell with a comma, a double quote, CR or LF is quoted,
     # and a double quote inside it is doubled
-    data, n = encode_csv(["name", "x", "text"], [("k", 0.5, cell)])
+    data, n = encode_csv(["name", "x", "text"], [["k"], [0.5], [cell]])
     header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
     assert (header, rows, n) == (["name", "x", "text"], [["k", "0.5", cell]], 1)
 
@@ -97,32 +101,57 @@ def tables(draw):
         # boundary, or never
         before, after = draw(POOLS), draw(POOLS)
         switch = draw(st.sampled_from([0, 1, _BLOCK // 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, n]))
-        columns.append([before[i % len(before)] if i < switch else after[i % len(after)]
-                        for i in range(n)])
-    return [f"c{j}" for j in range(len(columns))], list(zip(*columns))
+        column = [before[i % len(before)] if i < switch else after[i % len(after)]
+                  for i in range(n)]
+        # a column of plain floats may come as the array('d') a trajectory holds
+        if set(map(type, column)) <= {float} and draw(st.booleans()):
+            column = array("d", column)
+        columns.append(column)
+    return [f"c{j}" for j in range(len(columns))], columns, n
 
 
 @settings(max_examples=60, deadline=None)
 @given(table=tables())
 def test_blocks_match_a_per_cell_join(table):
-    header, rows = table
-    assert encode_csv(header, iter(rows)) == (expected_text(header, rows).encode("utf-8"), len(rows))
+    header, columns, n = table
+    assert encode_csv(header, columns) == (expected_text(header, columns).encode("utf-8"), n)
 
 
 def test_block_boundary_type_change():
     # float cells in the first block, int cells in the second: each block
     # picks its own spec
-    rows = [(0.5, 1)] * _BLOCK + [(1, 0.5)] * 3
-    assert encode_csv(["a", "b"], rows) == (expected_text(["a", "b"], rows).encode("utf-8"),
-                                            _BLOCK + 3)
+    columns = [[0.5] * _BLOCK + [1] * 3, [1] * _BLOCK + [0.5] * 3]
+    assert encode_csv(["a", "b"], columns) == (
+        expected_text(["a", "b"], columns).encode("utf-8"), _BLOCK + 3
+    )
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK, _BLOCK + 1])
+def test_array_and_list_columns_encode_alike(n):
+    values = ([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 1.0 / 3.0] * n)[:n]
+    ints = list(range(n))
+    assert encode_csv(["x", "i"], [array("d", values), ints]) == encode_csv(
+        ["x", "i"], [values, ints]
+    )
 
 
 @pytest.mark.parametrize("bad", [0, _BLOCK - 1, _BLOCK + 5])
 @pytest.mark.parametrize("width", [1, 3])
 def test_ragged_row_raises(bad, width):
-    # zip would drop the cells of a longer row, or the columns past a
-    # shorter one, without a word
-    rows = [(0.5, 1.0)] * (_BLOCK + 10)
-    rows[bad] = (0.5,) * width
-    with pytest.raises(ValueError, match=f"^row {bad} has {width} cells, the header 2"):
-        encode_csv(["a", "b"], rows)
+    # the columns past the first `width` end at row `bad`, which leaves that
+    # row `width` cells of the header's 4; zip would drop the rest of the
+    # longer columns without a word
+    header = ["a", "b", "c", "d"]
+    columns = [array("d", [0.5]) * (_BLOCK + 10) for _ in header]
+    for j in range(width, len(header)):
+        columns[j] = columns[j][:bad]
+    with pytest.raises(
+        ValueError, match=f"^column {header[width]} has {bad} cells, column a {_BLOCK + 10}$"
+    ):
+        encode_csv(header, columns)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_column_count_must_match_header(count):
+    with pytest.raises(ValueError, match=f"^{count} columns, the header 2$"):
+        encode_csv(["a", "b"], [[0.5]] * count)

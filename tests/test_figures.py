@@ -1,6 +1,7 @@
 """Tests of the table grids and of the bytes the closed-form figure tables encode to."""
 
 import hashlib
+from array import array
 
 import numpy as np
 from hypothesis import example, given
@@ -8,7 +9,17 @@ from hypothesis import strategies as st
 
 from presliding import FrictionParams
 from presliding._csv import encode_csv
-from presliding.figures import _linspace, fig4_table, fig5_tables
+from presliding.figures import (
+    _linspace,
+    chain_table,
+    fig3_table,
+    fig4_table,
+    fig5_tables,
+    fig6_table,
+    fig7_envelope,
+    reversals_table,
+)
+from presliding.oscillator import SimConfig, Trajectory
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -30,8 +41,8 @@ def test_fig4_fig5_bytes_are_pinned():
     tables = [("fig4.csv", *fig4_table(runs))]
     tables += fig5_tables([("", f_c, FrictionParams(f_c=f_c, sigma=1.0)) for f_c in (0.3, 3.0)])
     digests = {}
-    for name, header, rows in tables:
-        data, n = encode_csv(header, rows)
+    for name, header, columns in tables:
+        data, n = encode_csv(header, columns)
         digests[name] = (n, hashlib.sha256(data).hexdigest())
     assert digests == {
         "fig4.csv": (1010, "9294de959367334b92c76aabfd3807678915a351a6bf01c3267e8efdfca60a7a"),
@@ -40,3 +51,13 @@ def test_fig4_fig5_bytes_are_pinned():
             2, "04fb34c456e45a1c0ce01474dd41b32c95c5dd2ec947172022639c2028715de6"
         ),
     }
+
+
+def test_builders_give_one_column_per_header_at_zero_rows():
+    # no sweep entries, no chain entries, a trajectory without reversals
+    traj = Trajectory(*(array("d") for _ in range(5)), [], SimConfig(FrictionParams(1.0, 10.0)))
+    tables = [fig3_table([]), fig4_table([]), fig6_table([], -1.0, 5, "exact"),
+              chain_table([]), reversals_table(traj), fig7_envelope(traj)]
+    tables += [(header, columns) for _, header, columns in fig5_tables([])]
+    for header, columns in tables:
+        assert encode_csv(header, columns) == ((",".join(header) + "\n").encode(), 0)

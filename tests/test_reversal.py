@@ -29,7 +29,7 @@ from presliding import (
 )
 from presliding._csv import encode_csv
 from presliding.figures import chain_table, fig6_table
-from presliding.reversal import _next_force_ratio
+from presliding.reversal import _log1p_excess, _next_force_ratio
 from presliding import validation
 from presliding.validation import (
     OMEGA_ENVELOPE_BOUND,
@@ -272,7 +272,7 @@ def test_next_force_ratio_matches_oracle_root(phi):
         return float(ctx.subtract(ctx.add(ctx.ln(ctx.subtract(one, d_q)), d_q), rhs))
 
     ref = find_root(residual, 0.0, math.nextafter(phi, 0.0), tol=1e-15 * phi)
-    assert _next_force_ratio(phi) == pytest.approx(ref, rel=1e-11, abs=0.0)
+    assert _next_force_ratio(phi, _log1p_excess(phi)) == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +286,7 @@ def test_next_force_ratio_matches_lambert_w0(lambertw, phi):
     # 2e-12 relative at phi = 1e-2, so it is only compared from there up
     z = -(1.0 + phi) * math.exp(-(1.0 + phi))
     q_w = 1.0 + lambertw(z, 0).real
-    assert _next_force_ratio(phi) == pytest.approx(q_w, rel=1e-11, abs=0.0)
+    assert _next_force_ratio(phi, _log1p_excess(phi)) == pytest.approx(q_w, rel=1e-11, abs=0.0)
 
 
 def test_exact_predictor_oracle_check_passes():
@@ -495,9 +495,9 @@ def test_chain_bytes_are_pinned(mode, ratio, f0):
 
 def test_fig6_bytes_are_pinned():
     runs = [("", r, FrictionParams(f_c=0.3, sigma=0.3 * r)) for r in (1.0, 1000.0)]
-    header, rows = fig6_table(runs, -0.3, 300, "exact")
-    assert type(rows) is list
-    data, n = encode_csv(header, rows)
+    header, columns = fig6_table(runs, -0.3, 300, "exact")
+    assert type(columns) is list
+    data, n = encode_csv(header, columns)
     assert n == 600
     assert hashlib.sha256(data).hexdigest() == (
         "a52fcace39f77971fbe765f867cc03ff0de0e845b54819fc85cbdc62e4990fc6"
