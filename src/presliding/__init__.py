@@ -22,10 +22,8 @@ from .reversal import (
     omega,
     omega_approx,
     potential_energy,
-    potential_energy_bound,
     reversal_chain,
     reversal_coordinate,
-    zero_crossing,
 )
 
 __version__ = "0.1.0"

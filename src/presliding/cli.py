@@ -64,21 +64,6 @@ __all__ = [
     "main",
 ]
 
-# The config values each kind reads: a section name stands for all its
-# fields. A given sweep replaces params.sigma (fig5: params.f_c), which is
-# then not read. The closed forms hold for gamma == 1 and need no mass, so
-# the kinds built on them name their params one by one.
-_READS = {
-    "simulate": {"params", "sim", "sweep"},
-    "chain": {"params.f_c", "params.sigma", "chain", "sweep"},
-    "fig3": {"params.f_c", "sweep"},
-    "fig4": {"params.f_c", "sweep"},
-    "fig5": {"params.sigma", "sweep"},
-    "fig6": {"params.f_c", "chain", "sweep"},
-    "fig7": {"params", "sim", "sweep"},
-    "validate": set(),  # validation.run_all builds its own cases
-}
-
 # kinds that write files per sweep entry, named with the entry's suffix
 _PER_ENTRY_KINDS = ("simulate", "chain", "fig7")
 
@@ -233,7 +218,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             f"chain.f0_over_fc: expected a number in [-1, 0), got {chain.f0_over_fc!r}"
         )
     # checked on the built dataclasses, so a bool has been rejected before True == 1.0
-    reads = _READS[kind]
+    reads = _KINDS[kind][1]
     swept = None if merged["sweep"] is None else "params.f_c" if kind == "fig5" else "params.sigma"
     fields = [(f"{key}.{name}", merged[key][name], default)
               for key in ("params", "sim", "chain") for name, default in defaults[key].items()]
@@ -258,12 +243,30 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not all(0 < v < math.inf for v in sweep):
             raise ConfigError("sweep: entries must be positive and finite")
 
-    runs = _sweep_runs(kind, params, sweep)
-    if "params" not in reads:  # the closed-form kinds, and validate's default params
-        # the closed forms scale by these three, and fig5's curve spans about
-        # 1.59*f_c/sigma; one that overflows puts inf or nan cells into the tables
-        span = ", 2*f_c/sigma" if kind == "fig5" else ""
-        for i, (_, value, p) in enumerate(runs):
+    # one pass per entry: its file suffix, its params (fig5 sweeps f_c, every
+    # other kind sigma/f_c), then its closed-form scales
+    runs = ()
+    first: dict[str, int] = {}  # suffix -> index of the first entry with it
+    span = ", 2*f_c/sigma" if kind == "fig5" else ""
+    for i, value in enumerate((None,) if sweep is None else sweep):
+        if value is None:
+            sfx, p = "", params
+        else:
+            sfx = f"_ratio{value:g}"
+            if kind in _PER_ENTRY_KINDS and sfx in first:
+                raise ConfigError(
+                    f"sweep[{first[sfx]}] and sweep[{i}] both name their files {sfx!r} "
+                    f"(the suffix keeps 6 significant digits)"
+                )
+            first.setdefault(sfx, i)
+            try:
+                p = (dataclasses.replace(params, f_c=value) if kind == "fig5"
+                     else dataclasses.replace(params, sigma=value * params.f_c))
+            except DomainError as exc:
+                raise ConfigError(f"sweep[{i}]: {exc}") from exc
+        if "params" not in reads:  # the closed-form kinds, and validate's default params
+            # the closed forms scale by these three, and fig5's curve spans about
+            # 1.59*f_c/sigma; one that overflows puts inf or nan cells into the tables
             try:
                 finite = all(map(math.isfinite, (p.sigma / p.f_c, p.f_c / p.sigma,
                                                  p.f_c**2 / p.sigma,
@@ -276,6 +279,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                     f"{where}: f_c={p.f_c!r} and sigma={p.sigma!r} overflow a closed-form "
                     f"scale: sigma/f_c, f_c/sigma{span} and f_c**2/sigma must be finite"
                 )
+        runs += ((sfx, value, p),)
 
     return ExperimentConfig(
         kind=kind,
@@ -284,35 +288,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         output_dir=Path(merged["output_dir"]),
         runs=runs,
     )
-
-
-def _sweep_runs(
-    kind: str, params: FrictionParams, sweep: Optional[tuple[float, ...]]
-) -> tuple[tuple[str, Optional[float], FrictionParams], ...]:
-    """The runs of ExperimentConfig: fig5 sweeps f_c, every other kind sigma/f_c.
-
-    An entry with invalid params, or one whose suffix an earlier entry has
-    in a kind that writes files per entry, raises ConfigError naming it.
-    """
-    if sweep is None:
-        return (("", None, params),)
-    runs: list[tuple[str, float, FrictionParams]] = []
-    first: dict[str, int] = {}  # suffix -> index of the first entry with it
-    for i, value in enumerate(sweep):
-        sfx = f"_ratio{value:g}"
-        if kind in _PER_ENTRY_KINDS and sfx in first:
-            raise ConfigError(
-                f"sweep[{first[sfx]}] and sweep[{i}] both name their files {sfx!r} "
-                f"(the suffix keeps 6 significant digits)"
-            )
-        first.setdefault(sfx, i)
-        try:
-            p = (dataclasses.replace(params, f_c=value) if kind == "fig5"
-                 else dataclasses.replace(params, sigma=value * params.f_c))
-        except DomainError as exc:
-            raise ConfigError(f"sweep[{i}]: {exc}") from exc
-        runs.append((sfx, value, p))
-    return tuple(runs)
 
 
 def load_config(
@@ -415,21 +390,27 @@ def _run_validate(cfg: ExperimentConfig, files: dict) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "chain": _run_chain,
-    "fig3": lambda cfg, files: files.update({"fig3.csv": encode_csv(*fig3_table(cfg.runs))}),
-    "fig4": lambda cfg, files: files.update({"fig4.csv": encode_csv(*fig4_table(cfg.runs))}),
-    "fig5": lambda cfg, files: files.update(
+# Each kind's runner, and the config values it reads: a section name stands
+# for all its fields. A given sweep replaces params.sigma (fig5: params.f_c),
+# which is then not read. The closed forms hold for gamma == 1 and need no
+# mass, so the kinds built on them name their params one by one.
+_KINDS = {
+    "simulate": (_run_simulate, {"params", "sim", "sweep"}),
+    "chain": (_run_chain, {"params.f_c", "params.sigma", "chain", "sweep"}),
+    "fig3": (lambda cfg, files: files.update({"fig3.csv": encode_csv(*fig3_table(cfg.runs))}),
+             {"params.f_c", "sweep"}),
+    "fig4": (lambda cfg, files: files.update({"fig4.csv": encode_csv(*fig4_table(cfg.runs))}),
+             {"params.f_c", "sweep"}),
+    "fig5": (lambda cfg, files: files.update(
         {name: encode_csv(header, columns) for name, header, columns in fig5_tables(cfg.runs)}
-    ),
-    "fig6": lambda cfg, files: files.update({"fig6.csv": encode_csv(*fig6_table(
+    ), {"params.sigma", "sweep"}),
+    "fig6": (lambda cfg, files: files.update({"fig6.csv": encode_csv(*fig6_table(
         cfg.runs, cfg.chain.f0_over_fc, cfg.chain.n_steps, cfg.chain.mode
-    ))}),
-    "fig7": _run_fig7,
-    "validate": _run_validate,
+    ))}), {"params.f_c", "chain", "sweep"}),
+    "fig7": (_run_fig7, {"params", "sim", "sweep"}),
+    "validate": (_run_validate, set()),  # validation.run_all builds its own cases
 }
-KINDS = tuple(_RUNNERS)
+KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
@@ -440,7 +421,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     earlier run's files and manifest in the output directory stay whole.
     """
     files: dict[str, tuple[bytes, int]] = {}
-    code = _RUNNERS[cfg.kind](cfg, files) or 0
+    code = _KINDS[cfg.kind][0](cfg, files) or 0
     return code, _commit(cfg.output_dir, files)
 
 

@@ -145,6 +145,17 @@ def fig4_table(runs: Runs) -> tuple[list[str], list[list]]:
     return header, _columns(rows, 5)
 
 
+def _predictions(f_i: float, p: FrictionParams) -> tuple[float, float, float]:
+    """Next reversal after force f_i: exact, printed and rederived; nan for a degenerate form."""
+    xs = [next_reversal_exact(f_i, p)]
+    for form in ("printed", "rederived"):
+        try:
+            xs.append(next_reversal_approx(f_i, p, form=form))
+        except DomainError:
+            xs.append(math.nan)
+    return tuple(xs)
+
+
 def fig5_tables(runs: Runs) -> list[tuple[str, list[str], list[list]]]:
     """Force-displacement curve of one half-cycle per friction level.
 
@@ -170,20 +181,11 @@ def fig5_tables(runs: Runs) -> list[tuple[str, list[str], list[list]]]:
     for _, f_c, p in runs:
         f_i = -p.f_c
         branch = BranchState(reversal_coordinate(f_i, p), f_i, +1)
-        x_next = next_reversal_exact(f_i, p)
-        for x in _linspace(branch.x_rev, x_next, 201):
+        xs = _predictions(f_i, p)
+        for x in _linspace(branch.x_rev, xs[0], 201):
             curve_rows.append((f_c, x, dahl_branch_force(x, branch, p)))
-        row = [f_c, potential_energy(f_i, p), x_next]
-        forces = [dahl_branch_force(x_next, branch, p)]
-        for form in ("printed", "rederived"):
-            try:
-                x_a = next_reversal_approx(f_i, p, form=form)
-                row.append(x_a)
-                forces.append(dahl_branch_force(x_a, branch, p))
-            except DomainError:
-                row.append(math.nan)
-                forces.append(math.nan)
-        pred_rows.append(tuple(row + forces))
+        forces = [math.nan if math.isnan(x) else dahl_branch_force(x, branch, p) for x in xs]
+        pred_rows.append((f_c, potential_energy(f_i, p), *xs, *forces))
     return [
         ("fig5.csv", curve_header, _columns(curve_rows, 3)),
         ("fig5_predictions.csv", pred_header, _columns(pred_rows, len(pred_header))),

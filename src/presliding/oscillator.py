@@ -325,9 +325,8 @@ def simulate(cfg: SimConfig) -> Trajectory:
     cols = tuple(array("d") for _ in range(5))
 
     records: list[ReversalRecord] = []
-    pending: Optional[tuple[int, float, float, float]] = None  # (index, t, x, f)
+    rev = None  # (t, x, f) of the last reversal, whose record the next one completes
     direction = 1.0 if cfg.v0 > 0.0 else -1.0
-    last_event_t = -math.inf
     march = _kernel(p)
     steps = 0
 
@@ -346,12 +345,11 @@ def simulate(cfg: SimConfig) -> Trajectory:
             )
 
         state = t, x, v, f, e = locate_reversal(march, before, after, tol_v)
-        if t <= last_event_t:
+        if rev is not None and t <= rev[0]:
             raise StepRejectionError(
                 f"consecutive reversals inside one step at t={t}; "
                 f"dt={dt} cannot resolve the oscillation"
             )
-        last_event_t = t
         # the peak speed of the half-cycle just closed; a reversal sample is
         # not part of it, and a left-bracket reversal adds no sample
         v_peak = max(map(abs, vs), default=0.0)
@@ -360,20 +358,15 @@ def simulate(cfg: SimConfig) -> Trajectory:
                 part.append(value)
             col.fromlist(part)
             part.clear()
-        done = False
-        if pending is not None:
-            idx, t_i, x_i, f_i = pending
+        if rev is not None:
             e_p = 0.5 * p.mass * v_peak**2
             e_d = records[-1].e_p - e_p if records else 0.0
-            records.append(ReversalRecord(idx, t_i, x_i, f_i, e_p, e_d))
+            records.append(ReversalRecord(len(records), *rev, e_p, e_d))
             if cfg.max_reversals is not None and len(records) >= cfg.max_reversals:
-                done = True
+                break
             if e_p < stop_energy:
-                done = True
-        if done:
-            break
-        next_index = pending[0] + 1 if pending is not None else 0
-        pending = (next_index, t, x, f)
+                break
+        rev = (t, x, f)
         direction = -direction
         if not t < t_max:
             break

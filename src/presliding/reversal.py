@@ -7,11 +7,12 @@ branch map permits because it is odd-symmetric under that flip.
 
 The central objects are:
 
-- the branch geometry: ``reversal_coordinate`` / ``zero_crossing`` place a
-  reversal with force f_i relative to the zero crossing;
+- the branch geometry: ``reversal_coordinate`` places a reversal with
+  force f_i relative to the zero crossing;
 - the energies: ``energy_antiderivative`` accumulates restoring-force work
   along the branch and ``potential_energy`` is the recoverable energy of a
-  reversal state, bounded by ``potential_energy_bound``;
+  reversal state, largest at the saturated reversal f_i = -f_c, where it is
+  (1 - ln 2)*f_c^2/sigma;
 - the next-reversal predictors: ``next_reversal_exact`` evaluates the
   closed-form root of the energy balance, ``next_reversal_approx`` uses
   the linearized decay factor (two published variants, see below);
@@ -45,11 +46,9 @@ from .hysteresis import FrictionParams
 
 __all__ = [
     "ReversalChainEntry",
-    "zero_crossing",
     "reversal_coordinate",
     "energy_antiderivative",
     "potential_energy",
-    "potential_energy_bound",
     "omega",
     "omega_approx",
     "next_reversal_exact",
@@ -149,14 +148,6 @@ def _next_force_ratio(phi: float, rhs: float) -> float:
     raise ConvergenceError(f"Halley iteration for the next force ratio stalled at phi={phi}")
 
 
-def zero_crossing(x_i: float, f_i: float, p: FrictionParams) -> float:
-    """Displacement where the ascending branch from (x_i, f_i < 0) crosses zero force.
-
-    x_0 = x_i - (f_c/sigma) * ln(f_c / (f_c - f_i)); always ahead of x_i.
-    """
-    return x_i - reversal_coordinate(f_i, p)
-
-
 def reversal_coordinate(f_i: float, p: FrictionParams) -> float:
     """Reversal displacement in the frame with the force zero crossing at 0.
 
@@ -191,12 +182,6 @@ def potential_energy(f_i: float, p: FrictionParams) -> float:
     p.require_gamma_one()
     _check_reversal_force(f_i, p, allow_zero=True)
     return _energy(-f_i / p.f_c, p.f_c**2 / p.sigma)
-
-
-def potential_energy_bound(p: FrictionParams) -> float:
-    """Largest recoverable energy of any reversal state: (1 - ln 2) * f_c^2/sigma."""
-    p.require_gamma_one()
-    return (1.0 - math.log(2.0)) * p.f_c**2 / p.sigma
 
 
 def omega(x: float, p: FrictionParams) -> float:

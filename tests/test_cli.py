@@ -214,8 +214,7 @@ def test_a_value_the_kind_does_not_read_must_keep_its_default(kind, sweep, path,
 
 
 def test_read_sets_cover_the_kinds_and_name_schema_paths():
-    assert set(cli._READS) == set(KINDS)
-    for reads in cli._READS.values():
+    for _, reads in cli._KINDS.values():
         assert reads <= set(LEAVES) | set(SECTIONS)
 
 
@@ -373,6 +372,24 @@ def test_fig5_dataset(tmp_path):
         sub = curves[curves["F_c"] == f_c]
         assert np.all(np.abs(sub["F"]) <= f_c * (1 + 1e-12))
         assert sub["F"][0] == pytest.approx(-f_c)
+
+
+def test_fig5_predictions_match_the_approx_audit(tmp_path, capsys):
+    # both files take the three next-reversal predictions from one evaluation:
+    # a fig5 row is the fc-sweep audit row (sigma = 1, ratio 1/f_c) at F_i/f_c = 1
+    run_kind("fig5", tmp_path / "fig5")
+    run_kind("validate", tmp_path / "validate")
+    with open(tmp_path / "fig5" / "fig5_predictions.csv", newline="") as fh:
+        preds = list(csv.DictReader(fh))
+    with open(tmp_path / "validate" / "approx_audit.csv", newline="") as fh:
+        audit = [row for row in csv.DictReader(fh)
+                 if row["grid"] == "fc-sweep" and float(row["F_i_over_Fc"]) == 1.0]
+    assert len(preds) == len(audit) == 3
+    cells = ["x_next_exact", "x_next_printed", "x_next_rederived"]
+    for pred, row in zip(preds, audit):
+        assert float(row["ratio"]) == 1.0 / float(pred["F_c"])
+        assert [pred[c] for c in cells] == [row[c] for c in cells]
+    assert preds[2]["F_c"] == "2" and preds[2]["x_next_printed"] == "nan"
 
 
 def test_fig6_dataset(tmp_path):
@@ -714,6 +731,21 @@ def test_unlocalized_reversal_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("run error: simulate: ConvergenceError: reversal not localized")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_consecutive_reversals_inside_one_step_exit_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ["simulate"]
+    for item in ("params.sigma=100", "sim.v0=1e-12", "sim.dt=0.5", "sim.t_max=5",
+                 "sim.max_reversals=4"):
+        args += ["--override", item]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "run error: simulate: StepRejectionError: consecutive reversals inside one step"
+    )
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 

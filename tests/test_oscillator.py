@@ -321,6 +321,23 @@ def test_simulate_stop_energy_threshold():
     assert all(r.e_p >= 1e-3 for r in traj.reversals[:-1])
 
 
+# |v0| = 1e-12 is below the event tolerance, so the first reversal is the
+# initial state; dt = 0.5 then puts the next reversal inside the same step
+SLOW_START = dict(v0=1e-12, t_max=5.0, max_reversals=4)
+
+
+def test_simulate_rejects_consecutive_reversals_inside_one_step():
+    cfg = SimConfig(FrictionParams(1.0, 100.0), dt=0.5, **SLOW_START)
+    with pytest.raises(StepRejectionError, match="consecutive reversals inside one step"):
+        simulate(cfg)
+
+
+def test_simulate_records_a_reversal_at_the_initial_state():
+    traj = simulate(SimConfig(FrictionParams(1.0, 100.0), dt=0.2, **SLOW_START))
+    assert traj.reversals[0].t_i == 0.0
+    assert [r.index for r in traj.reversals] == [0, 1, 2, 3]
+
+
 def test_simulate_time_strictly_increasing(traj10):
     assert np.all(np.diff(np.asarray(traj10.t)) > 0.0)
 

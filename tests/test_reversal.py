@@ -22,10 +22,8 @@ from presliding import (
     omega,
     omega_approx,
     potential_energy,
-    potential_energy_bound,
     reversal_chain,
     reversal_coordinate,
-    zero_crossing,
 )
 from presliding._csv import encode_csv
 from presliding.figures import chain_table, fig6_table
@@ -52,24 +50,27 @@ force_fraction = st.floats(0.001, 1.0)
 # branch geometry
 # ---------------------------------------------------------------------------
 
+# the branch leaving a reversal (x_i, f_i) crosses zero force at
+# x_i - reversal_coordinate(f_i, p), always ahead of x_i
+
 def test_zero_crossing_saturated():
-    assert zero_crossing(0.0, -1.0, P1) == pytest.approx(math.log(2.0), abs=1e-15)
+    assert 0.0 - reversal_coordinate(-1.0, P1) == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_zero_crossing_small_force_limit():
-    assert zero_crossing(0.0, -1e-12, P1) == pytest.approx(0.0, abs=1e-11)
+    assert 0.0 - reversal_coordinate(-1e-12, P1) == pytest.approx(0.0, abs=1e-11)
 
 
 def test_zero_crossing_scaling():
-    d1 = zero_crossing(0.0, -0.5, FrictionParams(1.0, 1.0))
-    d2 = zero_crossing(0.0, -0.5, FrictionParams(1.0, 2.0))
+    d1 = 0.0 - reversal_coordinate(-0.5, FrictionParams(1.0, 1.0))
+    d2 = 0.0 - reversal_coordinate(-0.5, FrictionParams(1.0, 2.0))
     assert d1 == pytest.approx(2.0 * d2, rel=1e-14)
 
 
 @pytest.mark.parametrize("f_i", [0.0, 0.5, -1.0000001])
 def test_zero_crossing_domain(f_i):
     with pytest.raises(DomainError):
-        zero_crossing(0.0, f_i, P1)
+        reversal_coordinate(f_i, P1)
 
 
 def test_zero_crossing_is_branch_zero():
@@ -77,7 +78,7 @@ def test_zero_crossing_is_branch_zero():
         p = FrictionParams(1.0, ratio)
         for u in np.arange(0.1, 1.0001, 0.1):
             f_i = -u
-            x0 = zero_crossing(0.25, f_i, p)
+            x0 = 0.25 - reversal_coordinate(f_i, p)
             b = BranchState(0.25, f_i, +1)
             assert abs(dahl_branch_force(x0, b, p)) < 1e-12
 
@@ -93,14 +94,13 @@ def test_reversal_coordinate_negative(p, u):
 
 @given(p=params_strategy, u=force_fraction, x_i=st.floats(-5.0, 5.0))
 def test_frames_are_consistent(p, u, x_i):
-    # shifting a reversal so its zero crossing lands at the origin is the
-    # inverse of asking where the zero crossing is; the abs slack is the
-    # cancellation floor of subtracting x_i back out
+    # a reversal placed at its reversal coordinate has its zero crossing at
+    # the origin, and one at x_i has it reversal_coordinate behind x_i; the
+    # abs slack is the cancellation floor of subtracting x_i back out
     f_i = -u * p.f_c
-    assert zero_crossing(reversal_coordinate(f_i, p), f_i, p) == pytest.approx(
-        0.0, abs=1e-15
-    )
-    assert zero_crossing(x_i, f_i, p) - x_i == pytest.approx(
+    b = BranchState(reversal_coordinate(f_i, p), f_i, +1)
+    assert dahl_branch_force(0.0, b, p) == pytest.approx(0.0, abs=1e-12 * p.f_c)
+    assert (x_i - reversal_coordinate(f_i, p)) - x_i == pytest.approx(
         -reversal_coordinate(f_i, p), rel=1e-12, abs=1e-13
     )
 
@@ -168,19 +168,22 @@ def test_potential_energy_domain():
         potential_energy(-1.01, P1)
 
 
+# the saturated reversal f_i = -f_c holds the largest recoverable energy,
+# (1 - ln 2)*f_c^2/sigma
+
 def test_bound_value():
-    assert potential_energy_bound(P1) == pytest.approx(0.30685281944005469, abs=1e-16)
+    assert potential_energy(-P1.f_c, P1) == pytest.approx(0.30685281944005469, abs=1e-16)
     p = FrictionParams(2.0, 5.0)
-    assert potential_energy_bound(p) == pytest.approx((1 - math.log(2)) * 4.0 / 5.0)
+    assert potential_energy(-p.f_c, p) == pytest.approx((1 - math.log(2)) * 4.0 / 5.0)
 
 
 @given(p=params_strategy, u=st.floats(0.0, 1.0))
 def test_bound_dominates_everywhere(p, u):
-    assert potential_energy(-u * p.f_c, p) <= potential_energy_bound(p) * (1 + 1e-12)
+    assert potential_energy(-u * p.f_c, p) <= potential_energy(-p.f_c, p) * (1 + 1e-12)
 
 
 def test_bound_below_linear_spring_energy():
-    assert potential_energy_bound(P1) < P1.f_c**2 / (2.0 * P1.sigma)
+    assert potential_energy(-P1.f_c, P1) < P1.f_c**2 / (2.0 * P1.sigma)
 
 
 # ---------------------------------------------------------------------------
