@@ -68,8 +68,8 @@ __all__ = [
 _PER_ENTRY_KINDS = ("simulate", "chain", "fig7")
 
 # Largest chain.n_steps (chain and fig6 build each chain in memory): 10**6
-# steps took 8.1 s and 406 MiB peak RSS for one chain (99 MB of CSV), and
-# 28.6 s and 1109 MiB for fig6's three default ratios (310 MB), each in a
+# steps took 6.3 s and 317 MiB peak RSS for one chain (99 MB of CSV), and
+# 16.8 s and 938 MiB for fig6's three default ratios (310 MB), each in a
 # fresh process (resource.getrusage) on a 2-vCPU host.
 MAX_CHAIN_STEPS = 10**6
 
@@ -352,8 +352,8 @@ def _run_simulate(cfg: ExperimentConfig, files: dict) -> None:
 def _run_chain(cfg: ExperimentConfig, files: dict) -> None:
     c = cfg.chain
     for sfx, _, p in cfg.runs:
-        entries = reversal_chain(c.f0_over_fc * p.f_c, c.n_steps, p, mode=c.mode)
-        files[f"chain{sfx}.csv"] = encode_csv(*chain_table(entries))
+        chain = reversal_chain(c.f0_over_fc * p.f_c, c.n_steps, p, mode=c.mode)
+        files[f"chain{sfx}.csv"] = encode_csv(*chain_table(chain))
 
 
 def _run_fig7(cfg: ExperimentConfig, files: dict) -> None:

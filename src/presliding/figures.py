@@ -18,13 +18,13 @@ from .errors import DomainError
 from .hysteresis import BranchState, FrictionParams, dahl_branch_force
 from .oscillator import Trajectory
 from .reversal import (
-    ReversalChainEntry,
+    _chain_columns,
+    _chain_ratios,
     next_reversal_approx,
     next_reversal_exact,
     omega,
     omega_approx,
     potential_energy,
-    reversal_chain,
     reversal_coordinate,
 )
 
@@ -95,8 +95,8 @@ def _columns(rows: Sequence[Sequence], width: int) -> list[list]:
     """Rows transposed into `width` columns; zero rows give `width` empty columns.
 
     Each column is one pass of itemgetter over the rows. zip(*rows) would
-    create one iterator per row, and for a long chain those allocations
-    set off cyclic-GC passes over the entries.
+    create one iterator per row, and for many rows those allocations set
+    off cyclic-GC passes over them.
     """
     return [list(map(itemgetter(j), rows)) for j in range(width)]
 
@@ -115,9 +115,9 @@ def reversals_table(traj: Trajectory) -> tuple[list[str], list[Sequence]]:
     return ["i", "t_i", "x_i", "F_i", "E_p", "E_d_halfcycle"], _columns(rows, 6)
 
 
-def chain_table(entries: list[ReversalChainEntry]) -> tuple[list[str], list[list]]:
-    """A reversal chain as n,F_n,x_n,E_p,E_d; the entries transposed into columns."""
-    return ["n", "F_n", "x_n", "E_p", "E_d"], _columns(entries, 5)
+def chain_table(columns: list[list]) -> tuple[list[str], list[list]]:
+    """A reversal chain's columns (reversal_chain's result) under n,F_n,x_n,E_p,E_d."""
+    return ["n", "F_n", "x_n", "E_p", "E_d"], columns
 
 
 def fig3_table(runs: Runs) -> tuple[list[str], list[list]]:
@@ -198,10 +198,13 @@ def fig6_table(
     """Reversal-chain energies per stiffness ratio, seeded at f0_over_fc*f_c."""
     header = ["ratio", "n", "F_n", "x_n", "E_p", "E_d"]
     columns = [[] for _ in header]
+    shared = ratios = None
     for _, ratio, p in runs:
-        entries = reversal_chain(f0_over_fc * p.f_c, n_steps, p, mode=mode)
-        columns[0] += [ratio] * len(entries)
-        for col, values in zip(columns[1:], _columns(entries, 5)):
+        f_0 = f0_over_fc * p.f_c
+        # the exact ratios are sigma-free: a sweep, which sets sigma, shares them
+        if mode != "exact" or shared != (p.f_c, p.gamma):
+            shared, ratios = (p.f_c, p.gamma), _chain_ratios(f_0, n_steps, p, mode)
+        for col, values in zip(columns, [[ratio] * n_steps, *_chain_columns(f_0, p, *ratios)]):
             col += values
     return header, columns
 

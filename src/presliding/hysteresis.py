@@ -58,9 +58,11 @@ class FrictionParams:
             raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
         if not 0 <= self.gamma < math.inf:
             raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
-        # 2**gamma and the peak Dahl slope sigma*2**gamma must be finite (2.0**gamma raises)
-        if max(math.log2(self.sigma), 0.0) + self.gamma >= 1024.0:
-            raise DomainError(f"gamma={self.gamma} overflows the peak Dahl slope sigma*2**gamma")
+        # 2**gamma and sigma*2**gamma must be finite; the larger exponent is named
+        log_sigma = math.log2(self.sigma)
+        if max(log_sigma, 0.0) + self.gamma >= 1024.0:
+            name, value = ("sigma", self.sigma) if log_sigma > self.gamma else ("gamma", self.gamma)
+            raise DomainError(f"{name}={value} overflows the peak Dahl slope sigma*2**gamma")
         if not 0 < self.mass < math.inf:
             raise DomainError(f"mass must be finite and > 0, got {self.mass}")
 

@@ -39,13 +39,13 @@ against the exact root instead of guessing.
 from __future__ import annotations
 
 import math
-from typing import Literal, NamedTuple
+from itertools import pairwise
+from typing import Literal
 
 from .errors import ConvergenceError, DomainError
 from .hysteresis import FrictionParams
 
 __all__ = [
-    "ReversalChainEntry",
     "reversal_coordinate",
     "energy_antiderivative",
     "potential_energy",
@@ -67,24 +67,6 @@ _LOG1P_EXCESS_COEFFS = tuple((-1) ** (k + 1) / k for k in range(7, 1, -1))
 # a Halley step this small leaves an error of the order of its cube
 _HALLEY_STOP = 1e-6
 _HALLEY_MAX_ITER = 8
-
-
-class ReversalChainEntry(NamedTuple):
-    """One reversal of the recursive half-cycle chain.
-
-    n    step index (0 is the seed reversal).
-    f_n  signed restoring force at reversal n; alternates sign.
-    x_n  reversal coordinate in the frame of the branch leaving reversal n
-         (force zero crossing at the origin); mirrors sign with f_n.
-    e_p  recoverable potential energy at reversal n.
-    e_d  energy dissipated on the half-cycle from reversal n to n+1.
-    """
-
-    n: int
-    f_n: float
-    x_n: float
-    e_p: float
-    e_d: float
 
 
 def _check_reversal_force(f_i: float, p: FrictionParams, allow_zero: bool = False) -> None:
@@ -123,29 +105,37 @@ def _energy(phi: float, e_scale: float) -> float:
     return e_scale * -_log1p_excess(phi)
 
 
-def _next_force_ratio(phi: float, rhs: float) -> float:
-    """Next reversal force ratio q from phi = |f_i|/f_c in (0, 1].
+def _force_ratios(phi: float, n: int) -> tuple[list[float], list[float]]:
+    """Force ratios phi_0 = phi .. phi_n of the exact map, and their _log1p_excess.
 
-    rhs is _log1p_excess(phi), which the caller has at hand for E_p.
-    Solves log1p(-q) + q = log1p(phi) - phi, the log form of
-    q = 1 + W0(-(1 + phi)*exp(-(1 + phi))), by Halley's method. The start
-    phi/(1 + 2*phi/3) is the [1/1] Pade form of the small-phi series
-    q = phi - 2*phi**2/3 + 4*phi**3/9 - ...; it is within 1% of the root
-    on the whole domain, and within 4*phi**3/135 relative of it, so below
-    phi = 1e-6 it is already the root to rounding (and Halley's step would
-    underflow for phi below ~1e-154).
+    phi = |f_i|/f_c is in (0, 1]. Each step solves log1p(-q) + q =
+    log1p(phi) - phi, the log form of q = 1 + W0(-(1 + phi)*exp(-(1 + phi))),
+    by Halley's method. The start phi/(1 + 2*phi/3) is the [1/1] Pade form
+    of the small-phi series q = phi - 2*phi**2/3 + 4*phi**3/9 - ...; it is
+    within 1% of the root on the whole domain, and within 4*phi**3/135
+    relative of it, so below phi = 1e-6 it is already the root to rounding
+    (and Halley's step would underflow for phi below ~1e-154).
     """
-    q = phi / (1.0 + phi * (2.0 / 3.0))
-    if phi < 1e-6:
-        return q
-    for _ in range(_HALLEY_MAX_ITER):
-        # h(q) = log1p(-q) + q - rhs has h' = -q/(1-q) and h'' = -1/(1-q)**2
-        h = _log1p_excess(-q) - rhs
-        step = 2.0 * q * (1.0 - q) * h / (2.0 * q * q + h)
-        q += step
-        if abs(step) <= _HALLEY_STOP * q:
-            return q
-    raise ConvergenceError(f"Halley iteration for the next force ratio stalled at phi={phi}")
+    phis, excesses = [phi], [_log1p_excess(phi)]
+    for _ in range(n):
+        rhs = excesses[-1]
+        q = phi / (1.0 + phi * (2.0 / 3.0))
+        if phi >= 1e-6:
+            for _ in range(_HALLEY_MAX_ITER):
+                # h(q) = log1p(-q) + q - rhs has h' = -q/(1-q) and h'' = -1/(1-q)**2
+                h = _log1p_excess(-q) - rhs
+                step = 2.0 * q * (1.0 - q) * h / (2.0 * q * q + h)
+                q += step
+                if abs(step) <= _HALLEY_STOP * q:
+                    break
+            else:
+                raise ConvergenceError(
+                    f"Halley iteration for the next force ratio stalled at phi={phi}"
+                )
+        phi = q
+        phis.append(q)
+        excesses.append(_log1p_excess(q))
+    return phis, excesses
 
 
 def reversal_coordinate(f_i: float, p: FrictionParams) -> float:
@@ -212,8 +202,7 @@ def next_reversal_exact(f_i: float, p: FrictionParams) -> float:
     """
     p.require_gamma_one()
     _check_reversal_force(f_i, p)
-    phi = -f_i / p.f_c
-    return _branch_x(_next_force_ratio(phi, _log1p_excess(phi)), p.f_c / p.sigma)
+    return _branch_x(_force_ratios(-f_i / p.f_c, 1)[0][1], p.f_c / p.sigma)
 
 
 def next_reversal_approx(
@@ -252,53 +241,57 @@ def next_reversal_approx(
     return (e_p / p.f_c) / denom
 
 
+def _chain_ratios(f_0: float, n_steps: int, p: FrictionParams, mode: str) -> tuple[list, list]:
+    """Force ratios phi_0 .. phi_n_steps of the chain from f_0, and their _log1p_excess."""
+    p.require_gamma_one()
+    _check_reversal_force(f_0, p)
+    if n_steps < 1:
+        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
+    phi = -f_0 / p.f_c
+    if mode == "exact":
+        return _force_ratios(phi, n_steps)
+    if mode != "approx":
+        raise DomainError(f"unknown chain mode {mode!r}")
+    phis = [phi]
+    for _ in range(n_steps):
+        f_up = -phi * p.f_c  # ascending-frame force of this half-cycle
+        x_next = next_reversal_approx(f_up, p, form="rederived")
+        phi = (p.f_c - (p.f_c - f_up) * omega(x_next - reversal_coordinate(f_up, p), p)) / p.f_c
+        phis.append(phi)
+    return phis, list(map(_log1p_excess, phis))
+
+
+def _chain_columns(f_0: float, p: FrictionParams, phis: list, excesses: list) -> list[list]:
+    """Columns n, F_n, x_n, E_p, E_d of the chain from f_0 with these ratios and excesses.
+
+    F_n is phi_n*f_c after a negative F_{n-1} and -phi_n*f_c otherwise; x_n has F_n's sign.
+    """
+    f_c, x_scale, e_scale = p.f_c, p.f_c / p.sigma, p.f_c**2 / p.sigma
+    f = f_0  # the previous force
+    f_n = [f_0] + [(f := phi * f_c if f < 0.0 else -phi * f_c) for phi in phis[1:-1]]
+    x_n = [(-x_scale if fn < 0.0 else x_scale) * math.log1p(phi) for phi, fn in zip(phis, f_n)]
+    e_p = [e_scale * -excess for excess in excesses]
+    e_d = [a - b for a, b in pairwise(e_p)]
+    del e_p[-1]
+    return [list(range(len(f_n))), f_n, x_n, e_p, e_d]
+
+
 def reversal_chain(
-    f_0: float,
-    n_steps: int,
-    p: FrictionParams,
-    mode: Literal["exact", "approx"] = "exact",
-) -> list[ReversalChainEntry]:
+    f_0: float, n_steps: int, p: FrictionParams, mode: Literal["exact", "approx"] = "exact"
+) -> list[list]:
     """Iterate the half-cycle recursion from a seed reversal force f_0 < 0.
 
     Each step maps the current reversal force ratio phi = |f_n|/f_c to the
     next one: in "exact" mode by the closed-form map of the module
     docstring, which does not involve sigma, in "approx" mode through the
     "rederived" linearized predictor and the branch force there. Descending
-    half-cycles are handled by sign mirroring, so recorded forces
-    alternate sign while their magnitudes decay strictly.
+    half-cycles are handled by sign mirroring, so the forces F_n and the
+    reversal coordinates x_n (zero-crossing frame) alternate sign while
+    their magnitudes decay strictly.
 
-    Returns n_steps fully populated entries (n = 0 .. n_steps-1); the
-    dissipated energy of the last entry uses one extra prediction beyond
-    it. Partial sums of e_d telescope to e_p(0) - e_p(n_steps).
+    Returns the columns [n, F_n, x_n, E_p, E_d] of reversals n = 0 ..
+    n_steps-1, one list each: E_p is the recoverable energy at reversal n
+    and E_d the energy dissipated on the half-cycle after it (the last uses
+    one extra prediction). Partial sums of E_d telescope to E_p(0) - E_p(n_steps).
     """
-    p.require_gamma_one()
-    _check_reversal_force(f_0, p)
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    if mode not in ("exact", "approx"):
-        raise DomainError(f"unknown chain mode {mode!r}")
-
-    f_c = p.f_c
-    x_scale = f_c / p.sigma
-    e_scale = f_c**2 / p.sigma
-    entries: list[ReversalChainEntry] = []
-    f_n = f_0
-    phi = -f_0 / f_c
-    excess = _log1p_excess(phi)  # E_p = e_scale * -excess, as in _energy
-    e_p = e_scale * -excess
-    for n in range(n_steps):
-        if mode == "exact":
-            phi_next = _next_force_ratio(phi, excess)
-        else:
-            f_up = -phi * f_c  # ascending-frame force of this half-cycle
-            x_next = next_reversal_approx(f_up, p, form="rederived")
-            x_up = _branch_x(f_up / f_c, x_scale)  # ascending-frame reversal coordinate
-            phi_next = (f_c - (f_c - f_up) * omega(x_next - x_up, p)) / f_c
-        excess = _log1p_excess(phi_next)
-        e_p_next = e_scale * -excess
-        x_n = _branch_x(-phi, x_scale)
-        entries.append(ReversalChainEntry(n, f_n, x_n if f_n < 0.0 else -x_n, e_p, e_p - e_p_next))
-        phi, e_p = phi_next, e_p_next
-        f_n = phi * f_c if f_n < 0.0 else -phi * f_c
-    return entries
-
+    return _chain_columns(f_0, p, *_chain_ratios(f_0, n_steps, p, mode))

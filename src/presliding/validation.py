@@ -177,10 +177,10 @@ def check_chain_vs_simulation(traj: Trajectory) -> CheckResult:
     """Analytic reversal recursion vs the first 10 simulated reversal forces."""
     p = traj.config.params
     seed = -abs(traj.reversals[0].f_i)
-    chain = reversal_chain(seed, 10, p, mode="exact")
+    f_n = reversal_chain(seed, 10, p, mode="exact")[1]
     worst = 0.0
-    for entry, record in zip(chain, traj.reversals):
-        worst = max(worst, abs(abs(entry.f_n) - abs(record.f_i)) / abs(record.f_i))
+    for f, record in zip(f_n, traj.reversals):
+        worst = max(worst, abs(abs(f) - abs(record.f_i)) / abs(record.f_i))
     return CheckResult("chain-vs-simulation", worst < 1e-3, worst, 1e-3)
 
 
@@ -216,9 +216,9 @@ def check_exact_predictor_vs_oracle() -> CheckResult:
 def check_series_convergence() -> list[CheckResult]:
     """Partial dissipation sums: monotone, bounded by E_p(0), 99% by the frozen N."""
     p = FrictionParams(f_c=1.0, sigma=10.0)
-    chain = reversal_chain(-p.f_c, 60, p, mode="exact")
-    e_p0 = chain[0].e_p
-    partial = list(accumulate(e.e_d for e in chain))
+    *_, e_p, e_d = reversal_chain(-p.f_c, 60, p, mode="exact")
+    e_p0 = e_p[0]
+    partial = list(accumulate(e_d))
     monotone = all(b > a for a, b in zip(partial, partial[1:]))
     bounded = all(s < e_p0 for s in partial)
     frac_at_frozen = partial[SERIES_99PCT_STEPS - 1] / e_p0
@@ -241,11 +241,11 @@ def check_monotone_decay(trajs: list[Trajectory]) -> CheckResult:
     min_ep = math.inf
     for ratio in (10.0, 100.0, 1000.0):
         p = FrictionParams(f_c=1.0, sigma=ratio)
-        chain = reversal_chain(-p.f_c, 40, p, mode="exact")
-        for a, b in zip(chain, chain[1:]):
-            ok = ok and b.e_p < a.e_p and abs(b.f_n) < abs(a.f_n)
-        ok = ok and all(e.e_p > 0.0 for e in chain)
-        min_ep = min(min_ep, chain[-1].e_p)
+        _, f_n, _, e_p, _ = reversal_chain(-p.f_c, 40, p, mode="exact")
+        for a, b, fa, fb in zip(e_p, e_p[1:], f_n, f_n[1:]):
+            ok = ok and b < a and abs(fb) < abs(fa)
+        ok = ok and all(e > 0.0 for e in e_p)
+        min_ep = min(min_ep, e_p[-1])
     for traj in trajs:
         recs = traj.reversals
         for a, b in zip(recs, recs[1:]):

@@ -28,6 +28,7 @@ from presliding.cli import (
 from presliding.figures import fig3_table
 import presliding.cli as cli
 import presliding.oscillator as oscillator
+import presliding.reversal as reversal
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -609,6 +610,10 @@ PROBES = {
         ["simulate", "--override", "params.gamma=1e300", "--override", "params.sigma=10"],
         2, "config error: params: gamma=1e+300 overflows the peak Dahl slope",
     ),
+    "simulate_sigma_overflow": (
+        ["simulate", "--override", "params.sigma=1e308"],
+        2, "config error: params: sigma=1e+308 overflows the peak Dahl slope",
+    ),
     "simulate_sweep_gamma_overflow": (
         ["simulate", "--override", "params.gamma=1023.5", "--override", "sweep=[0.5,10]"],
         2, "config error: sweep[1]: gamma=1023.5 overflows the peak Dahl slope",
@@ -733,6 +738,19 @@ def test_unlocalized_reversal_exits_3(tmp_path, monkeypatch, capsys):
     assert err.startswith("run error: simulate: ConvergenceError: reversal not localized")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_stalled_force_ratio_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(reversal, "_HALLEY_MAX_ITER", 0)
+    out = tmp_path / "out"
+    assert main(["chain", "--out", str(out), "--override", "chain.f0_over_fc=-0.5"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("run error: chain: ConvergenceError: Halley iteration for the next "
+                   "force ratio stalled at phi=0.5\n")
+    assert list(tmp_path.iterdir()) == []
+    # a seed below the phi < 1e-6 shortcut needs no iteration
+    assert main(["chain", "--out", str(out), "--override", "chain.f0_over_fc=-1e-7"]) == 0
+    assert (out / "chain.csv").is_file()
 
 
 def test_consecutive_reversals_inside_one_step_exit_3(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from presliding import FrictionParams
+from presliding import FrictionParams, reversal_chain
 from presliding._csv import encode_csv
 from presliding.figures import (
     _linspace,
@@ -54,10 +54,29 @@ def test_fig4_fig5_bytes_are_pinned():
 
 
 def test_builders_give_one_column_per_header_at_zero_rows():
-    # no sweep entries, no chain entries, a trajectory without reversals
+    # no sweep entries, a chain of five empty columns, a trajectory without reversals
     traj = Trajectory(*(array("d") for _ in range(5)), [], SimConfig(FrictionParams(1.0, 10.0)))
     tables = [fig3_table([]), fig4_table([]), fig6_table([], -1.0, 5, "exact"),
-              chain_table([]), reversals_table(traj), fig7_envelope(traj)]
+              chain_table([[] for _ in range(5)]), reversals_table(traj), fig7_envelope(traj)]
     tables += [(header, columns) for _, header, columns in fig5_tables([])]
     for header, columns in tables:
         assert encode_csv(header, columns) == ((",".join(header) + "\n").encode(), 0)
+
+
+@given(
+    f0_over_fc=st.floats(-1.0, -1e-9),
+    ratios=st.lists(st.floats(1.0, 1000.0), min_size=1, max_size=3),
+    n_steps=st.integers(1, 200),
+    mode=st.sampled_from(["exact", "approx"]),
+)
+def test_fig6_is_each_entry_chain_under_its_ratio(f0_over_fc, ratios, n_steps, mode):
+    # exact mode shares one ratio pass between the entries; the bytes are
+    # those of one reversal_chain per entry, with the ratio column prepended
+    runs = [("", r, FrictionParams(f_c=0.3, sigma=0.3 * r)) for r in ratios]
+    columns = [[] for _ in range(6)]
+    for _, ratio, p in runs:
+        chain = reversal_chain(f0_over_fc * p.f_c, n_steps, p, mode)
+        for col, values in zip(columns, [[ratio] * n_steps, *chain]):
+            col += values
+    header = ["ratio", "n", "F_n", "x_n", "E_p", "E_d"]
+    assert encode_csv(*fig6_table(runs, f0_over_fc, n_steps, mode)) == encode_csv(header, columns)

@@ -39,7 +39,7 @@ def test_package_imports_only_names_in_all():
 def test_removed_closed_form_names_stay_gone():
     # the linear decay factor is a plain slope, and the branch force is dahl_branch_force;
     # the zero crossing is x_i - reversal_coordinate(f_i, p), and the largest
-    # recoverable energy is potential_energy(-p.f_c, p)
+    # recoverable energy is potential_energy(-p.f_c, p); a reversal chain is five columns
     with pytest.raises(ImportError):
         from presliding import OmegaApprox  # noqa: F401
     with pytest.raises(ImportError):
@@ -56,6 +56,10 @@ def test_removed_closed_form_names_stay_gone():
         from presliding.reversal import zero_crossing  # noqa: F401,F811
     with pytest.raises(ImportError):
         from presliding.reversal import potential_energy_bound  # noqa: F401,F811
+    with pytest.raises(ImportError):
+        from presliding import ReversalChainEntry  # noqa: F401
+    with pytest.raises(ImportError):
+        from presliding.reversal import ReversalChainEntry  # noqa: F401,F811
 
 
 def import_nodes(source: str) -> list[ast.stmt]:

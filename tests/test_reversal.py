@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from presliding import (
     BranchState,
+    ConvergenceError,
     DomainError,
     FrictionParams,
     dahl_branch_force,
@@ -27,8 +28,8 @@ from presliding import (
 )
 from presliding._csv import encode_csv
 from presliding.figures import chain_table, fig6_table
-from presliding.reversal import _log1p_excess, _next_force_ratio
-from presliding import validation
+from presliding import reversal, validation
+from presliding.reversal import _force_ratios
 from presliding.validation import (
     OMEGA_ENVELOPE_BOUND,
     check_exact_predictor_vs_oracle,
@@ -275,7 +276,7 @@ def test_next_force_ratio_matches_oracle_root(phi):
         return float(ctx.subtract(ctx.add(ctx.ln(ctx.subtract(one, d_q)), d_q), rhs))
 
     ref = find_root(residual, 0.0, math.nextafter(phi, 0.0), tol=1e-15 * phi)
-    assert _next_force_ratio(phi, _log1p_excess(phi)) == pytest.approx(ref, rel=1e-11, abs=0.0)
+    assert _force_ratios(phi, 1)[0][1] == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +290,7 @@ def test_next_force_ratio_matches_lambert_w0(lambertw, phi):
     # 2e-12 relative at phi = 1e-2, so it is only compared from there up
     z = -(1.0 + phi) * math.exp(-(1.0 + phi))
     q_w = 1.0 + lambertw(z, 0).real
-    assert _next_force_ratio(phi, _log1p_excess(phi)) == pytest.approx(q_w, rel=1e-11, abs=0.0)
+    assert _force_ratios(phi, 1)[0][1] == pytest.approx(q_w, rel=1e-11, abs=0.0)
 
 
 def test_exact_predictor_oracle_check_passes():
@@ -358,23 +359,23 @@ def test_next_force_frame_violation():
 
 def test_chain_single_step_composes_primitives():
     p = FrictionParams(1.0, 10.0)
-    chain = reversal_chain(-0.6, 1, p, mode="exact")
-    assert len(chain) == 1
-    e = chain[0]
-    assert e.n == 0 and e.f_n == -0.6
-    assert e.x_n == pytest.approx(reversal_coordinate(-0.6, p), rel=1e-15)
-    assert e.e_p == pytest.approx(potential_energy(-0.6, p), rel=1e-15)
+    n, f_n, x_n, e_p, e_d = reversal_chain(-0.6, 1, p, mode="exact")
+    assert n == [0] and f_n == [-0.6]
+    assert len(x_n) == len(e_p) == len(e_d) == 1
+    assert x_n[0] == pytest.approx(reversal_coordinate(-0.6, p), rel=1e-15)
+    assert e_p[0] == pytest.approx(potential_energy(-0.6, p), rel=1e-15)
     x1 = next_reversal_exact(-0.6, p)
     f1 = dahl_branch_force(x1, ascending_branch(-0.6, p), p)
-    assert e.e_d == pytest.approx(potential_energy(-f1, p) * -1 + e.e_p, rel=1e-12)
+    assert e_d[0] == pytest.approx(potential_energy(-f1, p) * -1 + e_p[0], rel=1e-12)
 
 
 def test_chain_signs_alternate_and_mirror():
-    chain = reversal_chain(-1.0, 6, P1, mode="exact")
-    for a, b in zip(chain, chain[1:]):
-        assert a.f_n * b.f_n < 0.0
-        assert a.x_n * b.x_n < 0.0
-    assert all((e.f_n < 0) == (e.x_n < 0) for e in chain)
+    _, f_n, x_n, _, _ = reversal_chain(-1.0, 6, P1, mode="exact")
+    for a, b in zip(f_n, f_n[1:]):
+        assert a * b < 0.0
+    for a, b in zip(x_n, x_n[1:]):
+        assert a * b < 0.0
+    assert all((f < 0) == (x < 0) for f, x in zip(f_n, x_n))
 
 
 @given(
@@ -383,19 +384,19 @@ def test_chain_signs_alternate_and_mirror():
 )
 def test_chain_strict_decay(u, ratio):
     p = FrictionParams(1.0, ratio)
-    chain = reversal_chain(-u, 5, p, mode="exact")
-    for a, b in zip(chain, chain[1:]):
-        assert b.e_p < a.e_p
-        assert abs(b.f_n) < abs(a.f_n)
-        assert a.e_d > 0.0
-    assert all(e.e_p > 0.0 for e in chain)
+    _, f_n, _, e_p, e_d = reversal_chain(-u, 5, p, mode="exact")
+    for k in range(4):
+        assert e_p[k + 1] < e_p[k]
+        assert abs(f_n[k + 1]) < abs(f_n[k])
+        assert e_d[k] > 0.0
+    assert all(e > 0.0 for e in e_p)
 
 
 def test_chain_partial_sums_telescope_to_seed_energy():
     p = FrictionParams(1.0, 10.0)
-    chain = reversal_chain(-1.0, 60, p, mode="exact")
-    e_p0 = chain[0].e_p
-    partial = np.cumsum([e.e_d for e in chain])
+    *_, e_p, e_d = reversal_chain(-1.0, 60, p, mode="exact")
+    e_p0 = e_p[0]
+    partial = np.cumsum(e_d)
     assert np.all(np.diff(partial) > 0.0)
     assert np.all(partial < e_p0)
     assert partial[-1] >= 0.99 * e_p0
@@ -407,34 +408,34 @@ def test_chain_near_exponential_early_decay():
     # per-step factors run from 0.416 up to 0.84 by step ten)
     for ratio in (10.0, 100.0, 1000.0):
         p = FrictionParams(1.0, ratio)
-        chain = reversal_chain(-1.0, 11, p, mode="exact")
-        e0 = chain[0].e_p
-        for e in chain[1:]:
-            assert e.e_p <= e0 * 0.85**e.n
-            assert e.e_p >= e0 * 0.40**e.n
+        n, _, _, e_p, _ = reversal_chain(-1.0, 11, p, mode="exact")
+        e0 = e_p[0]
+        for k, e in zip(n[1:], e_p[1:]):
+            assert e <= e0 * 0.85**k
+            assert e >= e0 * 0.40**k
 
 
 def test_chain_scale_invariance_across_ratios():
     # sigma scales energies by 1/sigma and leaves the decay shape untouched
-    c10 = reversal_chain(-1.0, 8, FrictionParams(1.0, 10.0))
-    c1000 = reversal_chain(-1.0, 8, FrictionParams(1.0, 1000.0))
-    for a, b in zip(c10, c1000):
-        assert a.f_n == pytest.approx(b.f_n, rel=1e-9)
-        assert a.e_p * 10.0 == pytest.approx(b.e_p * 1000.0, rel=1e-9)
+    _, f10, _, e10, _ = reversal_chain(-1.0, 8, FrictionParams(1.0, 10.0))
+    _, f1000, _, e1000, _ = reversal_chain(-1.0, 8, FrictionParams(1.0, 1000.0))
+    assert f10 == pytest.approx(f1000, rel=1e-9)
+    for a, b in zip(e10, e1000):
+        assert a * 10.0 == pytest.approx(b * 1000.0, rel=1e-9)
 
 
 def test_chain_forces_bitwise_independent_of_sigma():
     forces = [
-        [e.f_n for e in reversal_chain(-0.7, 30, FrictionParams(1.0, sigma))]
+        reversal_chain(-0.7, 30, FrictionParams(1.0, sigma))[1]
         for sigma in (1.0, 10.0, 1000.0)
     ]
     assert forces[0] == forces[1] == forces[2]
 
 
 def test_chain_approx_mode_decays():
-    chain = reversal_chain(-1.0, 10, FrictionParams(1.0, 10.0), mode="approx")
-    for a, b in zip(chain, chain[1:]):
-        assert abs(b.f_n) < abs(a.f_n)
+    f_n = reversal_chain(-1.0, 10, FrictionParams(1.0, 10.0), mode="approx")[1]
+    for a, b in zip(f_n, f_n[1:]):
+        assert abs(b) < abs(a)
 
 
 def test_chain_validation():
@@ -444,6 +445,17 @@ def test_chain_validation():
         reversal_chain(-0.5, 0, P1)
     with pytest.raises(DomainError):
         reversal_chain(-0.5, 3, P1, mode="magic")
+
+
+def test_halley_stall_raises_convergence_error(monkeypatch):
+    # no iteration allowed: every ratio the Halley loop has to solve stalls
+    monkeypatch.setattr(reversal, "_HALLEY_MAX_ITER", 0)
+    with pytest.raises(ConvergenceError, match=r"stalled at phi=0\.5$"):
+        reversal_chain(-0.5, 3, P1)
+    with pytest.raises(ConvergenceError, match=r"stalled at phi=0\.5$"):
+        next_reversal_exact(-0.5, P1)
+    # below phi = 1e-6 the start value is the root, and no iteration runs
+    assert len(reversal_chain(-1e-7, 3, P1)[1]) == 3
 
 
 def test_chain_csv_roundtrip(tmp_path):
@@ -456,7 +468,7 @@ def test_chain_csv_roundtrip(tmp_path):
     assert lines[0] == "n,F_n,x_n,E_p,E_d"
     assert len(lines) == 6
     back = np.genfromtxt(path, delimiter=",", names=True)
-    assert back["E_p"][0] == pytest.approx(chain[0].e_p, rel=1e-16)
+    assert back["E_p"][0] == pytest.approx(chain[3][0], rel=1e-16)
 
 
 # sha256 of the chain CSV per (mode, sigma/f_c, f0/f_c) at f_c = 0.3, 300 steps.
