@@ -15,7 +15,6 @@ from .hysteresis import (
 from .oracle import derivative, find_root, integrate
 from .oscillator import ReversalRecord, SimConfig, Trajectory, simulate
 from .reversal import (
-    energy_antiderivative,
     next_reversal_approx,
     next_reversal_exact,
     omega,

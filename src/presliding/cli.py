@@ -364,10 +364,6 @@ def _run_fig7(cfg: ExperimentConfig, files: dict) -> None:
     files["README.txt"] = (FIG7_README.encode("utf-8"), 0)
 
 
-_AUDIT_HEADER = ["grid", "ratio", "F_i_over_Fc", "x_next_exact", "x_next_printed",
-                 "x_next_rederived", "rel_dev_printed", "rel_dev_rederived"]
-
-
 def _run_validate(cfg: ExperimentConfig, files: dict) -> int:
     # imported here: at module level, validation's import time (a few ms)
     # would be added to the start of every other kind
@@ -379,7 +375,8 @@ def _run_validate(cfg: ExperimentConfig, files: dict) -> int:
     files["validation_report.csv"] = encode_csv(
         ["check", "status", "measured", "tolerance", "detail"], _columns(report, 5)
     )
-    files["approx_audit.csv"] = encode_csv(_AUDIT_HEADER, _columns(audit_rows, len(_AUDIT_HEADER)))
+    header = validation.AUDIT_HEADER
+    files["approx_audit.csv"] = encode_csv(header, _columns(audit_rows, len(header)))
     for c in checks:
         status = "pass" if c.passed else "FAIL"
         print(

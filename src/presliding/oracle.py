@@ -26,10 +26,9 @@ _MAX_DEPTH = 50
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Adaptive quadrature outcome: value, error estimate, evaluation count."""
+    """Adaptive quadrature outcome: the value and the number of calls of the integrand."""
 
     value: float
-    error_estimate: float
     evaluations: int
 
 
@@ -46,7 +45,7 @@ def integrate(f: Callable[[float], float], a: float, b: float, rel_tol: float = 
     if a > b:
         raise DomainError(f"integration bounds reversed: a={a} > b={b}")
     if a == b:
-        return QuadResult(0.0, 0.0, 0)
+        return QuadResult(0.0, 0)
 
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
@@ -63,20 +62,18 @@ def integrate(f: Callable[[float], float], a: float, b: float, rel_tol: float = 
         s_left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
         s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
         s2 = s_left + s_right
-        err = (s2 - s) / 15.0
         if abs(s2 - s) <= 15.0 * eps_local:
-            return s2 + err, abs(err)
+            return s2 + (s2 - s) / 15.0
         if depth <= 0:
             raise ConvergenceError(
                 f"adaptive Simpson exceeded depth cap {_MAX_DEPTH} on "
                 f"[{lo}, {hi}]"
             )
-        v1, e1 = recurse(lo, lm, mid, flo, flm, fmid, s_left, 0.5 * eps_local, depth - 1)
-        v2, e2 = recurse(mid, rm, hi, fmid, frm, fhi, s_right, 0.5 * eps_local, depth - 1)
-        return v1 + v2, e1 + e2
+        left = recurse(lo, lm, mid, flo, flm, fmid, s_left, 0.5 * eps_local, depth - 1)
+        return left + recurse(mid, rm, hi, fmid, frm, fhi, s_right, 0.5 * eps_local, depth - 1)
 
-    value, err = recurse(a, m, b, fa, fm, fb, whole, eps, _MAX_DEPTH)
-    return QuadResult(value, err, 3 + 2 * refinements)
+    value = recurse(a, m, b, fa, fm, fb, whole, eps, _MAX_DEPTH)
+    return QuadResult(value, 3 + 2 * refinements)
 
 
 def find_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) -> float:

@@ -9,9 +9,8 @@ The central objects are:
 
 - the branch geometry: ``reversal_coordinate`` places a reversal with
   force f_i relative to the zero crossing;
-- the energies: ``energy_antiderivative`` accumulates restoring-force work
-  along the branch and ``potential_energy`` is the recoverable energy of a
-  reversal state, largest at the saturated reversal f_i = -f_c, where it is
+- the energy: ``potential_energy`` is the recoverable energy of a reversal
+  state, largest at the saturated reversal f_i = -f_c, where it is
   (1 - ln 2)*f_c^2/sigma;
 - the next-reversal predictors: ``next_reversal_exact`` evaluates the
   closed-form root of the energy balance, ``next_reversal_approx`` uses
@@ -47,7 +46,6 @@ from .hysteresis import FrictionParams
 
 __all__ = [
     "reversal_coordinate",
-    "energy_antiderivative",
     "potential_energy",
     "omega",
     "omega_approx",
@@ -149,19 +147,6 @@ def reversal_coordinate(f_i: float, p: FrictionParams) -> float:
     return _branch_x(f_i / p.f_c, p.f_c / p.sigma)
 
 
-def energy_antiderivative(x: float, p: FrictionParams) -> float:
-    """Restoring-force work accumulated along the ascending branch.
-
-    In the zero-crossing frame the branch is f(x) = f_c*(1 - exp(-(sigma/f_c)*x))
-    and its antiderivative, anchored to 0 at the origin, is
-    f_c*x + (f_c^2/sigma)*(exp(-(sigma/f_c)*x) - 1). Evaluated with expm1 so
-    the quadratic small-x behavior keeps full relative precision.
-    """
-    p.require_gamma_one()
-    scale = p.f_c / p.sigma
-    return p.f_c * x + p.f_c * scale * math.expm1(-x / scale)
-
-
 def potential_energy(f_i: float, p: FrictionParams) -> float:
     """Recoverable potential energy of a reversal with force f_i in [-f_c, 0].
 
@@ -196,9 +181,10 @@ def next_reversal_exact(f_i: float, p: FrictionParams) -> float:
 
     Returns the unique x > 0 (zero-crossing frame) where the work absorbed
     by the ascending branch equals the potential energy released since the
-    last reversal: energy_antiderivative(x) == potential_energy(f_i). The
-    branch reaches that point with force q*f_c, where q is the Lambert W
-    root of the module docstring, so x = -(f_c/sigma)*ln(1 - q).
+    last reversal: f_c*x + (f_c^2/sigma)*(exp(-(sigma/f_c)*x) - 1) ==
+    potential_energy(f_i). The branch reaches that point with force q*f_c,
+    where q is the Lambert W root of the module docstring, so
+    x = -(f_c/sigma)*ln(1 - q).
     """
     p.require_gamma_one()
     _check_reversal_force(f_i, p)

@@ -48,6 +48,7 @@ from .reversal import (
 )
 
 __all__ = [
+    "AUDIT_HEADER",
     "CheckResult",
     "run_all",
     "omega_envelope_deviation",
@@ -273,12 +274,17 @@ def check_reversal_frequency_trend(trajs: list[Trajectory]) -> CheckResult:
     )
 
 
+# the columns of approx_audit.csv, one per field of check_approx_forms' rows
+AUDIT_HEADER = ["grid", "ratio", "F_i_over_Fc", "x_next_exact", "x_next_printed",
+                "x_next_rederived", "rel_dev_printed", "rel_dev_rederived"]
+
+
 def check_approx_forms() -> tuple[list[CheckResult], list[tuple]]:
     """Compare both linearized-predictor forms to the exact root.
 
-    Returns the checks and the audit rows over the two standard grids:
-    ratio sweep at fixed f_c, and f_c sweep at fixed sigma = 1 (where the
-    printed form degenerates for f_c > sigma).
+    Returns the checks and the audit rows, in AUDIT_HEADER's columns, over
+    the two standard grids: ratio sweep at fixed f_c, and f_c sweep at
+    fixed sigma = 1 (where the printed form degenerates for f_c > sigma).
     """
     rows: list[tuple] = []
     grids = [("ratio-sweep", [FrictionParams(1.0, r) for r in DEFAULT_SWEEPS["fig4"]])]

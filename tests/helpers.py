@@ -1,9 +1,10 @@
-"""Reference routes the tests check the simulator against.
+"""Reference routes the tests check the simulator and the closed forms against.
 
 reference_advance is an RK4 step over hysteresis.dahl_rate, and
 reference_simulate rebuilds simulate on it, one (t, x, v, f, e_f) tuple
 per sample with its own reversal bisection; neither shares code with
-the oscillator module.
+the oscillator module. branch_work is the ascending branch's work
+integral, written from the branch definition alone.
 """
 
 import ast
@@ -31,6 +32,16 @@ def package_imports(module) -> set[str]:
                 if a.name.startswith("presliding")
             )
     return internal
+
+
+def branch_work(x, p):
+    """Restoring-force work of the ascending branch from the zero crossing to x.
+
+    The integral of f_c*(1 - exp(-(sigma/f_c)*s)) over s from 0 to x, with
+    expm1 so that the quadratic small-x part keeps its relative precision.
+    """
+    scale = p.f_c / p.sigma
+    return p.f_c * x + p.f_c * scale * math.expm1(-x / scale)
 
 
 def reference_advance(x, v, f, e, h, p):

@@ -480,6 +480,15 @@ def test_config_manifest_matches_golden(tmp_path, kind):
         assert {len(row) for row in rows} <= {len(header)}, path.name
 
 
+# simulate's and chain's shipped configs set sigma=10 and n_steps=40, so
+# their built-in defaults write other bytes than their golden manifests
+@pytest.mark.parametrize("kind", ["fig3", "fig4", "fig5", "fig6", "fig7", "validate"])
+def test_default_config_manifest_matches_golden(tmp_path, kind):
+    assert run_kind(kind, tmp_path)[0] == 0
+    golden = REPO / "tests" / "data" / "manifests" / f"{kind}.txt"
+    assert (tmp_path / "manifest.txt").read_bytes() == golden.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -738,6 +747,21 @@ def test_unlocalized_reversal_exits_3(tmp_path, monkeypatch, capsys):
     assert err.startswith("run error: simulate: ConvergenceError: reversal not localized")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_validation_exits_1_and_still_writes_its_report(tmp_path, monkeypatch, capsys):
+    # a 1e-6 relative error in the branch displacement moves only the exact
+    # predictor enough for a check to see it
+    branch_x = reversal._branch_x
+    monkeypatch.setattr(reversal, "_branch_x", lambda s, x_scale: branch_x(s, x_scale) * (1 + 1e-6))
+    assert main(["validate", "--out", str(tmp_path)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] exact-predictor-vs-oracle:")
+    with open(tmp_path / "validation_report.csv", newline="", encoding="utf-8") as fh:
+        report = list(csv.reader(fh))
+    assert [row[0] for row in report if row[1] == "FAIL"] == ["exact-predictor-vs-oracle"]
+    assert {p.name for p in tmp_path.iterdir()} >= {
+        "approx_audit.csv", "validation_report.csv", "manifest.txt"}
 
 
 def test_stalled_force_ratio_exits_3(tmp_path, monkeypatch, capsys):

@@ -36,10 +36,49 @@ def test_package_imports_only_names_in_all():
         assert [a.name for a in node.names if a.name not in public] == [], node.module
 
 
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every bare name and attribute name in the code of tree (docstrings are not code)."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+    }
+
+
+def library_example() -> ast.Module:
+    """The python block under README's "Library example" heading."""
+    section = (REPO / "README.md").read_text().split("## Library example", 1)[1]
+    return ast.parse(section.split("```python\n", 1)[1].split("```", 1)[0])
+
+
+def test_every_package_export_has_a_consumer():
+    # a name the package root imports is used by another package module or by
+    # README's library example, or types a field of a public class in its own
+    # module (ReversalRecord is reached only as Trajectory.reversals)
+    trees = {name: ast.parse(inspect.getsource(importlib.import_module(f"presliding.{name}")))
+             for name in MODULES}
+    example = referenced_names(library_example())
+    unused = []
+    for node in ast.parse(inspect.getsource(presliding)).body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        fields = set()
+        for cls in trees[node.module].body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for stmt in cls.body:
+                    if isinstance(stmt, ast.AnnAssign):
+                        fields |= referenced_names(stmt.annotation)
+        used = example | fields
+        for name, tree in trees.items():
+            if name != node.module:
+                used |= referenced_names(tree)
+        unused += [a.name for a in node.names if a.name not in used]
+    assert unused == []
+
+
 def test_removed_closed_form_names_stay_gone():
     # the linear decay factor is a plain slope, and the branch force is dahl_branch_force;
     # the zero crossing is x_i - reversal_coordinate(f_i, p), and the largest
-    # recoverable energy is potential_energy(-p.f_c, p); a reversal chain is five columns
+    # recoverable energy is potential_energy(-p.f_c, p); a reversal chain is five columns;
+    # the branch work f_c*x + (f_c**2/sigma)*expm1(-(sigma/f_c)*x) had no caller
     with pytest.raises(ImportError):
         from presliding import OmegaApprox  # noqa: F401
     with pytest.raises(ImportError):
@@ -60,6 +99,10 @@ def test_removed_closed_form_names_stay_gone():
         from presliding import ReversalChainEntry  # noqa: F401
     with pytest.raises(ImportError):
         from presliding.reversal import ReversalChainEntry  # noqa: F401,F811
+    with pytest.raises(ImportError):
+        from presliding import energy_antiderivative  # noqa: F401
+    with pytest.raises(ImportError):
+        from presliding.reversal import energy_antiderivative  # noqa: F401,F811
 
 
 def import_nodes(source: str) -> list[ast.stmt]:

@@ -15,7 +15,6 @@ from presliding import (
     DomainError,
     FrictionParams,
     dahl_branch_force,
-    energy_antiderivative,
     find_root,
     integrate,
     next_reversal_approx,
@@ -36,6 +35,8 @@ from presliding.validation import (
     check_omega_envelope,
     omega_envelope_deviation,
 )
+
+from helpers import branch_work
 
 P1 = FrictionParams(f_c=1.0, sigma=1.0)
 
@@ -117,31 +118,13 @@ def test_reversal_coordinate_domain():
 # energies
 # ---------------------------------------------------------------------------
 
-def test_antiderivative_at_origin():
-    assert energy_antiderivative(0.0, P1) == 0.0
-
-
-def test_antiderivative_asymptote():
-    x = 60.0
-    assert energy_antiderivative(x, P1) == pytest.approx(x - 1.0, rel=1e-14)
-
-
-def test_antiderivative_worked_example():
-    assert energy_antiderivative(math.log(2.0), P1) == pytest.approx(
-        math.log(2.0) - 0.5, abs=1e-15
-    )
-
-
-def test_antiderivative_matches_branch_quadrature():
+def test_branch_work_matches_branch_quadrature():
+    # the reference the energy-balance tests below solve against is the
+    # integral of the package's own branch force
     p = FrictionParams(2.0, 5.0)
     b = BranchState(0.0, 0.0, +1)  # branch through the zero-crossing frame origin
     val = integrate(lambda x: dahl_branch_force(x, b, p), 0.0, 0.7, rel_tol=1e-12)
-    assert energy_antiderivative(0.7, p) == pytest.approx(val.value, rel=1e-10)
-
-
-def test_antiderivative_requires_gamma_one():
-    with pytest.raises(DomainError):
-        energy_antiderivative(0.1, FrictionParams(1.0, 1.0, gamma=0.5))
+    assert branch_work(0.7, p) == pytest.approx(val.value, rel=1e-10)
 
 
 def test_potential_energy_degenerate_zero():
@@ -242,14 +225,14 @@ def test_exact_predictor_residual_contract():
             p = FrictionParams(1.0, ratio)
             e_p = potential_energy(-u, p)
             x = next_reversal_exact(-u, p)
-            assert abs(energy_antiderivative(x, p) - e_p) < 1e-12 * e_p
+            assert abs(branch_work(x, p) - e_p) < 1e-12 * e_p
 
 
 def test_exact_predictor_matches_independent_bisection():
     p = FrictionParams(1.5, 20.0)
     f_i = -0.8 * p.f_c
     e_p = potential_energy(f_i, p)
-    ref = find_root(lambda x: energy_antiderivative(x, p) - e_p, 0.0, 1.0, tol=1e-14)
+    ref = find_root(lambda x: branch_work(x, p) - e_p, 0.0, 1.0, tol=1e-14)
     assert next_reversal_exact(f_i, p) == pytest.approx(ref, abs=1e-12)
 
 
