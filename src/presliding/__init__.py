@@ -6,11 +6,11 @@ from .hysteresis import (
     BranchState,
     FrictionParams,
     LinearSpringParams,
-    dahl_branch_force,
+    dahl_branch,
     dahl_rate,
     loop_dissipation,
     reverse_branch,
-    stop_spring_force,
+    stop_spring,
 )
 from .oracle import derivative, find_root, integrate
 from .oscillator import ReversalRecord, SimConfig, Trajectory, simulate

@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .hysteresis import BranchState, FrictionParams, dahl_branch_force
+from .hysteresis import BranchState, FrictionParams, dahl_branch
 from .oscillator import Trajectory
 from .reversal import (
     _chain_columns,
@@ -180,11 +180,12 @@ def fig5_tables(runs: Runs) -> list[tuple[str, list[str], list[list]]]:
     pred_rows = []
     for _, f_c, p in runs:
         f_i = -p.f_c
-        branch = BranchState(reversal_coordinate(f_i, p), f_i, +1)
+        x_i = reversal_coordinate(f_i, p)
+        force = dahl_branch(BranchState(x_i, f_i, +1), p)
         xs = _predictions(f_i, p)
-        for x in _linspace(branch.x_rev, xs[0], 201):
-            curve_rows.append((f_c, x, dahl_branch_force(x, branch, p)))
-        forces = [math.nan if math.isnan(x) else dahl_branch_force(x, branch, p) for x in xs]
+        for x in _linspace(x_i, xs[0], 201):
+            curve_rows.append((f_c, x, force(x)))
+        forces = [math.nan if math.isnan(x) else force(x) for x in xs]
         pred_rows.append((f_c, potential_energy(f_i, p), *xs, *forces))
     return [
         ("fig5.csv", curve_header, _columns(curve_rows, 3)),

@@ -4,9 +4,13 @@ Two rate-independent force-displacement maps are implemented:
 
 - the Dahl friction model, in its differential form (``dahl_rate``, any
   shape exponent gamma >= 0) and in its algebraic branch form
-  (``dahl_branch_force``, gamma == 1 only), and
-- the saturating linear spring (``stop_spring_force``), the piecewise
+  (``dahl_branch``, gamma == 1 only), and
+- the saturating linear spring (``stop_spring``), the piecewise
   affine stop-type map that serves as the zero-dissipation reference.
+
+A branch map is built once per branch: ``dahl_branch(b, p)`` and
+``stop_spring(b, sp)`` check the branch and bind its constants, and return
+the force as a function of x alone.
 
 A hysteresis branch is the curve traced after one velocity reversal; it
 is fully described by the reversal point, the force there, and the
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DomainError
 from .oracle import integrate
@@ -27,9 +32,9 @@ __all__ = [
     "BranchState",
     "LinearSpringParams",
     "dahl_rate",
-    "dahl_branch_force",
+    "dahl_branch",
     "reverse_branch",
-    "stop_spring_force",
+    "stop_spring",
     "loop_dissipation",
 ]
 
@@ -132,35 +137,34 @@ def dahl_rate(f: float, v: float, p: FrictionParams) -> float:
     return p.sigma * (1.0 - (f / p.f_c) * s) ** p.gamma
 
 
-def _check_branch(x: float, b: BranchState, f_c: float) -> None:
-    if abs(b.f_rev) > f_c:
-        raise DomainError(f"|f_rev|={abs(b.f_rev)} exceeds f_c={f_c}")
-    if (x - b.x_rev) * b.direction < 0.0:
-        raise DomainError(
-            f"x={x} lies behind the reversal point x_rev={b.x_rev} "
-            f"for direction {b.direction:+d}"
-        )
-
-
-def dahl_branch_force(x: float, b: BranchState, p: FrictionParams) -> float:
-    """Dahl restoring force along one branch (algebraic form, gamma == 1).
+def dahl_branch(b: BranchState, p: FrictionParams) -> Callable[[float], float]:
+    """Dahl branch force as a map x -> F (algebraic form, gamma == 1).
 
     F(x) = d*(f_c - (f_c - d*f_rev)*exp(-d*(sigma/f_c)*(x - x_rev))) with
-    d = b.direction. Defined only forward of the reversal point; querying
-    behind it raises (the branch has no physical meaning there). The result
-    is bounded, |F| <= f_c, and tends monotonically to direction*f_c.
-    One test covers both preconditions; only when it fails are they checked
-    in turn, so each error keeps its type, wording and order.
+    d = b.direction. gamma == 1 and |f_rev| <= f_c are checked here, once,
+    in that order; the returned map raises for a query behind the reversal
+    point (the branch has no physical meaning there) and returns f_rev
+    exactly at x == x_rev. The result is bounded, |F| <= f_c, and tends
+    monotonically to direction*f_c.
     """
+    p.require_gamma_one()
     x_rev, f_rev, direction, f_c = b.x_rev, b.f_rev, b.direction, p.f_c
-    if p.gamma != 1.0 or abs(f_rev) > f_c or (x - x_rev) * direction < 0.0:
-        p.require_gamma_one()
-        _check_branch(x, b, f_c)
-    if x == x_rev:
-        return f_rev  # exact pass-through of the initial condition
+    if abs(f_rev) > f_c:
+        raise DomainError(f"|f_rev|={abs(f_rev)} exceeds f_c={f_c}")
     d = 1.0 if direction > 0 else -1.0
-    expo = math.exp(-d * (p.sigma / f_c) * (x - x_rev))
-    return d * (f_c - (f_c - d * f_rev) * expo)
+    rate, headroom = -d * (p.sigma / f_c), f_c - d * f_rev
+
+    def force(x: float) -> float:
+        if (x - x_rev) * d < 0.0:
+            raise DomainError(
+                f"x={x} lies behind the reversal point x_rev={x_rev} "
+                f"for direction {direction:+d}"
+            )
+        if x == x_rev:
+            return f_rev  # exact pass-through of the initial condition
+        return d * (f_c - headroom * math.exp(rate * (x - x_rev)))
+
+    return force
 
 
 def reverse_branch(b: BranchState, x_new: float, p: FrictionParams) -> BranchState:
@@ -169,18 +173,21 @@ def reverse_branch(b: BranchState, x_new: float, p: FrictionParams) -> BranchSta
     Evaluates the current branch at x_new and returns the new branch that
     starts there with flipped direction. Pure; b is unchanged.
     """
-    f_new = dahl_branch_force(x_new, b, p)
-    return BranchState(x_new, f_new, -b.direction)
+    return BranchState(x_new, dahl_branch(b, p)(x_new), -b.direction)
 
 
-def stop_spring_force(x: float, b: BranchState, sp: LinearSpringParams) -> float:
-    """Saturating linear spring force with memory (stop-type map).
+def stop_spring(b: BranchState, sp: LinearSpringParams) -> Callable[[float], float]:
+    """Saturating linear spring force with memory as a map x -> F (stop type).
 
-    F = clamp(f_rev + k*(x - x_rev), -f_c, +f_c). Inside the band the map
+    F(x) = clamp(f_rev + k*(x - x_rev), -f_c, +f_c). Inside the band the map
     is exactly affine, so closed unsaturated cycles are conservative.
     """
-    f = b.f_rev + sp.k * (x - b.x_rev)
-    return min(max(f, -sp.f_c), sp.f_c)
+    x_rev, f_rev, k, f_c = b.x_rev, b.f_rev, sp.k, sp.f_c
+
+    def force(x: float) -> float:
+        return min(max(f_rev + k * (x - x_rev), -f_c), f_c)
+
+    return force
 
 
 def loop_dissipation(
@@ -188,19 +195,19 @@ def loop_dissipation(
     b_down: BranchState,
     x_lo: float,
     x_hi: float,
-    force_map,
+    branch,
     params,
 ) -> float:
     """Area between an ascending and a descending branch over [x_lo, x_hi].
 
     Net dissipated energy of one cycle: integral of
-    (force_map(x, b_up) - force_map(x, b_down)) dx, computed by adaptive
-    quadrature to relative tolerance 1e-10. For a clockwise hysteresis
-    map the ascending branch lies above the descending one and the result
-    is >= 0; for the unsaturated linear spring it vanishes.
+    (branch(b_up, params)(x) - branch(b_down, params)(x)) dx, computed by
+    adaptive quadrature to relative tolerance 1e-10. For a clockwise
+    hysteresis map the ascending branch lies above the descending one and
+    the result is >= 0; for the unsaturated linear spring it vanishes.
 
-    force_map is one of dahl_branch_force / stop_spring_force; params is
-    the matching parameter object.
+    branch is dahl_branch or stop_spring; params is the matching parameter
+    object. Each branch map is built once, after the bounds are checked.
     """
     if x_lo > x_hi:
         raise DomainError(f"x_lo={x_lo} must not exceed x_hi={x_hi}")
@@ -215,7 +222,9 @@ def loop_dissipation(
     if b_down.x_rev < x_hi:
         raise DomainError("b_down must descend from at or above x_hi")
 
+    up, down = branch(b_up, params), branch(b_down, params)
+
     def gap(x: float) -> float:
-        return force_map(x, b_up, params) - force_map(x, b_down, params)
+        return up(x) - down(x)
 
     return integrate(gap, x_lo, x_hi, rel_tol=1e-10).value

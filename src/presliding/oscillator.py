@@ -199,7 +199,7 @@ def _kernel(p: FrictionParams):
             if v == 0.0:
                 r1 = 0.0 * v
             elif f > f_c or f < neg_f_c:
-                raise _band_escape(f, f_c, h)
+                raise _band_escape(f, p, h)
             else:
                 b = 1.0 - f / f_c if v > 0.0 else 1.0 + f / f_c
                 r1 = sigma * (b if unit else b**gamma) * v
@@ -208,7 +208,7 @@ def _kernel(p: FrictionParams):
             if v2 == 0.0:
                 r2 = 0.0 * v2
             elif f2 > f_c or f2 < neg_f_c:
-                raise _band_escape(f2, f_c, h)
+                raise _band_escape(f2, p, h)
             else:
                 b = 1.0 - f2 / f_c if v2 > 0.0 else 1.0 + f2 / f_c
                 r2 = sigma * (b if unit else b**gamma) * v2
@@ -217,7 +217,7 @@ def _kernel(p: FrictionParams):
             if v3 == 0.0:
                 r3 = 0.0 * v3
             elif f3 > f_c or f3 < neg_f_c:
-                raise _band_escape(f3, f_c, h)
+                raise _band_escape(f3, p, h)
             else:
                 b = 1.0 - f3 / f_c if v3 > 0.0 else 1.0 + f3 / f_c
                 r3 = sigma * (b if unit else b**gamma) * v3
@@ -226,7 +226,7 @@ def _kernel(p: FrictionParams):
             if v4 == 0.0:
                 r4 = 0.0 * v4
             elif f4 > f_c or f4 < neg_f_c:
-                raise _band_escape(f4, f_c, h)
+                raise _band_escape(f4, p, h)
             else:
                 b = 1.0 - f4 / f_c if v4 > 0.0 else 1.0 + f4 / f_c
                 r4 = sigma * (b if unit else b**gamma) * v4
@@ -256,11 +256,11 @@ def _kernel(p: FrictionParams):
     return march
 
 
-def _band_escape(f: float, f_c: float, h: float) -> StepRejectionError:
-    """Rejection of a step whose stage force left the band (dahl_rate's wording)."""
+def _band_escape(f: float, p: FrictionParams, h: float) -> StepRejectionError:
+    """Rejection of a step whose stage force left the band, naming the setting to change."""
     return StepRejectionError(
         f"force escaped the band inside a step of dt={h}: |f|={abs(f)} escaped the "
-        f"admissible band f_c={f_c}; integration step too large"
+        f"admissible band f_c={p.f_c}; reduce sim.dt for sigma/f_c={p.ratio}"
     )
 
 

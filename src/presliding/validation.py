@@ -29,11 +29,11 @@ from .hysteresis import (
     BranchState,
     FrictionParams,
     LinearSpringParams,
-    dahl_branch_force,
+    dahl_branch,
     dahl_rate,
     loop_dissipation,
     reverse_branch,
-    stop_spring_force,
+    stop_spring,
 )
 from .oracle import derivative, find_root, integrate
 from .oscillator import SimConfig, Trajectory, simulate
@@ -90,9 +90,7 @@ def check_quadrature_equivalence() -> CheckResult:
             f_i = -u * p.f_c
             x_i = reversal_coordinate(f_i, p)
             branch = BranchState(x_rev=x_i, f_rev=f_i, direction=+1)
-            quad = integrate(
-                lambda x: dahl_branch_force(x, branch, p), x_i, 0.0, rel_tol=1e-12
-            )
+            quad = integrate(dahl_branch(branch, p), x_i, 0.0, rel_tol=1e-12)
             e_ref = -quad.value
             rel = abs(potential_energy(f_i, p) - e_ref) / e_ref
             worst = max(worst, rel)
@@ -104,11 +102,11 @@ def check_form_consistency() -> CheckResult:
     worst = 0.0
     for ratio in (1.0, 10.0, 100.0):
         p = FrictionParams(f_c=1.0, sigma=ratio)
-        branch = BranchState(x_rev=0.0, f_rev=-p.f_c, direction=+1)
+        force = dahl_branch(BranchState(x_rev=0.0, f_rev=-p.f_c, direction=+1), p)
         for f_target in _linspace(-0.9, 0.9, 10):
             x = (p.f_c / p.sigma) * math.log(2.0 / (1.0 - f_target))
-            slope_fd = derivative(lambda q: dahl_branch_force(q, branch, p), x)
-            slope_model = dahl_rate(dahl_branch_force(x, branch, p), +1.0, p)
+            slope_fd = derivative(force, x)
+            slope_model = dahl_rate(force(x), +1.0, p)
             rel = abs(slope_fd - slope_model) / abs(slope_model)
             worst = max(worst, rel)
     return CheckResult("form-consistency", worst < 1e-6, worst, 1e-6)
@@ -119,9 +117,9 @@ def check_stop_spring_conservative() -> CheckResult:
     sp = LinearSpringParams(k=2.0, f_c=1.0)
     x_amp = 0.35
     b_up = BranchState(x_rev=0.0, f_rev=-0.4, direction=+1)
-    f_hi = stop_spring_force(x_amp, b_up, sp)
+    f_hi = stop_spring(b_up, sp)(x_amp)
     b_down = BranchState(x_rev=x_amp, f_rev=f_hi, direction=-1)
-    delta = loop_dissipation(b_up, b_down, 0.0, x_amp, stop_spring_force, sp)
+    delta = loop_dissipation(b_up, b_down, 0.0, x_amp, stop_spring, sp)
     tol = 1e-10 * sp.k * x_amp**2
     return CheckResult("stop-spring-conservative", abs(delta) < tol, abs(delta), tol)
 
@@ -142,7 +140,7 @@ def check_clockwise_dissipation() -> CheckResult:
                 x_hi = x_lo + (f_c / p.sigma) * math.log((1.0 + c) / (1.0 - c))
                 b_up = BranchState(x_rev=x_lo, f_rev=-c * f_c, direction=+1)
                 b_down = reverse_branch(b_up, x_hi, p)
-                delta = loop_dissipation(b_up, b_down, x_lo, x_hi, dahl_branch_force, p)
+                delta = loop_dissipation(b_up, b_down, x_lo, x_hi, dahl_branch, p)
                 min_delta = min(min_delta, delta)
     return CheckResult(
         "clockwise-dissipation", min_delta > 0.0, min_delta, 0.0,
@@ -155,7 +153,7 @@ def check_energy_balance(traj: Trajectory, label: str) -> list[CheckResult]:
     cfg = traj.config
     k = 0.5 * cfg.params.mass
     e0 = k * cfg.v0**2
-    drift = max(abs(k * (v * v) + e - e0) for v, e in zip(traj.v, traj.e_f_cum)) / e0
+    drift = max([abs(k * (v * v) + e - e0) for v, e in zip(traj.v, traj.e_f_cum)]) / e0
     v_rev = 0.0
     for r in traj.reversals:
         v_rev = max(v_rev, abs(traj.v[bisect_left(traj.t, r.t_i)]))
@@ -338,7 +336,7 @@ def omega_envelope_deviation(exponent: float = SLOPE_EXPONENT) -> float:
             f_i = -u * p.f_c
             x_next = next_reversal_exact(f_i, p)
             k = s * (p.f_c / (p.f_c - f_i)) ** exponent
-            dev = max(abs(math.exp(-s * x) - (1.0 - k * x)) for x in _linspace(0.0, x_next, 201))
+            dev = max([abs(math.exp(-s * x) - (1.0 - k * x)) for x in _linspace(0.0, x_next, 201)])
             worst = max(worst, dev)
     return worst
 

@@ -57,7 +57,12 @@ def reference_advance(x, v, f, e, h, p):
         v4, f4 = v + h * (-f3 * inv_m), f + h * r3
         r4 = dahl_rate(f4, v4, p) * v4
     except DomainError as exc:
-        raise StepRejectionError(f"force escaped the band inside a step of dt={h}: {exc}")
+        # dahl_rate's wording, ending in the setting the simulator's message names
+        reason = str(exc).removesuffix("integration step too large")
+        raise StepRejectionError(
+            f"force escaped the band inside a step of dt={h}: {reason}"
+            f"reduce sim.dt for sigma/f_c={p.ratio}"
+        )
     c = h / 6.0
     x_new = x + c * (v + 2.0 * v2 + 2.0 * v3 + v4)
     v_new = v + c * (-f * inv_m + 2.0 * (-f2 * inv_m) + 2.0 * (-f3 * inv_m) + -f4 * inv_m)

@@ -623,6 +623,13 @@ PROBES = {
         ["simulate", "--override", "params.sigma=1e308"],
         2, "config error: params: sigma=1e+308 overflows the peak Dahl slope",
     ),
+    # a stage force leaves the band: the message names the setting to change
+    "simulate_band_escape": (
+        ["simulate", "--override", "sim.dt=0.5", "--override", "params.sigma=1000"],
+        3, "run error: simulate: StepRejectionError: force escaped the band inside a step "
+           "of dt=0.5: |f|=125.0 escaped the admissible band f_c=1.0; "
+           "reduce sim.dt for sigma/f_c=1000.0\n",
+    ),
     "simulate_sweep_gamma_overflow": (
         ["simulate", "--override", "params.gamma=1023.5", "--override", "sweep=[0.5,10]"],
         2, "config error: sweep[1]: gamma=1023.5 overflows the peak Dahl slope",

@@ -11,11 +11,11 @@ from presliding import (
     DomainError,
     FrictionParams,
     LinearSpringParams,
-    dahl_branch_force,
+    dahl_branch,
     dahl_rate,
     loop_dissipation,
     reverse_branch,
-    stop_spring_force,
+    stop_spring,
 )
 
 P1 = FrictionParams(f_c=1.0, sigma=1.0)
@@ -118,37 +118,37 @@ def test_rate_matches_branch_slope_by_quadrature():
 
 def test_branch_through_initial_condition():
     b = BranchState(0.3, -0.7, +1)
-    assert dahl_branch_force(0.3, b, P1) == -0.7
+    assert dahl_branch(b, P1)(0.3) == -0.7
 
 
 def test_branch_saturates_far_ahead():
     b = BranchState(0.0, -1.0, +1)
-    assert abs(dahl_branch_force(40.0, b, P1) - 1.0) < 1e-15
+    assert abs(dahl_branch(b, P1)(40.0) - 1.0) < 1e-15
     b_down = BranchState(0.0, 1.0, -1)
-    assert abs(dahl_branch_force(-40.0, b_down, P1) + 1.0) < 1e-15
+    assert abs(dahl_branch(b_down, P1)(-40.0) + 1.0) < 1e-15
 
 
 def test_branch_worked_example():
     b = BranchState(0.0, -0.5, +1)
-    assert abs(dahl_branch_force(math.log(2.0), b, P1) - 0.25) < 1e-15
+    assert abs(dahl_branch(b, P1)(math.log(2.0)) - 0.25) < 1e-15
 
 
 def test_branch_rejects_queries_behind_reversal():
     b = BranchState(0.0, -0.5, +1)
     with pytest.raises(DomainError):
-        dahl_branch_force(-0.01, b, P1)
+        dahl_branch(b, P1)(-0.01)
 
 
 def test_branch_requires_gamma_one():
     p = FrictionParams(1.0, 1.0, gamma=2.0)
     with pytest.raises(DomainError):
-        dahl_branch_force(0.1, BranchState(0.0, 0.0, +1), p)
+        dahl_branch(BranchState(0.0, 0.0, +1), p)(0.1)
 
 
 def test_branch_rejects_out_of_band_memory():
     b = BranchState(0.0, 1.5, +1)
     with pytest.raises(DomainError):
-        dahl_branch_force(0.1, b, P1)
+        dahl_branch(b, P1)(0.1)
 
 
 @pytest.mark.parametrize(
@@ -179,8 +179,15 @@ def test_branch_rejects_out_of_band_memory():
     ],
 )
 def test_branch_error_order_and_wording(x, b, p, message):
-    with pytest.raises(DomainError) as exc:
-        dahl_branch_force(x, b, p)
+    # gamma and the memory are checked when the map is built, a query
+    # behind the reversal when the map is called
+    if message.startswith("x="):
+        force = dahl_branch(b, p)
+        with pytest.raises(DomainError) as exc:
+            force(x)
+    else:
+        with pytest.raises(DomainError) as exc:
+            dahl_branch(b, p)
     assert str(exc.value) == message
 
 
@@ -189,6 +196,29 @@ branch_params = st.builds(
     f_c=st.floats(0.1, 10.0),
     sigma=st.floats(0.01, 1e4),
 )
+
+
+def branch_formula(x, b, p):
+    """The branch force as its definition reads, evaluated at x."""
+    d = float(b.direction)
+    return d * (p.f_c - (p.f_c - d * b.f_rev) * math.exp(-d * (p.sigma / p.f_c) * (x - b.x_rev)))
+
+
+@given(
+    p=branch_params,
+    f_frac=st.floats(-1.0, 1.0),
+    x_rev=st.floats(-10.0, 10.0),
+    dx_frac=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+    direction=st.sampled_from([+1, -1]),
+)
+def test_branch_map_equals_the_formula(p, f_frac, x_rev, dx_frac, direction):
+    # the map binds the branch constants once and keeps the formula's
+    # operation order, so every value is the same double
+    b = BranchState(x_rev, f_frac * p.f_c, direction)
+    force = dahl_branch(b, p)
+    x = x_rev + direction * dx_frac * p.f_c / p.sigma
+    assert force(x) == (b.f_rev if x == x_rev else branch_formula(x, b, p))
+    assert force(x_rev) == b.f_rev
 
 
 @given(
@@ -200,7 +230,7 @@ branch_params = st.builds(
 def test_branch_force_bounded(p, f_frac, dx_frac, direction):
     b = BranchState(0.0, f_frac * p.f_c, direction)
     x = direction * dx_frac * p.f_c / p.sigma
-    f = dahl_branch_force(x, b, p)
+    f = dahl_branch(b, p)(x)
     assert abs(f) <= p.f_c * (1.0 + 1e-12)
 
 
@@ -216,8 +246,8 @@ def test_branch_rate_independence_translation(p, f_frac, dx_frac, shift):
     # by the branch stiffness
     b = BranchState(0.0, f_frac * p.f_c, +1)
     x = dx_frac * p.f_c / p.sigma
-    f0 = dahl_branch_force(x, b, p)
-    f1 = dahl_branch_force(x + shift, BranchState(b.x_rev + shift, b.f_rev, b.direction), p)
+    f0 = dahl_branch(b, p)(x)
+    f1 = dahl_branch(BranchState(b.x_rev + shift, b.f_rev, b.direction), p)(x + shift)
     assert f1 == pytest.approx(f0, rel=1e-9, abs=1e-9 * p.f_c)
 
 
@@ -234,8 +264,8 @@ def test_branch_clockwise_ordering_on_closed_cycles(p, c, frac):
     b_down = reverse_branch(b_up, x_hi, p)
     assert b_down.f_rev == pytest.approx(c * p.f_c, rel=1e-12, abs=1e-13 * p.f_c)
     x = frac * x_hi
-    up = dahl_branch_force(x, b_up, p)
-    down = dahl_branch_force(x, b_down, p)
+    up = dahl_branch(b_up, p)(x)
+    down = dahl_branch(b_down, p)(x)
     assert up >= down - 1e-12 * p.f_c
 
 
@@ -244,7 +274,7 @@ def test_branch_coulomb_limit():
     # within a displacement below 10*f_c/sigma of the reversal
     p = FrictionParams(1.0, 1e6)
     b = BranchState(0.0, -1.0, +1)
-    assert dahl_branch_force(10.0 * p.f_c / p.sigma, b, p) >= 0.99 * p.f_c
+    assert dahl_branch(b, p)(10.0 * p.f_c / p.sigma) >= 0.99 * p.f_c
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +308,19 @@ def test_reverse_branch_worked_example():
 def test_stop_spring_through_initial_condition():
     sp = LinearSpringParams(k=3.0, f_c=1.0)
     b = BranchState(0.5, 0.2, +1)
-    assert stop_spring_force(0.5, b, sp) == 0.2
+    assert stop_spring(b, sp)(0.5) == 0.2
 
 
 def test_stop_spring_saturation():
     sp = LinearSpringParams(k=2.0, f_c=1.0)
-    assert stop_spring_force(10.0, BranchState(0.0, 0.0, +1), sp) == 1.0
-    assert stop_spring_force(-10.0, BranchState(0.0, 0.0, -1), sp) == -1.0
+    assert stop_spring(BranchState(0.0, 0.0, +1), sp)(10.0) == 1.0
+    assert stop_spring(BranchState(0.0, 0.0, -1), sp)(-10.0) == -1.0
 
 
 def test_stop_spring_affine_segment():
     sp = LinearSpringParams(k=1.0, f_c=1.0)
     b = BranchState(0.0, -1.0, +1)
-    assert stop_spring_force(0.5, b, sp) == -0.5
+    assert stop_spring(b, sp)(0.5) == -0.5
 
 
 @given(
@@ -302,7 +332,7 @@ def test_stop_spring_affine_segment():
 def test_stop_spring_always_clamped(k, f_c, f0_frac, x):
     sp = LinearSpringParams(k=k, f_c=f_c)
     b = BranchState(0.0, f0_frac * f_c, +1)
-    assert abs(stop_spring_force(x, b, sp)) <= f_c
+    assert abs(stop_spring(b, sp)(x)) <= f_c
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +342,15 @@ def test_stop_spring_always_clamped(k, f_c, f0_frac, x):
 def test_loop_degenerate_cycle():
     b_up = BranchState(0.0, -0.5, +1)
     b_down = BranchState(0.0, -0.5, -1)
-    assert loop_dissipation(b_up, b_down, 0.0, 0.0, dahl_branch_force, P1) == 0.0
+    assert loop_dissipation(b_up, b_down, 0.0, 0.0, dahl_branch, P1) == 0.0
 
 
 def test_loop_stop_spring_conservative():
     sp = LinearSpringParams(k=2.0, f_c=1.0)
     b_up = BranchState(0.0, -0.4, +1)
-    f_hi = stop_spring_force(0.35, b_up, sp)
+    f_hi = stop_spring(b_up, sp)(0.35)
     b_down = BranchState(0.35, f_hi, -1)
-    delta = loop_dissipation(b_up, b_down, 0.0, 0.35, stop_spring_force, sp)
+    delta = loop_dissipation(b_up, b_down, 0.0, 0.35, stop_spring, sp)
     assert abs(delta) < 1e-10 * sp.k * 0.35**2
 
 
@@ -329,9 +359,9 @@ def test_loop_dahl_half_saturated_cycle():
     # area was measured once by the quadrature oracle and frozen
     b_up = BranchState(0.0, -1.0, +1)
     x_hi = math.log(4.0)
-    assert abs(dahl_branch_force(x_hi, b_up, P1) - 0.5) < 1e-15
+    assert abs(dahl_branch(b_up, P1)(x_hi) - 0.5) < 1e-15
     b_down = reverse_branch(b_up, x_hi, P1)
-    delta = loop_dissipation(b_up, b_down, 0.0, x_hi, dahl_branch_force, P1)
+    delta = loop_dissipation(b_up, b_down, 0.0, x_hi, dahl_branch, P1)
     assert delta > 0.0
     assert delta == pytest.approx(0.14758872223978106, rel=1e-10)
 
@@ -346,7 +376,7 @@ def test_loop_energy_balanced_cycle():
     x_next = next_reversal_exact(f_i, P1)
     b_up = BranchState(x_i, f_i, +1)
     b_down = reverse_branch(b_up, x_next, P1)
-    delta = loop_dissipation(b_up, b_down, x_i, x_next, dahl_branch_force, P1)
+    delta = loop_dissipation(b_up, b_down, x_i, x_next, dahl_branch, P1)
     assert delta == pytest.approx(0.2625792827433637, rel=1e-9)
 
 
@@ -354,9 +384,9 @@ def test_loop_preconditions():
     b_up = BranchState(0.0, -0.5, +1)
     b_down = BranchState(1.0, 0.5, -1)
     with pytest.raises(DomainError):
-        loop_dissipation(b_up, b_down, 1.0, 0.0, dahl_branch_force, P1)
+        loop_dissipation(b_up, b_down, 1.0, 0.0, dahl_branch, P1)
     with pytest.raises(DomainError):
-        loop_dissipation(b_down, b_down, 0.0, 1.0, dahl_branch_force, P1)
+        loop_dissipation(b_down, b_down, 0.0, 1.0, dahl_branch, P1)
     with pytest.raises(DomainError):
         # descending branch does not cover the interval top
-        loop_dissipation(b_up, BranchState(0.5, 0.1, -1), 0.0, 1.0, dahl_branch_force, P1)
+        loop_dissipation(b_up, BranchState(0.5, 0.1, -1), 0.0, 1.0, dahl_branch, P1)

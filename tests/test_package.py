@@ -75,7 +75,7 @@ def test_every_package_export_has_a_consumer():
 
 
 def test_removed_closed_form_names_stay_gone():
-    # the linear decay factor is a plain slope, and the branch force is dahl_branch_force;
+    # the linear decay factor is a plain slope, and the branch force is dahl_branch(b, p)(x);
     # the zero crossing is x_i - reversal_coordinate(f_i, p), and the largest
     # recoverable energy is potential_energy(-p.f_c, p); a reversal chain is five columns;
     # the branch work f_c*x + (f_c**2/sigma)*expm1(-(sigma/f_c)*x) had no caller
@@ -103,6 +103,10 @@ def test_removed_closed_form_names_stay_gone():
         from presliding import energy_antiderivative  # noqa: F401
     with pytest.raises(ImportError):
         from presliding.reversal import energy_antiderivative  # noqa: F401,F811
+    # the pointwise branch forces are the prepared maps dahl_branch and stop_spring
+    for name in ("dahl_branch_force", "stop_spring_force"):
+        assert not hasattr(presliding, name)
+        assert not hasattr(presliding.hysteresis, name)
 
 
 def import_nodes(source: str) -> list[ast.stmt]:

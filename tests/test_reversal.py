@@ -14,7 +14,7 @@ from presliding import (
     ConvergenceError,
     DomainError,
     FrictionParams,
-    dahl_branch_force,
+    dahl_branch,
     find_root,
     integrate,
     next_reversal_approx,
@@ -82,7 +82,7 @@ def test_zero_crossing_is_branch_zero():
             f_i = -u
             x0 = 0.25 - reversal_coordinate(f_i, p)
             b = BranchState(0.25, f_i, +1)
-            assert abs(dahl_branch_force(x0, b, p)) < 1e-12
+            assert abs(dahl_branch(b, p)(x0)) < 1e-12
 
 
 def test_reversal_coordinate_saturated():
@@ -101,7 +101,7 @@ def test_frames_are_consistent(p, u, x_i):
     # abs slack is the cancellation floor of subtracting x_i back out
     f_i = -u * p.f_c
     b = BranchState(reversal_coordinate(f_i, p), f_i, +1)
-    assert dahl_branch_force(0.0, b, p) == pytest.approx(0.0, abs=1e-12 * p.f_c)
+    assert dahl_branch(b, p)(0.0) == pytest.approx(0.0, abs=1e-12 * p.f_c)
     assert (x_i - reversal_coordinate(f_i, p)) - x_i == pytest.approx(
         -reversal_coordinate(f_i, p), rel=1e-12, abs=1e-13
     )
@@ -123,7 +123,7 @@ def test_branch_work_matches_branch_quadrature():
     # integral of the package's own branch force
     p = FrictionParams(2.0, 5.0)
     b = BranchState(0.0, 0.0, +1)  # branch through the zero-crossing frame origin
-    val = integrate(lambda x: dahl_branch_force(x, b, p), 0.0, 0.7, rel_tol=1e-12)
+    val = integrate(dahl_branch(b, p), 0.0, 0.7, rel_tol=1e-12)
     assert branch_work(0.7, p) == pytest.approx(val.value, rel=1e-10)
 
 
@@ -141,7 +141,7 @@ def test_potential_energy_worked_example():
     assert potential_energy(-0.5, p) == pytest.approx(0.009453489189183562, rel=1e-14)
     x_i = reversal_coordinate(-0.5, p)
     b = BranchState(x_i, -0.5, +1)
-    quad = integrate(lambda x: dahl_branch_force(x, b, p), x_i, 0.0, rel_tol=1e-12)
+    quad = integrate(dahl_branch(b, p), x_i, 0.0, rel_tol=1e-12)
     assert potential_energy(-0.5, p) == pytest.approx(-quad.value, rel=1e-10)
 
 
@@ -316,16 +316,16 @@ def ascending_branch(f_i, p):
 def test_next_force_at_reversal_coordinate():
     branch = ascending_branch(-0.7, P1)
     x = math.nextafter(branch.x_rev, 1.0)  # past the pass-through of the reversal point
-    assert dahl_branch_force(x, branch, P1) == pytest.approx(-0.7, rel=1e-14)
+    assert dahl_branch(branch, P1)(x) == pytest.approx(-0.7, rel=1e-14)
 
 
 def test_next_force_at_zero_crossing():
-    assert abs(dahl_branch_force(0.0, ascending_branch(-0.7, P1), P1)) < 1e-15
+    assert abs(dahl_branch(ascending_branch(-0.7, P1), P1)(0.0)) < 1e-15
 
 
 def test_next_force_composed_with_exact_predictor():
     x = next_reversal_exact(-1.0, P1)
-    f_next = dahl_branch_force(x, ascending_branch(-1.0, P1), P1)
+    f_next = dahl_branch(ascending_branch(-1.0, P1), P1)(x)
     assert 0.0 < f_next < 1.0
     assert f_next == pytest.approx(0.5936242600399892, abs=1e-10)
 
@@ -333,7 +333,7 @@ def test_next_force_composed_with_exact_predictor():
 def test_next_force_frame_violation():
     branch = ascending_branch(-0.7, P1)
     with pytest.raises(DomainError):
-        dahl_branch_force(branch.x_rev - 0.01, branch, P1)
+        dahl_branch(branch, P1)(branch.x_rev - 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,7 @@ def test_chain_single_step_composes_primitives():
     assert x_n[0] == pytest.approx(reversal_coordinate(-0.6, p), rel=1e-15)
     assert e_p[0] == pytest.approx(potential_energy(-0.6, p), rel=1e-15)
     x1 = next_reversal_exact(-0.6, p)
-    f1 = dahl_branch_force(x1, ascending_branch(-0.6, p), p)
+    f1 = dahl_branch(ascending_branch(-0.6, p), p)(x1)
     assert e_d[0] == pytest.approx(potential_energy(-f1, p) * -1 + e_p[0], rel=1e-12)
 
 
