@@ -37,10 +37,10 @@ from typing import Optional, Sequence
 from ._csv import encode_csv
 from .errors import ConfigError, ConvergenceError, DomainError, StepRejectionError
 from .figures import (
+    CHAIN_HEADER,
     DEFAULT_SWEEPS,
     FIG7_README,
     _columns,
-    chain_table,
     fig3_table,
     fig4_table,
     fig5_tables,
@@ -108,14 +108,10 @@ def default_config(kind: str) -> dict:
 
 
 def _parse_override_value(raw: str):
+    """An override value as JSON, or the raw string where it is not JSON."""
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
-        if "," in raw:
-            try:
-                return [float(tok) for tok in raw.split(",") if tok]
-            except ValueError:
-                pass
         return raw
 
 
@@ -353,7 +349,7 @@ def _run_chain(cfg: ExperimentConfig, files: dict) -> None:
     c = cfg.chain
     for sfx, _, p in cfg.runs:
         chain = reversal_chain(c.f0_over_fc * p.f_c, c.n_steps, p, mode=c.mode)
-        files[f"chain{sfx}.csv"] = encode_csv(*chain_table(chain))
+        files[f"chain{sfx}.csv"] = encode_csv(CHAIN_HEADER, chain)
 
 
 def _run_fig7(cfg: ExperimentConfig, files: dict) -> None:
@@ -377,13 +373,9 @@ def _run_validate(cfg: ExperimentConfig, files: dict) -> int:
     )
     header = validation.AUDIT_HEADER
     files["approx_audit.csv"] = encode_csv(header, _columns(audit_rows, len(header)))
-    for c in checks:
-        status = "pass" if c.passed else "FAIL"
-        print(
-            f"[{status}] {c.name}: measured={c.measured:.6g} "
-            f"tolerance={c.tolerance:.6g}"
-            + (f" ({c.detail})" if c.detail else "")
-        )
+    for name, status, measured, tolerance, detail in report:
+        print(f"[{status}] {name}: measured={measured:.6g} tolerance={tolerance:.6g}"
+              + (f" ({detail})" if detail else ""))
     return 0 if all(c.passed for c in checks) else 1
 
 

@@ -8,10 +8,12 @@ class DomainError(ValueError):
 
 
 class StepRejectionError(RuntimeError):
-    """The friction force escaped the admissible band during a step.
+    """A simulation step, or the run, cannot go on.
 
-    Signals that the integration step is too large for the current
-    stiffness-to-friction ratio.
+    Raised when the friction force leaves the admissible band inside a
+    step or at its end (the message names the settings to change), when
+    two reversals fall inside one step, and when a run exhausts its step
+    budget (oscillator.MAX_STEPS) before it stops.
     """
 
 

@@ -33,7 +33,7 @@ __all__ = [
     "DEFAULT_SWEEPS",
     "trajectory_table",
     "reversals_table",
-    "chain_table",
+    "CHAIN_HEADER",
     "fig3_table",
     "fig4_table",
     "fig5_tables",
@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 FORCE_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
+
+# the header of a reversal chain's columns, reversal_chain's result
+CHAIN_HEADER = ["n", "F_n", "x_n", "E_p", "E_d"]
 
 # default sweep of each kind that takes one: sigma/f_c ratios, except for
 # fig5, which sweeps the friction level f_c at fixed sigma
@@ -113,11 +116,6 @@ def reversals_table(traj: Trajectory) -> tuple[list[str], list[Sequence]]:
     """Reversal records as i,t_i,x_i,F_i,E_p,E_d_halfcycle."""
     rows = [(r.index, r.t_i, r.x_i, r.f_i, r.e_p, r.e_d_halfcycle) for r in traj.reversals]
     return ["i", "t_i", "x_i", "F_i", "E_p", "E_d_halfcycle"], _columns(rows, 6)
-
-
-def chain_table(columns: list[list]) -> tuple[list[str], list[list]]:
-    """A reversal chain's columns (reversal_chain's result) under n,F_n,x_n,E_p,E_d."""
-    return ["n", "F_n", "x_n", "E_p", "E_d"], columns
 
 
 def fig3_table(runs: Runs) -> tuple[list[str], list[list]]:
@@ -197,14 +195,14 @@ def fig6_table(
     runs: Runs, f0_over_fc: float, n_steps: int, mode: str
 ) -> tuple[list[str], list[list]]:
     """Reversal-chain energies per stiffness ratio, seeded at f0_over_fc*f_c."""
-    header = ["ratio", "n", "F_n", "x_n", "E_p", "E_d"]
+    header = ["ratio", *CHAIN_HEADER]
     columns = [[] for _ in header]
-    shared = ratios = None
+    ratios = None
     for _, ratio, p in runs:
         f_0 = f0_over_fc * p.f_c
-        # the exact ratios are sigma-free: a sweep, which sets sigma, shares them
-        if mode != "exact" or shared != (p.f_c, p.gamma):
-            shared, ratios = (p.f_c, p.gamma), _chain_ratios(f_0, n_steps, p, mode)
+        # the exact ratios are sigma-free, and the runs differ in sigma only (the sweep's)
+        if mode != "exact" or ratios is None:
+            ratios = _chain_ratios(f_0, n_steps, p, mode)
         for col, values in zip(columns, [[ratio] * n_steps, *_chain_columns(f_0, p, *ratios)]):
             col += values
     return header, columns

@@ -106,15 +106,12 @@ def find_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e-1
     return 0.5 * (a + b)
 
 
-def derivative(f: Callable[[float], float], x: float, h: float | None = None) -> float:
+def derivative(f: Callable[[float], float], x: float) -> float:
     """Central finite difference (f(x+h) - f(x-h)) / (2h).
 
-    Default h = max(1e-6, 1e-6*|x|) balances truncation against rounding
+    The step h = max(1e-6, 1e-6*|x|) balances truncation against rounding
     for double precision.
     """
-    if h is None:
-        h = max(1e-6, 1e-6 * abs(x))
-    if not h > 0:
-        raise DomainError(f"step h must be > 0, got {h}")
+    h = max(1e-6, 1e-6 * abs(x))
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

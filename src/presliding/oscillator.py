@@ -169,17 +169,20 @@ def _kernel(p: FrictionParams):
 
     The right-hand side (v, -f/m, dahl_rate(f, v)*v, f*v) does not depend
     on x, so only the v and f stages are formed. The stage rate is
-    dahl_rate(f_k, v_k)*v_k written inline with the same operation order
-    (a stage with v_k == 0 gets 0.0*v_k, a stage force outside the band
-    rejects the step). Each rewrite gives the same IEEE result: at
-    gamma == 1 the power is skipped, as b**1.0 == b; 0.5*h and h/6.0 are
-    formed from dt once per call, and from h only on the short step to
-    t_max; f*(-1/m) is -f*(1/m), as round-to-nearest is sign-symmetric;
-    1.0 + q is 1.0 - q*(-1.0), as a - (-b) == a + b. A new force past the
-    band by at most _CLAMP_REL_TOL*f_c (roundoff at the edge) is clamped
-    onto it; a larger overshoot raises StepRejectionError, as the step
-    cannot resolve the branch stiffness. Tests pin it bitwise to an RK4
-    over dahl_rate.
+    dahl_rate(f_k, v_k)*v_k written inline with the same operation order,
+    and a stage force outside the band rejects the step. dahl_rate's v == 0
+    case needs no branch: an in-band force gives a base b in [0, 2] and
+    FrictionParams keeps sigma*2**gamma finite, so sigma*b**gamma*v_k at
+    v_k == ±0.0 is ±0.0, as 0.0*v_k is. Only a stage at v_k == 0 with its
+    force outside the band differs: it raises the band escape. Each rewrite
+    gives the same IEEE result: at gamma == 1 the power is skipped, as
+    b**1.0 == b; 0.5*h and h/6.0 are formed from dt once per call, and from
+    h only on the short step to t_max; f*(-1/m) is -f*(1/m), as
+    round-to-nearest is sign-symmetric; 1.0 + q is 1.0 - q*(-1.0), as
+    a - (-b) == a + b. A new force past the band by at most
+    _CLAMP_REL_TOL*f_c (roundoff at the edge) is clamped onto it; a larger
+    overshoot raises StepRejectionError, as the step cannot resolve the
+    branch stiffness. Tests pin it bitwise to an RK4 over dahl_rate.
     """
     f_c, sigma, gamma = p.f_c, p.sigma, p.gamma
     neg_f_c, neg_inv_m = -f_c, -1.0 / p.mass
@@ -196,40 +199,28 @@ def _kernel(p: FrictionParams):
             t_new = t + h
             if t_new <= t:
                 return i, (t, x, v, f, e), None
-            if v == 0.0:
-                r1 = 0.0 * v
-            elif f > f_c or f < neg_f_c:
+            if f > f_c or f < neg_f_c:
                 raise _band_escape(f, p, h)
-            else:
-                b = 1.0 - f / f_c if v > 0.0 else 1.0 + f / f_c
-                r1 = sigma * (b if unit else b**gamma) * v
+            b = 1.0 - f / f_c if v > 0.0 else 1.0 + f / f_c
+            r1 = sigma * (b if unit else b**gamma) * v
             a1 = f * neg_inv_m
             v2, f2 = v + hh * a1, f + hh * r1
-            if v2 == 0.0:
-                r2 = 0.0 * v2
-            elif f2 > f_c or f2 < neg_f_c:
+            if f2 > f_c or f2 < neg_f_c:
                 raise _band_escape(f2, p, h)
-            else:
-                b = 1.0 - f2 / f_c if v2 > 0.0 else 1.0 + f2 / f_c
-                r2 = sigma * (b if unit else b**gamma) * v2
+            b = 1.0 - f2 / f_c if v2 > 0.0 else 1.0 + f2 / f_c
+            r2 = sigma * (b if unit else b**gamma) * v2
             a2 = f2 * neg_inv_m
             v3, f3 = v + hh * a2, f + hh * r2
-            if v3 == 0.0:
-                r3 = 0.0 * v3
-            elif f3 > f_c or f3 < neg_f_c:
+            if f3 > f_c or f3 < neg_f_c:
                 raise _band_escape(f3, p, h)
-            else:
-                b = 1.0 - f3 / f_c if v3 > 0.0 else 1.0 + f3 / f_c
-                r3 = sigma * (b if unit else b**gamma) * v3
+            b = 1.0 - f3 / f_c if v3 > 0.0 else 1.0 + f3 / f_c
+            r3 = sigma * (b if unit else b**gamma) * v3
             a3 = f3 * neg_inv_m
             v4, f4 = v + h * a3, f + h * r3
-            if v4 == 0.0:
-                r4 = 0.0 * v4
-            elif f4 > f_c or f4 < neg_f_c:
+            if f4 > f_c or f4 < neg_f_c:
                 raise _band_escape(f4, p, h)
-            else:
-                b = 1.0 - f4 / f_c if v4 > 0.0 else 1.0 + f4 / f_c
-                r4 = sigma * (b if unit else b**gamma) * v4
+            b = 1.0 - f4 / f_c if v4 > 0.0 else 1.0 + f4 / f_c
+            r4 = sigma * (b if unit else b**gamma) * v4
             x_new = x + c * (v + 2.0 * v2 + 2.0 * v3 + v4)
             v_new = v + c * (a1 + 2.0 * a2 + 2.0 * a3 + f4 * neg_inv_m)
             f_new = f + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
@@ -239,7 +230,7 @@ def _kernel(p: FrictionParams):
                 if over > _CLAMP_REL_TOL * f_c:
                     raise StepRejectionError(
                         f"force overshoot {over} exceeds the clamp tolerance at dt={h}; "
-                        f"reduce dt for sigma/f_c={p.ratio}"
+                        f"{_advice(p)}"
                     )
                 f_new = math.copysign(f_c, f_new)
             if v_new * direction < 0.0:
@@ -256,11 +247,19 @@ def _kernel(p: FrictionParams):
     return march
 
 
+def _advice(p: FrictionParams) -> str:
+    """The settings that change the outcome of a rejected step, for its message."""
+    if p.gamma < 1.0:
+        return (f"at gamma={p.gamma} < 1 the force reaches saturation in finite travel, "
+                "which no step size resolves; lower sim.v0 or raise params.gamma")
+    return f"reduce sim.dt for sigma/f_c={p.ratio}"
+
+
 def _band_escape(f: float, p: FrictionParams, h: float) -> StepRejectionError:
     """Rejection of a step whose stage force left the band, naming the setting to change."""
     return StepRejectionError(
         f"force escaped the band inside a step of dt={h}: |f|={abs(f)} escaped the "
-        f"admissible band f_c={p.f_c}; reduce sim.dt for sigma/f_c={p.ratio}"
+        f"admissible band f_c={p.f_c}; {_advice(p)}"
     )
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "AUDIT_HEADER",
     "CheckResult",
     "run_all",
-    "omega_envelope_deviation",
     "OMEGA_ENVELOPE_BOUND",
     "APPROX_REDERIVED_BOUND",
     "SERIES_99PCT_STEPS",
@@ -321,13 +320,8 @@ def check_approx_forms() -> tuple[list[CheckResult], list[tuple]]:
     return checks, rows
 
 
-def omega_envelope_deviation(exponent: float = SLOPE_EXPONENT) -> float:
-    """Worst |omega - linearized omega| over the standard grid.
-
-    The exponent parameter exists so the check's sensitivity can be
-    demonstrated: nudging it off SLOPE_EXPONENT must push the deviation
-    past the frozen bound.
-    """
+def check_omega_envelope() -> CheckResult:
+    """Worst |omega - linearized omega| over the standard grid, at SLOPE_EXPONENT as it is now."""
     worst = 0.0
     for ratio in DEFAULT_SWEEPS["fig4"]:
         p = FrictionParams(f_c=1.0, sigma=ratio)
@@ -335,14 +329,9 @@ def omega_envelope_deviation(exponent: float = SLOPE_EXPONENT) -> float:
         for u in FORCE_FRACTIONS:
             f_i = -u * p.f_c
             x_next = next_reversal_exact(f_i, p)
-            k = s * (p.f_c / (p.f_c - f_i)) ** exponent
+            k = s * (p.f_c / (p.f_c - f_i)) ** SLOPE_EXPONENT
             dev = max([abs(math.exp(-s * x) - (1.0 - k * x)) for x in _linspace(0.0, x_next, 201)])
             worst = max(worst, dev)
-    return worst
-
-
-def check_omega_envelope() -> CheckResult:
-    worst = omega_envelope_deviation()
     # the linear factor must also reproduce the exact construction
     p = FrictionParams(f_c=1.0, sigma=2.0)
     exact = abs(omega_approx(-1.0, p) - 2.0 * 0.5**0.6) < 1e-15 and omega(0.0, p) == 1.0

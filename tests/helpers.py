@@ -45,24 +45,35 @@ def branch_work(x, p):
 
 
 def reference_advance(x, v, f, e, h, p):
-    """One RK4 step of (x, v, f, e_f) over hysteresis.dahl_rate, clamped at the band."""
+    """One RK4 step of (x, v, f, e_f) over hysteresis.dahl_rate, clamped at the band.
+
+    Every stage force is tested against the band, also at a stage velocity
+    of 0, where dahl_rate returns 0 before its own test.
+    """
     inv_m = 1.0 / p.mass
     hh = 0.5 * h
+
+    def rate(f, v):
+        dahl_rate(f, 1.0, p)  # the band test
+        return dahl_rate(f, v, p) * v
+
     try:
-        r1 = dahl_rate(f, v, p) * v
+        r1 = rate(f, v)
         v2, f2 = v + hh * (-f * inv_m), f + hh * r1
-        r2 = dahl_rate(f2, v2, p) * v2
+        r2 = rate(f2, v2)
         v3, f3 = v + hh * (-f2 * inv_m), f + hh * r2
-        r3 = dahl_rate(f3, v3, p) * v3
+        r3 = rate(f3, v3)
         v4, f4 = v + h * (-f3 * inv_m), f + h * r3
-        r4 = dahl_rate(f4, v4, p) * v4
+        r4 = rate(f4, v4)
     except DomainError as exc:
-        # dahl_rate's wording, ending in the setting the simulator's message names
+        # dahl_rate's wording, ending in the settings the simulator's message names
         reason = str(exc).removesuffix("integration step too large")
-        raise StepRejectionError(
-            f"force escaped the band inside a step of dt={h}: {reason}"
-            f"reduce sim.dt for sigma/f_c={p.ratio}"
+        advice = (
+            f"at gamma={p.gamma} < 1 the force reaches saturation in finite travel, "
+            "which no step size resolves; lower sim.v0 or raise params.gamma"
+            if p.gamma < 1.0 else f"reduce sim.dt for sigma/f_c={p.ratio}"
         )
+        raise StepRejectionError(f"force escaped the band inside a step of dt={h}: {reason}{advice}")
     c = h / 6.0
     x_new = x + c * (v + 2.0 * v2 + 2.0 * v3 + v4)
     v_new = v + c * (-f * inv_m + 2.0 * (-f2 * inv_m) + 2.0 * (-f3 * inv_m) + -f4 * inv_m)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from presliding import FrictionParams, reversal_chain
 from presliding._csv import encode_csv
 from presliding.figures import (
+    CHAIN_HEADER,
     _linspace,
-    chain_table,
     fig3_table,
     fig4_table,
     fig5_tables,
@@ -57,7 +57,7 @@ def test_builders_give_one_column_per_header_at_zero_rows():
     # no sweep entries, a chain of five empty columns, a trajectory without reversals
     traj = Trajectory(*(array("d") for _ in range(5)), [], SimConfig(FrictionParams(1.0, 10.0)))
     tables = [fig3_table([]), fig4_table([]), fig6_table([], -1.0, 5, "exact"),
-              chain_table([[] for _ in range(5)]), reversals_table(traj), fig7_envelope(traj)]
+              (CHAIN_HEADER, [[] for _ in range(5)]), reversals_table(traj), fig7_envelope(traj)]
     tables += [(header, columns) for _, header, columns in fig5_tables([])]
     for header, columns in tables:
         assert encode_csv(header, columns) == ((",".join(header) + "\n").encode(), 0)

@@ -123,11 +123,6 @@ def test_derivative_of_branch_energy():
     assert abs(slope - 0.5) < 1e-9
 
 
-def test_derivative_rejects_bad_step():
-    with pytest.raises(DomainError):
-        derivative(lambda x: x, 1.0, h=0.0)
-
-
 def test_reference_integrate_rejects_refinement_one():
     cfg = SimConfig(params=FrictionParams(1.0, 1.0), x0=0.0, v0=1.0, dt=0.01, t_max=0.1)
     with pytest.raises(DomainError):

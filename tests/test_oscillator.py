@@ -109,6 +109,21 @@ def test_step_rejects_band_escape():
         _step(0.0, 1.0, 0.999, 0.0, 5.0, FrictionParams(1.0, 1000.0))
 
 
+@pytest.mark.parametrize("gamma, v, f, h, advice", [
+    (2.0, -0.03343171455146012, -0.31749441256831523, 0.3050203830027184,
+     "reduce sim.dt for sigma/f_c=100.0"),
+    (0.0, 0.4821740695699752, 0.19447673129872545, 0.016875903215025873,
+     "at gamma=0.0 < 1 the force reaches saturation in finite travel, "
+     "which no step size resolves; lower sim.v0 or raise params.gamma"),
+])
+def test_overshoot_gives_the_band_escape_advice(gamma, v, f, h, advice):
+    # stage forces inside the band, a new force past it
+    with pytest.raises(StepRejectionError) as info:
+        _step(0.0, v, f, 0.0, h, FrictionParams(1.0, 100.0, gamma=gamma))
+    assert str(info.value).startswith("force overshoot ")
+    assert str(info.value).endswith(f" exceeds the clamp tolerance at dt={h}; {advice}")
+
+
 def _bits(value):
     """value with each float as its hex string, inside tuples and lists too."""
     if isinstance(value, float):
@@ -150,6 +165,35 @@ def test_advance_matches_rk4_over_dahl_rate_bitwise(
     v = w * h * u * f_c / mass if on_step_scale else 2.0 * w
     args = (0.3, v, u * f_c, -0.2, h)
     assert _step_outcome(_step, *args, p) == _step_outcome(reference_advance, *args, p)
+
+
+def _zero_start_outcome(step, f, v, h, p):
+    """One step from velocity v: the result bits, or the type of the exception it raises."""
+    try:
+        return _bits(step(0.3, v, f, -0.2, h, p))
+    except (StepRejectionError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+def test_step_from_zero_velocity_matches_reference_bitwise():
+    # the kernel has no v == 0 case: sigma*b**gamma*v gives the signed zero
+    # that dahl_rate's v == 0 return does, so a stage that starts at rest
+    # must reproduce the reference bit for bit, the sign of each zero included
+    outcomes = []
+    for gamma in (0.0, 0.5, 1.0, 1.7, 2.0):
+        for ratio in (10.0, 1000.0):
+            for mass in (0.3, 4.0):
+                p = FrictionParams(f_c=2.0, sigma=ratio * 2.0, gamma=gamma, mass=mass)
+                scale = math.sqrt(mass * p.f_c / p.sigma)
+                for f in [p.f_c * (i / 100 - 1.0) for i in range(201)]:
+                    for h in (1e-3 * scale, 0.5 * scale, 3.0 * scale):
+                        for v in (0.0, -0.0):
+                            expected = _zero_start_outcome(reference_advance, f, v, h, p)
+                            assert _zero_start_outcome(_step, f, v, h, p) == expected
+                            outcomes.append(expected)
+    assert len(outcomes) == 24120
+    # the grid reaches both outcomes: steps that complete and steps that are rejected
+    assert {type(o) for o in outcomes} == {tuple, str}
 
 
 def _march(state, dt, t_max, direction, n, p):

@@ -74,39 +74,31 @@ def test_every_package_export_has_a_consumer():
     assert unused == []
 
 
+# (module, name) of each retired name: the linear decay factor is a plain
+# slope, and the branch force is dahl_branch(b, p)(x); the zero crossing is
+# x_i - reversal_coordinate(f_i, p), and the largest recoverable energy is
+# potential_energy(-p.f_c, p); a reversal chain is five columns under
+# figures.CHAIN_HEADER; the branch work f_c*x + (f_c**2/sigma)*expm1(-(sigma/f_c)*x)
+# had no caller; the pointwise branch forces are the prepared maps
+# dahl_branch and stop_spring; check_omega_envelope computes its own deviation
+REMOVED_NAMES = [
+    (module, name)
+    for module in ("presliding", "presliding.reversal")
+    for name in ("OmegaApprox", "next_reversal_force", "zero_crossing", "potential_energy_bound",
+                 "ReversalChainEntry", "energy_antiderivative")
+] + [
+    (module, name)
+    for module in ("presliding", "presliding.hysteresis")
+    for name in ("dahl_branch_force", "stop_spring_force")
+] + [
+    ("presliding.validation", "omega_envelope_deviation"),
+    ("presliding.figures", "chain_table"),
+]
+
+
 def test_removed_closed_form_names_stay_gone():
-    # the linear decay factor is a plain slope, and the branch force is dahl_branch(b, p)(x);
-    # the zero crossing is x_i - reversal_coordinate(f_i, p), and the largest
-    # recoverable energy is potential_energy(-p.f_c, p); a reversal chain is five columns;
-    # the branch work f_c*x + (f_c**2/sigma)*expm1(-(sigma/f_c)*x) had no caller
-    with pytest.raises(ImportError):
-        from presliding import OmegaApprox  # noqa: F401
-    with pytest.raises(ImportError):
-        from presliding import next_reversal_force  # noqa: F401
-    with pytest.raises(ImportError):
-        from presliding.reversal import OmegaApprox  # noqa: F401,F811
-    with pytest.raises(ImportError):
-        from presliding.reversal import next_reversal_force  # noqa: F401,F811
-    with pytest.raises(ImportError):
-        from presliding import zero_crossing  # noqa: F401
-    with pytest.raises(ImportError):
-        from presliding import potential_energy_bound  # noqa: F401
-    with pytest.raises(ImportError):
-        from presliding.reversal import zero_crossing  # noqa: F401,F811
-    with pytest.raises(ImportError):
-        from presliding.reversal import potential_energy_bound  # noqa: F401,F811
-    with pytest.raises(ImportError):
-        from presliding import ReversalChainEntry  # noqa: F401
-    with pytest.raises(ImportError):
-        from presliding.reversal import ReversalChainEntry  # noqa: F401,F811
-    with pytest.raises(ImportError):
-        from presliding import energy_antiderivative  # noqa: F401
-    with pytest.raises(ImportError):
-        from presliding.reversal import energy_antiderivative  # noqa: F401,F811
-    # the pointwise branch forces are the prepared maps dahl_branch and stop_spring
-    for name in ("dahl_branch_force", "stop_spring_force"):
-        assert not hasattr(presliding, name)
-        assert not hasattr(presliding.hysteresis, name)
+    for module, name in REMOVED_NAMES:
+        assert not hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 def import_nodes(source: str) -> list[ast.stmt]:

@@ -26,14 +26,13 @@ from presliding import (
     reversal_coordinate,
 )
 from presliding._csv import encode_csv
-from presliding.figures import chain_table, fig6_table
+from presliding.figures import CHAIN_HEADER, fig6_table
 from presliding import reversal, validation
 from presliding.reversal import _force_ratios
 from presliding.validation import (
     OMEGA_ENVELOPE_BOUND,
     check_exact_predictor_vs_oracle,
     check_omega_envelope,
-    omega_envelope_deviation,
 )
 
 from helpers import branch_work
@@ -195,12 +194,13 @@ def test_omega_approx_domain():
 
 
 def test_omega_envelope_frozen_bound():
-    assert omega_envelope_deviation() <= OMEGA_ENVELOPE_BOUND
+    assert check_omega_envelope().measured <= OMEGA_ENVELOPE_BOUND
 
 
-def test_omega_envelope_detects_tampered_exponent():
+def test_omega_envelope_detects_tampered_exponent(monkeypatch):
     # negative control: the 0.6 exponent is load-bearing
-    assert omega_envelope_deviation(exponent=0.75) > OMEGA_ENVELOPE_BOUND
+    monkeypatch.setattr(validation, "SLOPE_EXPONENT", 0.75)
+    assert check_omega_envelope().measured > OMEGA_ENVELOPE_BOUND
 
 
 def test_omega_envelope_check_fails_on_wrong_slope(monkeypatch):
@@ -444,7 +444,7 @@ def test_halley_stall_raises_convergence_error(monkeypatch):
 def test_chain_csv_roundtrip(tmp_path):
     chain = reversal_chain(-1.0, 5, P1)
     path = tmp_path / "chain.csv"
-    data, n = encode_csv(*chain_table(chain))
+    data, n = encode_csv(CHAIN_HEADER, chain)
     path.write_bytes(data)
     assert n == 5
     lines = path.read_text().splitlines()
@@ -486,7 +486,7 @@ def test_chain_bytes_are_pinned(mode, ratio, f0):
     p = FrictionParams(f_c=0.3, sigma=0.3 * ratio)
     chain = reversal_chain(f0 * p.f_c, 300, p, mode)
     assert type(chain) is list
-    data, n = encode_csv(*chain_table(chain))
+    data, n = encode_csv(CHAIN_HEADER, chain)
     assert n == 300
     assert hashlib.sha256(data).hexdigest() == CHAIN_DIGESTS[mode, ratio, f0]
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from presliding import hysteresis, validation
+from presliding import hysteresis, reversal, validation
 
 
 def test_quadrature_work_is_pinned(monkeypatch):
@@ -53,12 +53,26 @@ def scale_branch_map(monkeypatch):
     monkeypatch.setattr(validation, "dahl_branch", scaled)
 
 
+def scale(name):
+    """Injection that multiplies reversal.<name>'s result by 1 + 1e-6."""
+    def inject(monkeypatch):
+        original = getattr(reversal, name)
+        monkeypatch.setattr(reversal, name, lambda *args: original(*args) * (1 + 1e-6))
+    return inject
+
+
 # one row per injected defect: the injection and the exact set of checks it
 # must fail, so that a loosened check breaks its row
 MUTATIONS = {
     "branch_map_times_1_plus_1e-6": (
         scale_branch_map, {"quadrature-equivalence", "form-consistency"},
     ),
+    "slope_exponent_0.75": (
+        lambda monkeypatch: monkeypatch.setattr(validation, "SLOPE_EXPONENT", 0.75),
+        {"omega-envelope"},
+    ),
+    "energy_times_1_plus_1e-6": (scale("_energy"), {"quadrature-equivalence"}),
+    "branch_x_times_1_plus_1e-6": (scale("_branch_x"), {"exact-predictor-vs-oracle"}),
 }
 
 
