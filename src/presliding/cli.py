@@ -23,16 +23,14 @@ overflow, an output directory that cannot be written).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
 import math
 import sys
 import typing
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ._csv import encode_csv
 from .errors import ConfigError, ConvergenceError, DomainError, StepRejectionError
@@ -74,8 +72,7 @@ _PER_ENTRY_KINDS = ("simulate", "chain", "fig7")
 MAX_CHAIN_STEPS = 10**6
 
 
-@dataclass(frozen=True)
-class ChainSettings:
+class ChainSettings(NamedTuple):
     """Reversal-chain fields exposed to experiment configs."""
 
     f0_over_fc: float = -1.0
@@ -83,8 +80,7 @@ class ChainSettings:
     mode: str = "exact"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     kind: str
     sim: SimConfig  # its params are the unswept base params
     chain: ChainSettings
@@ -101,8 +97,8 @@ def default_config(kind: str) -> dict:
         "kind": kind,
         "params": {"f_c": 1.0, "sigma": 1.0, "gamma": 1.0, "mass": 1.0},
         "sweep": list(DEFAULT_SWEEPS.get(kind, [])) or None,
-        "sim": {f.name: f.default for f in dataclasses.fields(SimConfig) if f.name != "params"},
-        "chain": dataclasses.asdict(ChainSettings()),
+        "sim": dict(SimConfig._field_defaults),
+        "chain": ChainSettings()._asdict(),
         "output_dir": "out",
     }
 
@@ -165,9 +161,9 @@ def _check_number(value, where: str, kind: type = float):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _build_dataclass(cls, data: dict, path: str, **fixed):
+def _build_record(cls, data: dict, path: str, **fixed):
     """cls(**data, **fixed); the fixed fields are not config fields."""
-    known = {f.name for f in dataclasses.fields(cls)} - set(fixed)
+    known = set(cls._fields) - set(fixed)
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown, key=str)}")
@@ -202,9 +198,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(merged["output_dir"], str):
         raise ConfigError(f"output_dir: expected a string, got {merged['output_dir']!r}")
 
-    params = _build_dataclass(FrictionParams, merged["params"], "params")
-    sim = _build_dataclass(SimConfig, merged["sim"], "sim", params=params)
-    chain = _build_dataclass(ChainSettings, merged["chain"], "chain")
+    params = _build_record(FrictionParams, merged["params"], "params")
+    sim = _build_record(SimConfig, merged["sim"], "sim", params=params)
+    chain = _build_record(ChainSettings, merged["chain"], "chain")
     if chain.mode not in ("exact", "approx"):
         raise ConfigError(f"chain.mode: expected 'exact' or 'approx', got {chain.mode!r}")
     if not 1 <= chain.n_steps <= MAX_CHAIN_STEPS:
@@ -213,7 +209,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(
             f"chain.f0_over_fc: expected a number in [-1, 0), got {chain.f0_over_fc!r}"
         )
-    # checked on the built dataclasses, so a bool has been rejected before True == 1.0
+    # checked on the built records, so a bool has been rejected before True == 1.0
     reads = _KINDS[kind][1]
     swept = None if merged["sweep"] is None else "params.f_c" if kind == "fig5" else "params.sigma"
     fields = [(f"{key}.{name}", merged[key][name], default)
@@ -256,8 +252,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 )
             first.setdefault(sfx, i)
             try:
-                p = (dataclasses.replace(params, f_c=value) if kind == "fig5"
-                     else dataclasses.replace(params, sigma=value * params.f_c))
+                p = (params._replace(f_c=value) if kind == "fig5"
+                     else params._replace(sigma=value * params.f_c))
             except DomainError as exc:
                 raise ConfigError(f"sweep[{i}]: {exc}") from exc
         if "params" not in reads:  # the closed-form kinds, and validate's default params
@@ -277,13 +273,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 )
         runs += ((sfx, value, p),)
 
-    return ExperimentConfig(
-        kind=kind,
-        sim=sim,
-        chain=chain,
-        output_dir=Path(merged["output_dir"]),
-        runs=runs,
-    )
+    return ExperimentConfig(kind, sim, chain, Path(merged["output_dir"]), runs)
 
 
 def load_config(
@@ -340,7 +330,7 @@ def _commit(out_dir: Path, files: dict[str, tuple[bytes, int]]) -> list[Path]:
 
 def _run_simulate(cfg: ExperimentConfig, files: dict) -> None:
     for sfx, _, p in cfg.runs:
-        traj = simulate(dataclasses.replace(cfg.sim, params=p))
+        traj = simulate(cfg.sim._replace(params=p))
         files[f"trajectory{sfx}.csv"] = encode_csv(*trajectory_table(traj))
         files[f"reversals{sfx}.csv"] = encode_csv(*reversals_table(traj))
 
@@ -354,7 +344,7 @@ def _run_chain(cfg: ExperimentConfig, files: dict) -> None:
 
 def _run_fig7(cfg: ExperimentConfig, files: dict) -> None:
     for sfx, _, p in cfg.runs:
-        traj = simulate(dataclasses.replace(cfg.sim, params=p))
+        traj = simulate(cfg.sim._replace(params=p))
         files[f"fig7_traj{sfx}.csv"] = encode_csv(*fig7_energy_magnitude(traj))
         files[f"fig7_envelope{sfx}.csv"] = encode_csv(*fig7_envelope(traj))
     files["README.txt"] = (FIG7_README.encode("utf-8"), 0)

@@ -14,15 +14,16 @@ the force as a function of x alone.
 
 A hysteresis branch is the curve traced after one velocity reversal; it
 is fully described by the reversal point, the force there, and the
-motion direction (``BranchState``). All values are immutable and all
+motion direction (``BranchState``). All values are immutable NamedTuples,
+which check their fields in the constructor and in ``_replace``, and all
 operations are pure functions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
 from .oracle import integrate
@@ -39,8 +40,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FrictionParams:
+def _validated(cls):
+    """Make cls's constructor run cls._check, and route _make, which _replace
+    calls and which would build the tuple unchecked, through the constructor."""
+    new, check = cls.__new__, cls._check
+
+    @functools.wraps(new)
+    def __new__(klass, *args, **kwargs):
+        self = new(klass, *args, **kwargs)
+        check(self)
+        return self
+
+    cls.__new__, cls._make = __new__, classmethod(lambda klass, fields: klass(*fields))
+    return cls
+
+
+@_validated
+class FrictionParams(NamedTuple):
     """Dahl model constants.
 
     f_c    Coulomb friction level, the saturation magnitude of the force (> 0).
@@ -56,7 +72,7 @@ class FrictionParams:
     gamma: float = 1.0
     mass: float = 1.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 < self.f_c < math.inf:
             raise DomainError(f"f_c must be finite and > 0, got {self.f_c}")
         if not 0 < self.sigma < math.inf:
@@ -83,8 +99,8 @@ class FrictionParams:
             )
 
 
-@dataclass(frozen=True)
-class BranchState:
+@_validated
+class BranchState(NamedTuple):
     """Memory of one hysteresis branch: last reversal point and direction.
 
     x_rev      displacement of the last reversal.
@@ -97,19 +113,19 @@ class BranchState:
     f_rev: float
     direction: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.direction not in (+1, -1):
             raise DomainError(f"direction must be +1 or -1, got {self.direction}")
 
 
-@dataclass(frozen=True)
-class LinearSpringParams:
+@_validated
+class LinearSpringParams(NamedTuple):
     """Saturating linear spring: stiffness k, saturation force f_c (both > 0)."""
 
     k: float
     f_c: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.k > 0:
             raise DomainError(f"k must be > 0, got {self.k}")
         if not self.f_c > 0:

@@ -9,8 +9,7 @@ tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
 
@@ -24,8 +23,7 @@ __all__ = [
 _MAX_DEPTH = 50
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Adaptive quadrature outcome: the value and the number of calls of the integrand."""
 
     value: float

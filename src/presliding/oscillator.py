@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError, ConvergenceError, StepRejectionError
-from .hysteresis import FrictionParams
+from .hysteresis import FrictionParams, _validated
 
 __all__ = [
     "SimConfig",
@@ -53,8 +52,8 @@ _MAX_BISECTIONS = 100
 MAX_STEPS = 3 * 10**6
 
 
-@dataclass(frozen=True)
-class SimConfig:
+@_validated
+class SimConfig(NamedTuple):
     """Simulation setup.
 
     The defaults are the CLI's `sim` section. dt defaults to
@@ -75,7 +74,7 @@ class SimConfig:
     max_reversals: Optional[int] = 12
     stop_energy: Optional[float] = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("x0", "v0", "f0"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -112,8 +111,7 @@ class SimConfig:
         return _TOL_V_REL * max(abs(self.v0), 1.0)
 
 
-@dataclass(frozen=True)
-class ReversalRecord:
+class ReversalRecord(NamedTuple):
     """One completed motion reversal.
 
     e_p is the recoverable potential energy, measured from the trajectory
@@ -132,7 +130,6 @@ class ReversalRecord:
     e_d_halfcycle: float
 
 
-@dataclass
 class Trajectory:
     """Ordered simulation samples plus the completed reversal records.
 
@@ -150,6 +147,12 @@ class Trajectory:
     e_f_cum: array
     reversals: list[ReversalRecord]
     config: SimConfig
+
+    __slots__ = ("t", "x", "v", "f", "e_f_cum", "reversals", "config")
+
+    def __init__(self, t, x, v, f, e_f_cum, reversals, config):
+        self.t, self.x, self.v, self.f, self.e_f_cum = t, x, v, f, e_f_cum
+        self.reversals, self.config = reversals, config
 
     def __len__(self) -> int:
         return len(self.t)
@@ -170,11 +173,14 @@ def _kernel(p: FrictionParams):
     The right-hand side (v, -f/m, dahl_rate(f, v)*v, f*v) does not depend
     on x, so only the v and f stages are formed. The stage rate is
     dahl_rate(f_k, v_k)*v_k written inline with the same operation order,
-    and a stage force outside the band rejects the step. dahl_rate's v == 0
-    case needs no branch: an in-band force gives a base b in [0, 2] and
-    FrictionParams keeps sigma*2**gamma finite, so sigma*b**gamma*v_k at
-    v_k == ±0.0 is ±0.0, as 0.0*v_k is. Only a stage at v_k == 0 with its
-    force outside the band differs: it raises the band escape. Each rewrite
+    and a force of stages 2-4 outside the band rejects the step. Stage 1's
+    is the start's: a sample march accepted, so clamped into the band, or
+    the initial f0, which SimConfig checks (locate_reversal starts from such
+    a sample too). dahl_rate's v == 0 case needs no branch: an in-band force
+    gives a base b in [0, 2] and FrictionParams keeps sigma*2**gamma finite,
+    so sigma*b**gamma*v_k at v_k == ±0.0 is ±0.0, as 0.0*v_k is. Only a
+    stage at v_k == 0 with its force outside the band differs: it raises
+    the band escape. Each rewrite
     gives the same IEEE result: at gamma == 1 the power is skipped, as
     b**1.0 == b; 0.5*h and h/6.0 are formed from dt once per call, and from
     h only on the short step to t_max; f*(-1/m) is -f*(1/m), as
@@ -199,8 +205,6 @@ def _kernel(p: FrictionParams):
             t_new = t + h
             if t_new <= t:
                 return i, (t, x, v, f, e), None
-            if f > f_c or f < neg_f_c:
-                raise _band_escape(f, p, h)
             b = 1.0 - f / f_c if v > 0.0 else 1.0 + f / f_c
             r1 = sigma * (b if unit else b**gamma) * v
             a1 = f * neg_inv_m

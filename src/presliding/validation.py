@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .figures import DEFAULT_SWEEPS, FORCE_FRACTIONS, _linspace, _predictions
 from .hysteresis import (
@@ -61,8 +61,7 @@ APPROX_REDERIVED_BOUND = 0.13
 SERIES_99PCT_STEPS = 18
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     measured: float

@@ -10,7 +10,6 @@ integral, written from the branch definition alone.
 import ast
 import inspect
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -152,7 +151,7 @@ def reference_integrate(cfg, refinement: int):
     """
     if refinement < 2:
         raise DomainError(f"refinement must be >= 2, got {refinement}")
-    return simulate(replace(cfg, dt=cfg.effective_dt() / refinement))
+    return simulate(cfg._replace(dt=cfg.effective_dt() / refinement))
 
 
 def peak_velocity_between_reversals(traj, i: int) -> tuple[float, float]:

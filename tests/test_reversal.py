@@ -39,10 +39,13 @@ from helpers import branch_work
 
 P1 = FrictionParams(f_c=1.0, sigma=1.0)
 
+# a NamedTuple's defaulted fields are drawn unless given, so gamma and mass are pinned
 params_strategy = st.builds(
     FrictionParams,
     f_c=st.floats(0.1, 10.0),
     sigma=st.floats(0.01, 1e4),
+    gamma=st.just(1.0),
+    mass=st.just(1.0),
 )
 force_fraction = st.floats(0.001, 1.0)
 

@@ -1,8 +1,10 @@
 """Tests of the validate checks themselves: the work they do and the defects they catch."""
 
+from array import array
+
 import pytest
 
-from presliding import hysteresis, reversal, validation
+from presliding import hysteresis, oscillator, reversal, validation
 
 
 def test_quadrature_work_is_pinned(monkeypatch):
@@ -80,3 +82,35 @@ MUTATIONS = {
 def test_each_defect_fails_exactly_its_checks(monkeypatch, inject, failing):
     inject(monkeypatch)
     assert failing_checks_without_trajectories() == failing
+
+
+def scale_work(monkeypatch):
+    """validation.simulate with each trajectory's e_f_cum scaled by 1 + 1e-5."""
+    simulate = validation.simulate
+
+    def scaled(cfg):
+        traj = simulate(cfg)
+        traj.e_f_cum = array("d", [e * (1 + 1e-5) for e in traj.e_f_cum])
+        return traj
+
+    monkeypatch.setattr(validation, "simulate", scaled)
+
+
+# the same over the checks that read run_all's trajectories
+TRAJECTORY_MUTATIONS = {
+    "reversal_tol_v_1e-8": (
+        lambda monkeypatch: monkeypatch.setattr(oscillator, "_TOL_V_REL", 1e-8),
+        {"reversal-speed-r10", "reversal-speed-r100"},
+    ),
+    "work_times_1_plus_1e-5": (
+        scale_work, {"energy-balance-drift-r10", "energy-balance-drift-r100"},
+    ),
+}
+
+
+@pytest.mark.parametrize("inject, failing", TRAJECTORY_MUTATIONS.values(),
+                         ids=TRAJECTORY_MUTATIONS.keys())
+def test_each_trajectory_defect_fails_exactly_its_checks(monkeypatch, inject, failing):
+    inject(monkeypatch)
+    checks, _ = validation.run_all()
+    assert {c.name for c in checks if not c.passed} == failing
