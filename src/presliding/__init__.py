@@ -5,7 +5,6 @@ from .errors import ConfigError, ConvergenceError, DomainError, StepRejectionErr
 from .hysteresis import (
     BranchState,
     FrictionParams,
-    LinearSpringParams,
     dahl_branch,
     dahl_rate,
     loop_dissipation,

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Each subcommand corresponds to one experiment kind and accepts the same
-flags:
+One parser takes the experiment kind as a positional argument and the
+same flags for every kind, before or after it:
 
     presliding <kind> [--config cfg.json] [--out DIR] [--override k.path=v ...]
 
@@ -22,10 +22,8 @@ overflow, an output directory that cannot be written).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
-import json
 import math
 import sys
 import typing
@@ -95,7 +93,7 @@ def default_config(kind: str) -> dict:
         raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}")
     return {
         "kind": kind,
-        "params": {"f_c": 1.0, "sigma": 1.0, "gamma": 1.0, "mass": 1.0},
+        "params": {"f_c": 1.0, "sigma": 1.0, **FrictionParams._field_defaults},
         "sweep": list(DEFAULT_SWEEPS.get(kind, [])) or None,
         "sim": dict(SimConfig._field_defaults),
         "chain": ChainSettings()._asdict(),
@@ -105,6 +103,8 @@ def default_config(kind: str) -> dict:
 
 def _parse_override_value(raw: str):
     """An override value as JSON, or the raw string where it is not JSON."""
+    import json
+
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
@@ -185,8 +185,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     defaults = default_config(kind)
     merged = dict(defaults)
     for key in ("params", "sim", "chain"):
-        section = data.pop(key, None)
-        if section is not None:
+        if key in data:
+            section = data.pop(key)
             if not isinstance(section, dict):
                 raise ConfigError(f"{key}: expected an object, got {section!r}")
             merged[key] = {**defaults[key], **section}
@@ -282,10 +282,12 @@ def load_config(
     overrides: Sequence[str],
     out_dir: Optional[str],
 ) -> ExperimentConfig:
-    """Load a config file (or defaults) for a subcommand and apply overrides."""
+    """Load a config file (or defaults) for a kind and apply overrides."""
     if config_path is None:
         data = default_config(kind)
     else:
+        import json
+
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
@@ -405,22 +407,22 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="presliding",
         description="Pre-sliding friction hysteresis experiments and validation.",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        sp = sub.add_parser(kind, help=f"run the {kind} experiment")
-        sp.add_argument("--config", default=None, help="JSON config file")
-        sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument(
-            "--override",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="config override with dotted key path (repeatable)",
-        )
+    parser.add_argument("kind", choices=KINDS, help="the experiment to run")
+    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument(
+        "--override",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="config override with dotted key path (repeatable)",
+    )
     args = parser.parse_args(argv)
 
     try:

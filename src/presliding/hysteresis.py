@@ -9,8 +9,8 @@ Two rate-independent force-displacement maps are implemented:
   affine stop-type map that serves as the zero-dissipation reference.
 
 A branch map is built once per branch: ``dahl_branch(b, p)`` and
-``stop_spring(b, sp)`` check the branch and bind its constants, and return
-the force as a function of x alone.
+``stop_spring(b, p)``, for one FrictionParams p, check the branch and bind
+its constants, and return the force as a function of x alone.
 
 A hysteresis branch is the curve traced after one velocity reversal; it
 is fully described by the reversal point, the force there, and the
@@ -31,7 +31,6 @@ from .oracle import integrate
 __all__ = [
     "FrictionParams",
     "BranchState",
-    "LinearSpringParams",
     "dahl_rate",
     "dahl_branch",
     "reverse_branch",
@@ -118,20 +117,6 @@ class BranchState(NamedTuple):
             raise DomainError(f"direction must be +1 or -1, got {self.direction}")
 
 
-@_validated
-class LinearSpringParams(NamedTuple):
-    """Saturating linear spring: stiffness k, saturation force f_c (both > 0)."""
-
-    k: float
-    f_c: float
-
-    def _check(self) -> None:
-        if not self.k > 0:
-            raise DomainError(f"k must be > 0, got {self.k}")
-        if not self.f_c > 0:
-            raise DomainError(f"f_c must be > 0, got {self.f_c}")
-
-
 def dahl_rate(f: float, v: float, p: FrictionParams) -> float:
     """Force-displacement slope dF/dx of the Dahl model (differential form).
 
@@ -192,16 +177,17 @@ def reverse_branch(b: BranchState, x_new: float, p: FrictionParams) -> BranchSta
     return BranchState(x_new, dahl_branch(b, p)(x_new), -b.direction)
 
 
-def stop_spring(b: BranchState, sp: LinearSpringParams) -> Callable[[float], float]:
+def stop_spring(b: BranchState, p: FrictionParams) -> Callable[[float], float]:
     """Saturating linear spring force with memory as a map x -> F (stop type).
 
-    F(x) = clamp(f_rev + k*(x - x_rev), -f_c, +f_c). Inside the band the map
-    is exactly affine, so closed unsaturated cycles are conservative.
+    F(x) = clamp(f_rev + sigma*(x - x_rev), -f_c, +f_c); gamma and mass are
+    not read. Inside the band the map is exactly affine, so closed
+    unsaturated cycles are conservative.
     """
-    x_rev, f_rev, k, f_c = b.x_rev, b.f_rev, sp.k, sp.f_c
+    x_rev, f_rev, sigma, f_c = b.x_rev, b.f_rev, p.sigma, p.f_c
 
     def force(x: float) -> float:
-        return min(max(f_rev + k * (x - x_rev), -f_c), f_c)
+        return min(max(f_rev + sigma * (x - x_rev), -f_c), f_c)
 
     return force
 
@@ -211,8 +197,8 @@ def loop_dissipation(
     b_down: BranchState,
     x_lo: float,
     x_hi: float,
-    branch,
-    params,
+    branch: Callable[[BranchState, FrictionParams], Callable[[float], float]],
+    params: FrictionParams,
 ) -> float:
     """Area between an ascending and a descending branch over [x_lo, x_hi].
 
@@ -222,8 +208,8 @@ def loop_dissipation(
     hysteresis map the ascending branch lies above the descending one and
     the result is >= 0; for the unsaturated linear spring it vanishes.
 
-    branch is dahl_branch or stop_spring; params is the matching parameter
-    object. Each branch map is built once, after the bounds are checked.
+    branch is dahl_branch or stop_spring; params is the FrictionParams that
+    both take. Each branch map is built once, after the bounds are checked.
     """
     if x_lo > x_hi:
         raise DomainError(f"x_lo={x_lo} must not exceed x_hi={x_hi}")

@@ -662,6 +662,23 @@ PROBES = {
         ["fig3", "--override", "output_dir=[1]"],
         2, "config error: output_dir: expected a string, got [1]",
     ),
+    # a section is an object; null is not an empty one
+    "params_null": (
+        ["simulate", "--override", "params=null"],
+        2, "config error: params: expected an object, got None\n",
+    ),
+    "sim_null": (
+        ["simulate", "--override", "sim=null"],
+        2, "config error: sim: expected an object, got None\n",
+    ),
+    "chain_null": (
+        ["chain", "--override", "chain=null"],
+        2, "config error: chain: expected an object, got None\n",
+    ),
+    "params_list": (
+        ["simulate", "--override", "params=[]"],
+        2, "config error: params: expected an object, got []\n",
+    ),
     # chains above the bound would run for minutes and hold gigabytes
     "chain_n_steps_above_bound": (
         ["chain", "--override", "chain.n_steps=100000000000"],

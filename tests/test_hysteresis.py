@@ -10,7 +10,6 @@ from presliding import (
     BranchState,
     DomainError,
     FrictionParams,
-    LinearSpringParams,
     dahl_branch,
     dahl_rate,
     loop_dissipation,
@@ -54,13 +53,6 @@ def test_branch_state_direction():
         BranchState(0.0, 0.0, 0)
     with pytest.raises(DomainError):
         BranchState(0.0, 0.0, 2)
-
-
-def test_spring_params_invariants():
-    with pytest.raises(DomainError):
-        LinearSpringParams(k=0.0, f_c=1.0)
-    with pytest.raises(DomainError):
-        LinearSpringParams(k=1.0, f_c=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +302,30 @@ def test_reverse_branch_worked_example():
 # ---------------------------------------------------------------------------
 
 def test_stop_spring_through_initial_condition():
-    sp = LinearSpringParams(k=3.0, f_c=1.0)
+    sp = FrictionParams(f_c=1.0, sigma=3.0)
     b = BranchState(0.5, 0.2, +1)
     assert stop_spring(b, sp)(0.5) == 0.2
 
 
 def test_stop_spring_saturation():
-    sp = LinearSpringParams(k=2.0, f_c=1.0)
+    sp = FrictionParams(f_c=1.0, sigma=2.0)
     assert stop_spring(BranchState(0.0, 0.0, +1), sp)(10.0) == 1.0
     assert stop_spring(BranchState(0.0, 0.0, -1), sp)(-10.0) == -1.0
 
 
 def test_stop_spring_affine_segment():
-    sp = LinearSpringParams(k=1.0, f_c=1.0)
+    sp = FrictionParams(f_c=1.0, sigma=1.0)
     b = BranchState(0.0, -1.0, +1)
     assert stop_spring(b, sp)(0.5) == -0.5
+
+
+def test_stop_spring_reads_neither_gamma_nor_mass():
+    # the stop spring is fixed by its slope sigma and its level f_c alone
+    b = BranchState(0.1, -0.3, +1)
+    plain = stop_spring(b, FrictionParams(f_c=1.0, sigma=2.5))
+    shaped = stop_spring(b, FrictionParams(f_c=1.0, sigma=2.5, gamma=2.0, mass=3.0))
+    for x in (-5.0, 0.1, 0.2, 0.22, 0.35, 0.6, 5.0):
+        assert plain(x).hex() == shaped(x).hex()
 
 
 @given(
@@ -334,7 +335,7 @@ def test_stop_spring_affine_segment():
     x=st.floats(-100.0, 100.0),
 )
 def test_stop_spring_always_clamped(k, f_c, f0_frac, x):
-    sp = LinearSpringParams(k=k, f_c=f_c)
+    sp = FrictionParams(f_c=f_c, sigma=k)
     b = BranchState(0.0, f0_frac * f_c, +1)
     assert abs(stop_spring(b, sp)(x)) <= f_c
 
@@ -350,12 +351,12 @@ def test_loop_degenerate_cycle():
 
 
 def test_loop_stop_spring_conservative():
-    sp = LinearSpringParams(k=2.0, f_c=1.0)
+    sp = FrictionParams(f_c=1.0, sigma=2.0)
     b_up = BranchState(0.0, -0.4, +1)
     f_hi = stop_spring(b_up, sp)(0.35)
     b_down = BranchState(0.35, f_hi, -1)
     delta = loop_dissipation(b_up, b_down, 0.0, 0.35, stop_spring, sp)
-    assert abs(delta) < 1e-10 * sp.k * 0.35**2
+    assert abs(delta) < 1e-10 * sp.sigma * 0.35**2
 
 
 def test_loop_dahl_half_saturated_cycle():

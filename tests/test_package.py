@@ -19,7 +19,6 @@ from presliding import (
     ConfigError,
     DomainError,
     FrictionParams,
-    LinearSpringParams,
     ReversalRecord,
     SimConfig,
     Trajectory,
@@ -97,7 +96,8 @@ def test_every_package_export_has_a_consumer():
 # potential_energy(-p.f_c, p); a reversal chain is five columns under
 # figures.CHAIN_HEADER; the branch work f_c*x + (f_c**2/sigma)*expm1(-(sigma/f_c)*x)
 # had no caller; the pointwise branch forces are the prepared maps
-# dahl_branch and stop_spring; check_omega_envelope computes its own deviation
+# dahl_branch and stop_spring, and the stop spring reads sigma and f_c of
+# FrictionParams; check_omega_envelope computes its own deviation
 REMOVED_NAMES = [
     (module, name)
     for module in ("presliding", "presliding.reversal")
@@ -106,7 +106,7 @@ REMOVED_NAMES = [
 ] + [
     (module, name)
     for module in ("presliding", "presliding.hysteresis")
-    for name in ("dahl_branch_force", "stop_spring_force")
+    for name in ("dahl_branch_force", "stop_spring_force", "LinearSpringParams")
 ] + [
     ("presliding.validation", "omega_envelope_deviation"),
     ("presliding.figures", "chain_table"),
@@ -185,9 +185,12 @@ def test_no_module_imports_dataclasses():
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # the static scan above misses a transitive import; -S keeps site's .pth
-    # files, which are not the package's, out of sys.modules
+    # files, which are not the package's, out of sys.modules. argparse and
+    # json serve main and the config file only, and validation serves only
+    # the validate kind, so a library import loads none of them
     script = ("import sys, presliding.cli\n"
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+              "print(sorted({'dataclasses', 'inspect', 'argparse', 'json',\n"
+              "              'presliding.validation'} & set(sys.modules)))\n")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         capture_output=True, text=True, check=True,
@@ -210,7 +213,6 @@ REQUIRED = inspect.Parameter.empty
 SIGNATURES = {
     FrictionParams: [("f_c", REQUIRED), ("sigma", REQUIRED), ("gamma", 1.0), ("mass", 1.0)],
     BranchState: [("x_rev", REQUIRED), ("f_rev", REQUIRED), ("direction", REQUIRED)],
-    LinearSpringParams: [("k", REQUIRED), ("f_c", REQUIRED)],
     SimConfig: [("params", REQUIRED), ("x0", 0.0), ("v0", 0.5), ("f0", 0.0), ("dt", None),
                 ("t_max", 200.0), ("max_reversals", 12), ("stop_energy", None)],
     ReversalRecord: [("index", REQUIRED), ("t_i", REQUIRED), ("x_i", REQUIRED),
@@ -237,7 +239,6 @@ P = FrictionParams(1.0, 10.0)
 VALID = {
     FrictionParams: {"f_c": 1.0, "sigma": 10.0},
     BranchState: {"x_rev": 0.0, "f_rev": 0.5, "direction": 1},
-    LinearSpringParams: {"k": 2.0, "f_c": 1.0},
     SimConfig: {"params": P},
 }
 
@@ -255,8 +256,6 @@ INVALID = [
      "gamma=1023.5 overflows the peak Dahl slope sigma*2**gamma"),
     (FrictionParams, {"mass": 0.0}, DomainError, "mass must be finite and > 0, got 0.0"),
     (BranchState, {"direction": 0}, DomainError, "direction must be +1 or -1, got 0"),
-    (LinearSpringParams, {"k": 0.0}, DomainError, "k must be > 0, got 0.0"),
-    (LinearSpringParams, {"f_c": -1.0}, DomainError, "f_c must be > 0, got -1.0"),
     (SimConfig, {"x0": math.nan}, ConfigError, "x0 must be finite, got nan"),
     (SimConfig, {"v0": 0.0}, ConfigError, "v0 must be nonzero (the motion starts mid-swing)"),
     (SimConfig, {"v0": 0.0, "dt": -1.0}, ConfigError,
@@ -288,7 +287,7 @@ def test_validated_records_reject_bad_fields(build, cls, bad, error, message):
 
 
 RECORDS = [
-    P, BranchState(0.0, 0.5, 1), LinearSpringParams(2.0, 1.0), SimConfig(P),
+    P, BranchState(0.0, 0.5, 1), SimConfig(P),
     ReversalRecord(0, 1.0, 0.5, -0.5, 0.1, 0.0), QuadResult(1.0, 3),
     CheckResult("check", True, 0.0, 1.0), ChainSettings(),
     ExperimentConfig("chain", SimConfig(P), ChainSettings(), Path("out"), ()),
