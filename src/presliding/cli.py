@@ -119,12 +119,10 @@ def apply_overrides(data: dict, overrides: Sequence[str]) -> dict:
         key, _, raw = item.partition("=")
         node = data
         parts = key.split(".")
-        for part in parts[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[part] = nxt
-            node = nxt
+        for i, part in enumerate(parts[:-1]):
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"{'.'.join(parts[:i + 1])}: expected an object, got {node!r}")
         try:
             node[parts[-1]] = _parse_override_value(raw)
         except RecursionError as exc:
@@ -199,7 +197,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"output_dir: expected a string, got {merged['output_dir']!r}")
 
     params = _build_record(FrictionParams, merged["params"], "params")
-    sim = _build_record(SimConfig, merged["sim"], "sim", params=params)
     chain = _build_record(ChainSettings, merged["chain"], "chain")
     if chain.mode not in ("exact", "approx"):
         raise ConfigError(f"chain.mode: expected 'exact' or 'approx', got {chain.mode!r}")
@@ -258,21 +255,32 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 raise ConfigError(f"sweep[{i}]: {exc}") from exc
         if "params" not in reads:  # the closed-form kinds, and validate's default params
             # the closed forms scale by these three, and fig5's curve spans about
-            # 1.59*f_c/sigma; one that overflows puts inf or nan cells into the tables
+            # 1.59*f_c/sigma; one that overflows puts inf or nan cells into the
+            # tables, and one that underflows zeros every energy or length
             try:
-                finite = all(map(math.isfinite, (p.sigma / p.f_c, p.f_c / p.sigma,
-                                                 p.f_c**2 / p.sigma,
-                                                 2.0 * p.f_c / p.sigma if span else 0.0)))
+                scaled = all(0.0 < s < math.inf for s in (p.sigma / p.f_c, p.f_c / p.sigma,
+                                                          p.f_c**2 / p.sigma,
+                                                          (2.0 if span else 1.0) * p.f_c / p.sigma))
             except OverflowError:
-                finite = False
-            if not finite:
+                scaled = False
+            if not scaled:
                 where = "params" if value is None else f"sweep[{i}]"
                 raise ConfigError(
-                    f"{where}: f_c={p.f_c!r} and sigma={p.sigma!r} overflow a closed-form "
-                    f"scale: sigma/f_c, f_c/sigma{span} and f_c**2/sigma must be finite"
+                    f"{where}: f_c={p.f_c!r} and sigma={p.sigma!r} overflow or underflow a "
+                    f"closed-form scale: sigma/f_c, f_c/sigma{span} and f_c**2/sigma must be "
+                    f"finite and nonzero"
                 )
         runs += ((sfx, value, p),)
 
+    # built last, so a kind that does not read sim reports its unread values
+    # and closed-form scales first, not the default dt they would underflow
+    sim = _build_record(SimConfig, merged["sim"], "sim", params=params)
+    for i, (_, value, p) in enumerate(runs):
+        if value is not None and "sim" in reads:  # a swept run's default dt
+            try:
+                sim._replace(params=p)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep[{i}]: {exc}") from exc
     return ExperimentConfig(kind, sim, chain, Path(merged["output_dir"]), runs)
 
 
@@ -300,7 +308,7 @@ def load_config(
         data.setdefault("kind", kind)
     apply_overrides(data, overrides)
     if data["kind"] != kind:
-        raise ConfigError(f"kind: {data['kind']!r} does not match subcommand {kind!r}")
+        raise ConfigError(f"kind: {data['kind']!r} does not match the command line's {kind!r}")
     if out_dir is not None:
         data["output_dir"] = out_dir
     return config_from_dict(data)

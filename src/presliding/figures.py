@@ -200,8 +200,8 @@ def fig6_table(
     ratios = None
     for _, ratio, p in runs:
         f_0 = f0_over_fc * p.f_c
-        # the exact ratios are sigma-free, and the runs differ in sigma only (the sweep's)
-        if mode != "exact" or ratios is None:
+        # the ratios are sigma-free, and the runs differ in sigma only (the sweep's)
+        if ratios is None:
             ratios = _chain_ratios(f_0, n_steps, p, mode)
         for col, values in zip(columns, [[ratio] * n_steps, *_chain_columns(f_0, p, *ratios)]):
             col += values

@@ -89,6 +89,12 @@ class SimConfig(NamedTuple):
             )
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
+        if self.effective_dt() == 0.0:
+            p = self.params
+            raise ConfigError(
+                f"the default dt (1/200)*sqrt(mass*f_c/sigma) underflows to 0 at mass={p.mass}, "
+                f"f_c={p.f_c} and sigma={p.sigma}; set sim.dt"
+            )
         if not 0.0 < self.t_max < math.inf:
             raise ConfigError(f"t_max must be finite and > 0, got {self.t_max}")
         if self.max_reversals is not None and self.max_reversals < 1:

@@ -32,7 +32,9 @@ The linearized predictor exists in two algebraic variants that disagree
 by a stiffness-ratio factor inside the denominator; the source material
 is internally inconsistent about which is meant. Both are implemented
 ("printed" and "rederived") and the validation suite measures each
-against the exact root instead of guessing.
+against the exact root instead of guessing. The "rederived" prediction,
+followed by the branch force there, is a sigma-free map too:
+q = -expm1(E/-expm1(-0.6*log1p(phi))) with E = log1p(phi) - phi.
 """
 
 from __future__ import annotations
@@ -238,13 +240,13 @@ def _chain_ratios(f_0: float, n_steps: int, p: FrictionParams, mode: str) -> tup
         return _force_ratios(phi, n_steps)
     if mode != "approx":
         raise DomainError(f"unknown chain mode {mode!r}")
-    phis = [phi]
+    phis, excesses = [phi], [_log1p_excess(phi)]
     for _ in range(n_steps):
-        f_up = -phi * p.f_c  # ascending-frame force of this half-cycle
-        x_next = next_reversal_approx(f_up, p, form="rederived")
-        phi = (p.f_c - (p.f_c - f_up) * omega(x_next - reversal_coordinate(f_up, p), p)) / p.f_c
+        if phi > 0.0:  # a phi that has underflowed to 0 stays 0
+            phi = -math.expm1(excesses[-1] / -math.expm1(-SLOPE_EXPONENT * math.log1p(phi)))
         phis.append(phi)
-    return phis, list(map(_log1p_excess, phis))
+        excesses.append(_log1p_excess(phi))
+    return phis, excesses
 
 
 def _chain_columns(f_0: float, p: FrictionParams, phis: list, excesses: list) -> list[list]:
@@ -267,13 +269,11 @@ def reversal_chain(
 ) -> list[list]:
     """Iterate the half-cycle recursion from a seed reversal force f_0 < 0.
 
-    Each step maps the current reversal force ratio phi = |f_n|/f_c to the
-    next one: in "exact" mode by the closed-form map of the module
-    docstring, which does not involve sigma, in "approx" mode through the
-    "rederived" linearized predictor and the branch force there. Descending
-    half-cycles are handled by sign mirroring, so the forces F_n and the
-    reversal coordinates x_n (zero-crossing frame) alternate sign while
-    their magnitudes decay strictly.
+    Each step maps phi = |f_n|/f_c to the next ratio by a sigma-free map of
+    the module docstring: the exact root, or the "rederived" one in "approx"
+    mode. Sign mirroring handles descending half-cycles, so F_n and the
+    coordinates x_n (zero-crossing frame) alternate sign while |F_n| decays,
+    strictly until a step leaves phi as it is (exact: below ~1e-16; approx: 0).
 
     Returns the columns [n, F_n, x_n, E_p, E_d] of reversals n = 0 ..
     n_steps-1, one list each: E_p is the recoverable energy at reversal n

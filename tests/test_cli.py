@@ -31,6 +31,7 @@ import presliding.oscillator as oscillator
 import presliding.reversal as reversal
 
 REPO = Path(__file__).resolve().parents[1]
+DATA = REPO / "tests" / "data"
 
 
 def sweep_values(cfg):
@@ -444,6 +445,14 @@ def test_simulate_and_chain_kinds(tmp_path):
     assert len(ch) == 7
 
 
+def test_long_approx_chain_writes_only_finite_cells(tmp_path):
+    # phi underflows to 0 near step 2034 and stays 0 from there on
+    assert run_kind("chain", tmp_path, chain={"n_steps": 5000, "mode": "approx"})[0] == 0
+    ch = np.genfromtxt(tmp_path / "chain.csv", delimiter=",", names=True)
+    assert len(ch) == 5000
+    assert all(np.isfinite(ch[name]).all() for name in ch.dtype.names)
+
+
 def test_manifest_lists_every_file_with_true_digests(tmp_path):
     run_kind("fig5", tmp_path)
     lines = (tmp_path / "manifest.txt").read_text().splitlines()
@@ -519,7 +528,8 @@ def test_main_runtime_error_exit_code(tmp_path, capsys, overrides):
     assert err.count("\n") == 1
 
 
-_SCALE_ERROR = "config error: {}: f_c={!r} and sigma={!r} overflow a closed-form scale: "
+_SCALE_ERROR = ("config error: {}: f_c={!r} and sigma={!r} overflow or underflow a closed-form "
+                "scale: ")
 
 # one row per probed input: arguments, exit code, start of the one stderr line
 PROBES = {
@@ -571,6 +581,24 @@ PROBES = {
     ),
     "fig6_energy_scale_overflows": (
         ["fig6", "--override", "sweep=[1e-309]"], 2, _SCALE_ERROR.format("sweep[0]", 1.0, 1e-309),
+    ),
+    # f_c**2/sigma underflows to 0, which would zero every E_p and E_d cell
+    "chain_energy_scale_underflows": (
+        ["chain", "--override", "params.f_c=1e-150", "--override", "params.sigma=1e150"],
+        2, _SCALE_ERROR.format("params", 1e-150, 1e150),
+    ),
+    "fig3_energy_scale_underflows": (
+        ["fig3", "--override", "params.f_c=1e-150", "--override", "sweep=[1,1e300]"],
+        2, _SCALE_ERROR.format("sweep[1]", 1e-150, 1e150),
+    ),
+    "fig6_energy_scale_underflows": (
+        ["fig6", "--override", "params.f_c=1e-150", "--override", "sweep=[1e300]"],
+        2, _SCALE_ERROR.format("sweep[0]", 1e-150, 1e150),
+    ),
+    # f_c/sigma underflows to 0 while f_c**2/sigma does too: no length scale
+    "chain_length_scale_underflows": (
+        ["chain", "--override", "params.f_c=1e-200", "--override", "params.sigma=1e200"],
+        2, _SCALE_ERROR.format("params", 1e-200, 1e200),
     ),
     # sweep entries are numbers, as every other number field
     "sweep_entry_bool": (
@@ -645,10 +673,10 @@ PROBES = {
         ["simulate", "--override", "sim.v0=1e200"],
         2, "config error: sim: v0=1e+200 overflows the initial kinetic energy",
     ),
-    # an override must not switch the kind the subcommand runs
+    # an override must not switch the kind the command line runs
     "kind_override": (
         ["fig3", "--override", "kind=validate"],
-        2, "config error: kind: 'validate' does not match subcommand 'fig3'",
+        2, "config error: kind: 'validate' does not match the command line's 'fig3'\n",
     ),
     "output_dir_number": (
         ["fig3", "--override", "output_dir=5"],
@@ -678,6 +706,30 @@ PROBES = {
     "params_list": (
         ["simulate", "--override", "params=[]"],
         2, "config error: params: expected an object, got []\n",
+    ),
+    # a dotted override does not replace a section that is not an object
+    "override_into_params_number": (
+        ["chain", "--override", "params=5", "--override", "params.sigma=2"],
+        2, "config error: params: expected an object, got 5\n",
+    ),
+    "override_into_params_list_from_file": (
+        ["chain", "--config", str(DATA / "params_list.json"), "--override", "params.sigma=2"],
+        2, "config error: params: expected an object, got [1, 2]\n",
+    ),
+    "override_into_nested_number": (
+        ["chain", "--override", "params.sigma.x=2"],
+        2, "config error: params.sigma: expected an object, got 1.0\n",
+    ),
+    # the default step 0.005*sqrt(mass*f_c/sigma) underflows to 0
+    "simulate_default_dt_underflows": (
+        ["simulate", "--override", "params.mass=1e-300", "--override", "params.sigma=1e30"],
+        2, "config error: sim: the default dt (1/200)*sqrt(mass*f_c/sigma) underflows to 0 "
+           "at mass=1e-300, f_c=1.0 and sigma=1e+30; set sim.dt\n",
+    ),
+    "fig7_default_dt_underflows": (
+        ["fig7", "--override", "params.mass=1e-300", "--override", "sweep=[10,1e30]"],
+        2, "config error: sweep[1]: the default dt (1/200)*sqrt(mass*f_c/sigma) underflows "
+           "to 0 at mass=1e-300, f_c=1.0 and sigma=1e+30; set sim.dt\n",
     ),
     # chains above the bound would run for minutes and hold gigabytes
     "chain_n_steps_above_bound": (

@@ -411,17 +411,41 @@ def test_chain_scale_invariance_across_ratios():
 
 
 def test_chain_forces_bitwise_independent_of_sigma():
-    forces = [
-        reversal_chain(-0.7, 30, FrictionParams(1.0, sigma))[1]
-        for sigma in (1.0, 10.0, 1000.0)
-    ]
-    assert forces[0] == forces[1] == forces[2]
+    for mode in ("exact", "approx"):
+        forces = [
+            reversal_chain(-0.7, 30, FrictionParams(1.0, sigma), mode)[1]
+            for sigma in (1.0, 10.0, 1000.0)
+        ]
+        assert forces[0] == forces[1] == forces[2], mode
 
 
 def test_chain_approx_mode_decays():
     f_n = reversal_chain(-1.0, 10, FrictionParams(1.0, 10.0), mode="approx")[1]
     for a, b in zip(f_n, f_n[1:]):
         assert abs(b) < abs(a)
+
+
+@pytest.mark.parametrize("phi", [1.0, 0.5, 1e-3, 1e-10, 1e-100])
+def test_approx_ratio_map_matches_decimal_reference(phi):
+    # the "rederived" x_next = (E_p/f_c)/(1 - (1 + phi)**-0.6) followed by the
+    # branch force there, q = 1 - exp(-sigma*x_next/f_c), in 400 significant
+    # digits: enough that 1 + phi keeps every digit of phi = 1e-100
+    ctx = Context(prec=400)
+    one = ctx.create_decimal(1)
+    d_phi = ctx.create_decimal(phi)
+    log1p = ctx.ln(ctx.add(one, d_phi))
+    e_p = ctx.subtract(d_phi, log1p)  # E_p in units of f_c**2/sigma
+    denom = ctx.subtract(one, ctx.exp(ctx.multiply(ctx.create_decimal("-0.6"), log1p)))
+    ref = float(ctx.subtract(one, ctx.exp(ctx.minus(ctx.divide(e_p, denom)))))
+    q = reversal_chain(-phi, 2, P1, mode="approx")[1][1]
+    assert q == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_chain_decays_strictly_from_saturation(mode):
+    _, f_n, _, e_p, _ = reversal_chain(-1.0, 2000, FrictionParams(1.0, 10.0), mode)
+    assert all(abs(b) < abs(a) for a, b in zip(f_n, f_n[1:]))
+    assert all(b < a for a, b in zip(e_p, e_p[1:]))
 
 
 def test_chain_validation():
@@ -471,16 +495,16 @@ CHAIN_DIGESTS = {
     ("exact", 1000.0, -0.05): "bbd2d7332aa9b8ddc40bde6b51172af46abc631ddc96a60c4994b78774df821e",
     ("exact", 1000.0, -1e-4): "33f06da404d18a697aee98620dfeb8036b0ee8083c67215c2f9a292d7bc53c4d",
     ("exact", 1000.0, -1e-7): "61f9cd3f2139c4bd0bf43dfd9255234a0694b0504e74cc13b8fcc7286ea6699e",
-    ("approx", 1.0, -1.0): "2a9e9b94838676130064cc11d6522fbbf7b32d75130685a9885ff3d7a5351952",
-    ("approx", 1.0, -0.6): "79efc5c064e412bdc96cf14ca4f944729f2a6812e4defaf91becf7534271b54e",
-    ("approx", 1.0, -0.05): "6b56f0e1ec5aa05122eaca4f0ef440abdfc099530f1246f23b1e73de2307df31",
-    ("approx", 1.0, -1e-4): "55fe41ee24e37894d84b96ec1ebbc10f016184d3814b7f44e5c32bad4d7c4af6",
-    ("approx", 1.0, -1e-7): "3e03b2bcfe751eae53a77d9a8448fb8024c411d878077e149de4d13a583ef289",
-    ("approx", 1000.0, -1.0): "582e1ee65010a550cd934aa9038b69ec2f2712b9530ca725267fd61340f85301",
-    ("approx", 1000.0, -0.6): "ed4c8fd704faf518604fb8a3d048d136964b5bebfab5c13e27628f07fbd12722",
-    ("approx", 1000.0, -0.05): "cb3236e0e9703a4e9263fc4745c873c6c08060960c777bcb744f6661b843df7c",
-    ("approx", 1000.0, -1e-4): "a0114d2b340c3c6b6f5dc64c822cff8a5bb347aeaedf4262ee53bdf9686b2963",
-    ("approx", 1000.0, -1e-7): "a837f4786f55c1046f5e8f431003af3cab1980a87f7b2ebc8460153381d70cf2",
+    ("approx", 1.0, -1.0): "08c3e24a462922ce059b75efad430b272ca70da73b1819494d1af8ce1b9817ca",
+    ("approx", 1.0, -0.6): "8c5d4e0c5ce938a9da2bcf7fb6d9deb10947d592051a2ca76c5fcbc608f7036b",
+    ("approx", 1.0, -0.05): "fd45932ba0310bb0d19282e10b88ffb19fbb5e7b878c0aee3e08a472df8dfbbf",
+    ("approx", 1.0, -1e-4): "ae5776b5b42922ee1ef58b90d9e487f85ccf0f793963cc750edbabe07e0e599a",
+    ("approx", 1.0, -1e-7): "0a0a0061d2352d7103582711d0fbe1b47a2b1d52daaefbf526862c597bae09ba",
+    ("approx", 1000.0, -1.0): "9dc99ba40a53bacaac8d8e9f644a49da4713306ee114489f07f774c9b222cbe9",
+    ("approx", 1000.0, -0.6): "03356d35fe347f9833ec5260fc2d7ff6e6825495863d53ee2ade1e5ca06115f4",
+    ("approx", 1000.0, -0.05): "c1b7d02b9998e1f9545a90f332243b6c3ee6fad916d0a388a3ecd2d4c8974b33",
+    ("approx", 1000.0, -1e-4): "1604b29d9c23c40746b079136f7e65fed5820c001b39c05a12345c83d291af40",
+    ("approx", 1000.0, -1e-7): "3cebb9ea1df3d70c40cbec6a9abc30b11275f0e0660a89feb6b30045bcf83628",
 }
 
 
