@@ -69,7 +69,9 @@ _HALLEY_STOP = 1e-6
 _HALLEY_MAX_ITER = 8
 
 
-def _check_reversal_force(f_i: float, p: FrictionParams, allow_zero: bool = False) -> None:
+def _phi(f_i: float, p: FrictionParams, allow_zero: bool = False) -> float:
+    """phi = |f_i|/f_c of a reversal force f_i in [-f_c, 0), or [-f_c, 0] with allow_zero."""
+    p.require_gamma_one()
     hi_ok = (f_i <= 0.0) if allow_zero else (f_i < 0.0)
     if not (-p.f_c <= f_i and hi_ok):
         upper = "0]" if allow_zero else "0)"
@@ -77,11 +79,12 @@ def _check_reversal_force(f_i: float, p: FrictionParams, allow_zero: bool = Fals
             f"reversal force f_i={f_i} outside admissible range [-f_c, {upper} "
             f"with f_c={p.f_c}"
         )
+    return -f_i / p.f_c
 
 
-def _slope_correction(f_i: float, p: FrictionParams) -> float:
-    # (f_c/(f_c - f_i))**0.6, with ln(f_c/(f_c - f_i)) evaluated stably for f_i near 0
-    return math.exp(SLOPE_EXPONENT * -math.log1p(-f_i / p.f_c))
+def _slope_log(phi: float) -> float:
+    # ln of the slope correction (f_c/(f_c - f_i))**0.6 = (1 + phi)**-0.6, stable for phi near 0
+    return SLOPE_EXPONENT * -math.log1p(phi)
 
 
 def _log1p_excess(t: float) -> float:
@@ -144,9 +147,7 @@ def reversal_coordinate(f_i: float, p: FrictionParams) -> float:
     x_i = (f_c/sigma) * ln(f_c / (f_c - f_i)) < 0 for admissible f_i in
     [-f_c, 0).
     """
-    p.require_gamma_one()
-    _check_reversal_force(f_i, p)
-    return _branch_x(f_i / p.f_c, p.f_c / p.sigma)
+    return _branch_x(-_phi(f_i, p), p.f_c / p.sigma)
 
 
 def potential_energy(f_i: float, p: FrictionParams) -> float:
@@ -156,9 +157,7 @@ def potential_energy(f_i: float, p: FrictionParams) -> float:
     at f_i = 0. This also equals the peak kinetic energy of the following
     half-cycle, attained at the force zero crossing.
     """
-    p.require_gamma_one()
-    _check_reversal_force(f_i, p, allow_zero=True)
-    return _energy(-f_i / p.f_c, p.f_c**2 / p.sigma)
+    return _energy(_phi(f_i, p, allow_zero=True), p.f_c**2 / p.sigma)
 
 
 def omega(x: float, p: FrictionParams) -> float:
@@ -173,9 +172,7 @@ def omega_approx(f_i: float, p: FrictionParams) -> float:
     so the chord stays close to the exponential over the upcoming
     half-cycle.
     """
-    p.require_gamma_one()
-    _check_reversal_force(f_i, p)
-    return (p.sigma / p.f_c) * _slope_correction(f_i, p)
+    return math.exp(_slope_log(_phi(f_i, p))) * (p.sigma / p.f_c)
 
 
 def next_reversal_exact(f_i: float, p: FrictionParams) -> float:
@@ -188,9 +185,7 @@ def next_reversal_exact(f_i: float, p: FrictionParams) -> float:
     where q is the Lambert W root of the module docstring, so
     x = -(f_c/sigma)*ln(1 - q).
     """
-    p.require_gamma_one()
-    _check_reversal_force(f_i, p)
-    return _branch_x(_force_ratios(-f_i / p.f_c, 1)[0][1], p.f_c / p.sigma)
+    return _branch_x(_force_ratios(_phi(f_i, p), 1)[0][1], p.f_c / p.sigma)
 
 
 def next_reversal_approx(
@@ -211,10 +206,9 @@ def next_reversal_approx(
     on a non-positive denominator ("printed" degenerates once
     sigma/f_c drops below the slope correction).
     """
-    p.require_gamma_one()
-    _check_reversal_force(f_i, p)
-    e_p = _energy(-f_i / p.f_c, p.f_c**2 / p.sigma)
-    correction = _slope_correction(f_i, p)
+    phi = _phi(f_i, p)
+    e_p = _energy(phi, p.f_c**2 / p.sigma)
+    correction = math.exp(_slope_log(phi))
     if form == "printed":
         denom = 1.0 - (p.f_c / p.sigma) * correction
     elif form == "rederived":
@@ -231,11 +225,9 @@ def next_reversal_approx(
 
 def _chain_ratios(f_0: float, n_steps: int, p: FrictionParams, mode: str) -> tuple[list, list]:
     """Force ratios phi_0 .. phi_n_steps of the chain from f_0, and their _log1p_excess."""
-    p.require_gamma_one()
-    _check_reversal_force(f_0, p)
+    phi = _phi(f_0, p)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    phi = -f_0 / p.f_c
     if mode == "exact":
         return _force_ratios(phi, n_steps)
     if mode != "approx":
@@ -243,7 +235,7 @@ def _chain_ratios(f_0: float, n_steps: int, p: FrictionParams, mode: str) -> tup
     phis, excesses = [phi], [_log1p_excess(phi)]
     for _ in range(n_steps):
         if phi > 0.0:  # a phi that has underflowed to 0 stays 0
-            phi = -math.expm1(excesses[-1] / -math.expm1(-SLOPE_EXPONENT * math.log1p(phi)))
+            phi = -math.expm1(excesses[-1] / -math.expm1(_slope_log(phi)))
         phis.append(phi)
         excesses.append(_log1p_excess(phi))
     return phis, excesses
