@@ -1,11 +1,14 @@
 """Tests of the CLI: configs, overrides, datasets, manifests, exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -492,6 +495,25 @@ def test_default_config_manifest_matches_golden(tmp_path, kind):
     assert (tmp_path / "manifest.txt").read_bytes() == golden.read_bytes()
 
 
+# the first block of jobs of two benchmark workloads (perfbench/workloads.py,
+# closed-form seed 21 and sim-sweep seed 11), each with the manifest digest
+# scripts/job_digests.py printed for it; the configs are stored, not the
+# seeds, so numpy's random stream does not enter. A change that moves output
+# bytes on purpose re-pins these rows, as it does the golden manifests
+WORKLOAD_JOBS = json.loads((DATA / "workload_jobs.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", ["closed-form", "sim-sweep"])
+def test_workload_jobs_write_pinned_bytes(tmp_path, workload):
+    rows = [row for row in WORKLOAD_JOBS if row["workload"] == workload]
+    digests = []
+    for row in rows:
+        out = tmp_path / str(row["index"])
+        assert run_experiment(config_from_dict(dict(row["job"], output_dir=str(out))))[0] == 0
+        digests.append(hashlib.sha256((out / "manifest.txt").read_bytes()).hexdigest())
+    assert digests == [row["manifest_sha256"] for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -526,6 +548,69 @@ def test_main_runtime_error_exit_code(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert err.startswith("run error: simulate: StepRejectionError: ")
     assert err.count("\n") == 1
+
+
+# the work one fuzzed run of main may take: chain steps per chain, and
+# simulation steps, t_max/dt summed over the runs
+CHAIN_STEP_CAP = 10**4
+SIM_STEP_BUDGET = 2 * 10**4
+
+
+def plausible_values(path):
+    """Values of the type of the path's default and near its range, so that runs get past
+    the config checks."""
+    if path == "sweep":
+        return st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3)
+    key, name = path.split(".")
+    default = default_config("fig3")[key][name]
+    if isinstance(default, str):
+        return st.sampled_from(["exact", "approx"])
+    return st.integers(-2, 100) if isinstance(default, int) else st.floats(-1.0, 1e3)
+
+
+@st.composite
+def main_arguments(draw):
+    """(kind, overrides): 1-3 JSON values, most at paths the kind reads, bounded in work."""
+    kind = draw(st.sampled_from([k for k in KINDS if k != "validate"]))
+    reads = [leaf for leaf in LEAVES if {leaf, leaf.split(".")[0]} & READ_SETS[kind]]
+    overrides = []
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(reads if draw(st.integers(0, 3)) else LEAVES))
+        value = draw(JSON_VALUES | plausible_values(path))
+        if path == "chain.n_steps" and type(value) is int:
+            value = min(value, CHAIN_STEP_CAP)
+        overrides.append(f"{path}={json.dumps(value)}")
+    try:
+        cfg = load_config(kind, None, overrides, None)
+    except ConfigError:
+        return kind, overrides
+    if "sim" in READ_SETS[kind]:
+        rate = sum(1.0 / cfg.sim._replace(params=p).effective_dt() for _, _, p in cfg.runs)
+        if cfg.sim.t_max * rate > SIM_STEP_BUDGET:  # a t_max of 0 after an inf rate exits 2
+            overrides.append(f"sim.t_max={json.dumps(SIM_STEP_BUDGET / rate)}")
+    return kind, overrides
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=main_arguments())
+def test_main_exits_0_2_or_3_and_writes_parseable_csv(args):
+    kind, overrides = args
+    argv = [kind] + [word for item in overrides for word in ("--override", item)]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(out)])
+        assert code in (0, 2, 3)
+        if code:
+            text = err.getvalue()
+            assert text.startswith(("config error: ", f"run error: {kind}: "))
+            assert text.count("\n") == 1 and text.endswith("\n") and "Traceback" not in text
+            return
+        for path in out.glob("*.csv"):
+            with path.open(newline="") as handle:
+                header, *rows = csv.reader(handle)
+            assert all(len(row) == len(header) for row in rows), path.name
 
 
 _SCALE_ERROR = ("config error: {}: f_c={!r} and sigma={!r} overflow or underflow a closed-form "
@@ -785,6 +870,20 @@ PROBES = {
     ),
     "fig7_params_sigma": (
         ["fig7", "--override", "params.sigma=7"], 2, "config error: params.sigma: ",
+    ),
+    # an unread value equal to its default (False == 0.0, True == 1.0,
+    # 20.0 == 20) passes the read rule, but building the record rejects its type
+    "fig3_unread_x0_false": (
+        ["fig3", "--override", "sim.x0=false"],
+        2, "config error: sim.x0: expected a number, got False\n",
+    ),
+    "chain_unread_mass_true": (
+        ["chain", "--override", "params.mass=true"],
+        2, "config error: params.mass: expected a number, got True\n",
+    ),
+    "validate_unread_n_steps_float": (
+        ["validate", "--override", "chain.n_steps=20.0"],
+        2, "config error: chain.n_steps: expected an integer, got 20.0\n",
     ),
     # a list is JSON; the text 10,100 is not, and stays a string
     "fig3_comma_list": (

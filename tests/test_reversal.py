@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from decimal import Context
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -263,6 +263,37 @@ def test_next_force_ratio_matches_oracle_root(phi):
 
     ref = find_root(residual, 0.0, math.nextafter(phi, 0.0), tol=1e-15 * phi)
     assert _force_ratios(phi, 1)[0][1] == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [2e-6, 1e-8, 1e-12, 1e-15, 5e-16, 2e-16, 1.5e-16, 1e-16, 5e-17, 1e-20, 1e-100, 1e-300],
+)
+def test_next_force_ratio_within_one_ulp_below_1e_6(phi):
+    # below phi = 1e-6 the Pade start is the answer; Newton's method on
+    # log1p(-q) + q = log1p(phi) - phi, each side summed from its Taylor
+    # series in 80 digits, gives the root. At phi <= 1.5e-16 the map
+    # returns phi itself, at most 0.61 ulp above the root (worst 0.95 ulp at 1e-8)
+    ctx = Context(prec=80)
+
+    def excess(t):  # log1p(t) - t = sum over k >= 2 of (-1)**(k+1) * t**k / k
+        total, power, k = Decimal(0), ctx.multiply(t, t), 2
+        while True:
+            term = ctx.divide(power, k)
+            total = ctx.add(total, term if k % 2 else ctx.minus(term))
+            if abs(term) <= abs(total) * Decimal("1e-85"):
+                return total
+            power, k = ctx.multiply(power, t), k + 1
+
+    rhs = excess(Decimal(phi))
+    root = Decimal(phi)
+    for _ in range(8):  # from a relative error below 2e-6, four steps reach 80 digits
+        # h(q) = excess(-q) - rhs has h'(q) = -q/(1 - q)
+        minus = ctx.minus(root)
+        slope = ctx.divide(minus, ctx.subtract(1, root))
+        root = ctx.subtract(root, ctx.divide(ctx.subtract(excess(minus), rhs), slope))
+    q = _force_ratios(phi, 1)[0][1]
+    assert abs(ctx.subtract(Decimal(q), root)) <= Decimal(math.ulp(q))
 
 
 @pytest.fixture(scope="module")
