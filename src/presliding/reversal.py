@@ -28,13 +28,14 @@ eps/phi**2 of relative precision near its branch point -1/e, which the
 log form avoids. sigma and f_c only scale displacements and energies, so
 the sequence of reversal force ratios does not depend on sigma at all.
 
-The linearized predictor exists in two algebraic variants that disagree
-by a stiffness-ratio factor inside the denominator; the source material
-is internally inconsistent about which is meant. Both are implemented
-("printed" and "rederived") and the validation suite measures each
-against the exact root instead of guessing. The "rederived" prediction,
-followed by the branch force there, is a sigma-free map too:
-q = -expm1(E/-expm1(-0.6*log1p(phi))) with E = log1p(phi) - phi.
+The linearized predictor x = (f_c/sigma)*(phi - log1p(phi))/D has two
+published variants that differ only in the k of its denominator
+D = 1 - k*(1 + phi)**-0.6: k = f_c/sigma as printed, k = 1 as rederived.
+The source material is internally inconsistent about which is meant, so
+the validation suite measures both against the exact root. D is evaluated
+as (1 - k) - k*expm1(-0.6*log1p(phi)), which keeps its digits at small
+phi. The "rederived" prediction, followed by the branch force there, is a
+sigma-free map too: q = -expm1(E/D) with E = log1p(phi) - phi and k = 1.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ def _phi(f_i: float, p: FrictionParams, allow_zero: bool = False) -> float:
 def _slope_log(phi: float) -> float:
     # ln of the slope correction (f_c/(f_c - f_i))**0.6 = (1 + phi)**-0.6, stable for phi near 0
     return SLOPE_EXPONENT * -math.log1p(phi)
+
+
+def _approx_denom(phi: float, k: float) -> float:
+    # D = 1 - k*(1 + phi)**-0.6 of the linearized predictor, without cancellation near phi = 0
+    return (1.0 - k) - k * math.expm1(_slope_log(phi))
 
 
 def _log1p_excess(t: float) -> float:
@@ -200,33 +206,26 @@ def next_reversal_approx(
     """Next reversal displacement from the linearized energy balance.
 
     Substituting the linear decay factor into the energy balance makes it
-    explicitly solvable. Two variants are shipped:
-
-    - "printed": x = (E_p/f_c) / (1 - (f_c/sigma)*(f_c/(f_c-f_i))**0.6),
-      the formula as published;
-    - "rederived": x = (E_p/f_c) / (1 - (f_c/(f_c-f_i))**0.6), what the
-      substitution of the linear slope actually yields.
-
-    The two agree only at sigma == f_c. Neither is endorsed here; the
-    validation suite quantifies both against next_reversal_exact. Raises
-    on a non-positive denominator ("printed" degenerates once
-    sigma/f_c drops below the slope correction).
+    explicitly solvable: x = (E_p/f_c) / (1 - k*(f_c/(f_c-f_i))**0.6), with
+    k = f_c/sigma as published ("printed") or k = 1, what the substitution
+    of the linear slope actually yields ("rederived"). Both forms take the
+    one evaluation of D in the module docstring, so they agree exactly at
+    sigma == f_c. Neither is endorsed here; the validation suite quantifies
+    both against next_reversal_exact. Raises on a non-positive denominator,
+    which only "printed" reaches (once sigma/f_c drops below the slope
+    correction).
     """
     phi = _phi(f_i, p)
-    e_p = _energy(phi, p.f_c**2 / p.sigma)
-    correction = math.exp(_slope_log(phi))
-    if form == "printed":
-        denom = 1.0 - (p.f_c / p.sigma) * correction
-    elif form == "rederived":
-        denom = 1.0 - correction
-    else:
+    if form not in ("printed", "rederived"):
         raise DomainError(f"unknown approximation form {form!r}")
+    x_scale = p.f_c / p.sigma
+    denom = _approx_denom(phi, x_scale if form == "printed" else 1.0)
     if denom <= 0.0:
         raise DomainError(
             f"degenerate denominator {denom} for form={form!r}, f_i={f_i}, "
             f"sigma/f_c={p.ratio}"
         )
-    return (e_p / p.f_c) / denom
+    return x_scale * (-_log1p_excess(phi) / denom)
 
 
 def _chain_ratios(f_0: float, n_steps: int, p: FrictionParams, mode: str) -> tuple[list, list]:
@@ -241,7 +240,7 @@ def _chain_ratios(f_0: float, n_steps: int, p: FrictionParams, mode: str) -> tup
     phis, excesses = [phi], [_log1p_excess(phi)]
     for _ in range(n_steps):
         if phi > 0.0:  # a phi that has underflowed to 0 stays 0
-            phi = -math.expm1(excesses[-1] / -math.expm1(_slope_log(phi)))
+            phi = -math.expm1(excesses[-1] / _approx_denom(phi, 1.0))
         phis.append(phi)
         excesses.append(_log1p_excess(phi))
     return phis, excesses

@@ -472,6 +472,37 @@ def test_approx_ratio_map_matches_decimal_reference(phi):
     assert q == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("form", ["printed", "rederived"])
+@pytest.mark.parametrize("ratio", [1.0, 10.0, 1000.0])
+@pytest.mark.parametrize("phi", [1.0, 0.5, 1e-3, 1e-10, 1e-100])
+def test_approx_predictor_matches_decimal_reference(phi, ratio, form):
+    # x_next = (f_c/sigma)*(phi - log1p(phi))/(1 - k*(1 + phi)**-0.6), with
+    # k = f_c/sigma ("printed") or 1 ("rederived"), in 400 significant digits
+    ctx = Context(prec=400)
+    one = ctx.create_decimal(1)
+    d_phi = ctx.create_decimal(phi)
+    x_scale = ctx.divide(one, ctx.create_decimal(ratio))
+    k = x_scale if form == "printed" else one
+    log1p = ctx.ln(ctx.add(one, d_phi))
+    slope = ctx.exp(ctx.multiply(ctx.create_decimal("-0.6"), log1p))
+    denom = ctx.subtract(one, ctx.multiply(k, slope))
+    ref = float(ctx.divide(ctx.multiply(x_scale, ctx.subtract(d_phi, log1p)), denom))
+    x = next_reversal_approx(-phi, FrictionParams(1.0, ratio), form=form)
+    assert x == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@given(
+    phi=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    ratio=st.sampled_from([0.5, 1.0, 10.0, 1000.0]),
+)
+@example(phi=5e-324, ratio=1.0)
+@example(phi=1e-100, ratio=0.5)
+def test_rederived_approx_never_degenerates(phi, ratio):
+    # its denominator 1 - (1 + phi)**-0.6 is positive for every phi in (0, 1]
+    x = next_reversal_approx(-phi, FrictionParams(1.0, ratio), form="rederived")
+    assert 0.0 <= x < math.inf
+
+
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_chain_decays_strictly_from_saturation(mode):
     _, f_n, _, e_p, _ = reversal_chain(-1.0, 2000, FrictionParams(1.0, 10.0), mode)
