@@ -101,18 +101,13 @@ def default_config(kind: str) -> dict:
     }
 
 
-def _parse_override_value(raw: str):
-    """An override value as JSON, or the raw string where it is not JSON."""
+def apply_overrides(data: dict, overrides: Sequence[str]) -> dict:
+    """Apply repeatable `key.path=value` overrides onto a config dict.
+
+    A value is parsed as JSON, or else taken as the raw string.
+    """
     import json
 
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
-
-
-def apply_overrides(data: dict, overrides: Sequence[str]) -> dict:
-    """Apply repeatable `key.path=value` overrides onto a config dict."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -124,7 +119,9 @@ def apply_overrides(data: dict, overrides: Sequence[str]) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"{'.'.join(parts[:i + 1])}: expected an object, got {node!r}")
         try:
-            node[parts[-1]] = _parse_override_value(raw)
+            node[parts[-1]] = json.loads(raw)
+        except json.JSONDecodeError:
+            node[parts[-1]] = raw
         except RecursionError as exc:
             raise ConfigError(f"override {key}: value nests too deeply to parse") from exc
     return data

@@ -113,9 +113,8 @@ def trajectory_table(traj: Trajectory) -> tuple[list[str], list[Sequence]]:
 
 
 def reversals_table(traj: Trajectory) -> tuple[list[str], list[Sequence]]:
-    """Reversal records as i,t_i,x_i,F_i,E_p,E_d_halfcycle."""
-    rows = [(r.index, r.t_i, r.x_i, r.f_i, r.e_p, r.e_d_halfcycle) for r in traj.reversals]
-    return ["i", "t_i", "x_i", "F_i", "E_p", "E_d_halfcycle"], _columns(rows, 6)
+    """Reversal records as i,t_i,x_i,F_i,E_p,E_d_halfcycle, ReversalRecord's fields in order."""
+    return ["i", "t_i", "x_i", "F_i", "E_p", "E_d_halfcycle"], _columns(traj.reversals, 6)
 
 
 def fig3_table(runs: Runs) -> tuple[list[str], list[list]]:

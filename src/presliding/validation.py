@@ -68,6 +68,11 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
+def _below(name: str, measured: float, tolerance: float, detail: str = "") -> CheckResult:
+    """The check that passes when measured < tolerance."""
+    return CheckResult(name, measured < tolerance, measured, tolerance, detail)
+
+
 def check_max_potential_energy() -> CheckResult:
     """E_p at a saturated reversal vs the stated 0.3069*f_c^2/sigma maximum."""
     worst = 0.0
@@ -75,7 +80,7 @@ def check_max_potential_energy() -> CheckResult:
         p = FrictionParams(f_c=f_c, sigma=sigma)
         stated = 0.3069 * f_c**2 / sigma
         worst = max(worst, abs(potential_energy(-f_c, p) - stated) / stated)
-    return CheckResult("max-potential-energy", worst < 5e-4, worst, 5e-4)
+    return _below("max-potential-energy", worst, 5e-4)
 
 
 def check_quadrature_equivalence() -> CheckResult:
@@ -91,7 +96,7 @@ def check_quadrature_equivalence() -> CheckResult:
             e_ref = -quad.value
             rel = abs(potential_energy(f_i, p) - e_ref) / e_ref
             worst = max(worst, rel)
-    return CheckResult("quadrature-equivalence", worst < 1e-8, worst, 1e-8)
+    return _below("quadrature-equivalence", worst, 1e-8)
 
 
 def check_form_consistency() -> CheckResult:
@@ -106,7 +111,7 @@ def check_form_consistency() -> CheckResult:
             slope_model = dahl_rate(force(x), +1.0, p)
             rel = abs(slope_fd - slope_model) / abs(slope_model)
             worst = max(worst, rel)
-    return CheckResult("form-consistency", worst < 1e-6, worst, 1e-6)
+    return _below("form-consistency", worst, 1e-6)
 
 
 def check_stop_spring_conservative() -> CheckResult:
@@ -118,7 +123,7 @@ def check_stop_spring_conservative() -> CheckResult:
     b_down = BranchState(x_rev=x_amp, f_rev=f_hi, direction=-1)
     delta = loop_dissipation(b_up, b_down, 0.0, x_amp, stop_spring, p)
     tol = 1e-10 * p.sigma * x_amp**2
-    return CheckResult("stop-spring-conservative", abs(delta) < tol, abs(delta), tol)
+    return _below("stop-spring-conservative", abs(delta), tol)
 
 
 def check_clockwise_dissipation() -> CheckResult:
@@ -155,8 +160,8 @@ def check_energy_balance(traj: Trajectory, label: str) -> list[CheckResult]:
     for r in traj.reversals:
         v_rev = max(v_rev, abs(traj.v[bisect_left(traj.t, r.t_i)]))
     return [
-        CheckResult(f"energy-balance-drift-{label}", drift < 1e-6, drift, 1e-6),
-        CheckResult(f"reversal-speed-{label}", v_rev < 1e-9, v_rev, 1e-9),
+        _below(f"energy-balance-drift-{label}", drift, 1e-6),
+        _below(f"reversal-speed-{label}", v_rev, 1e-9),
     ]
 
 
@@ -166,7 +171,7 @@ def check_equal_areas(traj: Trajectory) -> CheckResult:
     worst = 0.0
     for r0, k0, k1 in zip(traj.reversals, ks, ks[1:]):
         worst = max(worst, abs(traj.e_f_cum[k1] - traj.e_f_cum[k0]) / r0.e_p)
-    return CheckResult("equal-areas", worst < 1e-5, worst, 1e-5)
+    return _below("equal-areas", worst, 1e-5)
 
 
 def check_chain_vs_simulation(traj: Trajectory) -> CheckResult:
@@ -177,7 +182,7 @@ def check_chain_vs_simulation(traj: Trajectory) -> CheckResult:
     worst = 0.0
     for f, record in zip(f_n, traj.reversals):
         worst = max(worst, abs(abs(f) - abs(record.f_i)) / abs(record.f_i))
-    return CheckResult("chain-vs-simulation", worst < 1e-3, worst, 1e-3)
+    return _below("chain-vs-simulation", worst, 1e-3)
 
 
 def check_exact_predictor_vs_oracle() -> CheckResult:
@@ -203,8 +208,8 @@ def check_exact_predictor_vs_oracle() -> CheckResult:
             )
             rel = abs(next_reversal_exact(-u * p.f_c, p) - x_ref) / x_ref
             worst = max(worst, rel)
-    return CheckResult(
-        "exact-predictor-vs-oracle", worst < 1e-10, worst, 1e-10,
+    return _below(
+        "exact-predictor-vs-oracle", worst, 1e-10,
         detail="max relative deviation over force fractions 1e-3 to 1 and ratios 1 to 1000",
     )
 

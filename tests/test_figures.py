@@ -19,7 +19,7 @@ from presliding.figures import (
     fig7_envelope,
     reversals_table,
 )
-from presliding.oscillator import SimConfig, Trajectory
+from presliding.oscillator import ReversalRecord, SimConfig, Trajectory
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -80,3 +80,12 @@ def test_fig6_is_each_entry_chain_under_its_ratio(f0_over_fc, ratios, n_steps, m
             col += values
     header = ["ratio", "n", "F_n", "x_n", "E_p", "E_d"]
     assert encode_csv(*fig6_table(runs, f0_over_fc, n_steps, mode)) == encode_csv(header, columns)
+
+
+def test_reversals_header_pairs_with_record_fields(traj10):
+    # the table transposes the records as they are, so its header must name
+    # ReversalRecord's fields one to one and in order
+    header, columns = reversals_table(traj10)
+    assert [{"i": "index"}.get(h, h.lower()) for h in header] == list(ReversalRecord._fields)
+    for field, column in zip(ReversalRecord._fields, columns):
+        assert column == [getattr(r, field) for r in traj10.reversals]
