@@ -48,7 +48,7 @@ from .figures import (
 )
 from .hysteresis import FrictionParams
 from .oscillator import SimConfig, simulate
-from .reversal import reversal_chain
+from .reversal import _scales, reversal_chain
 
 __all__ = [
     "KINDS",
@@ -80,7 +80,7 @@ class ChainSettings(NamedTuple):
 
 class ExperimentConfig(NamedTuple):
     kind: str
-    sim: SimConfig  # its params are the unswept base params
+    sim: SimConfig  # at the unswept base params (default params for a kind that does not simulate)
     chain: ChainSettings
     output_dir: Path
     # (file-name suffix, sweep value, params) per entry; ("", None, params) without a sweep
@@ -229,55 +229,43 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not all(0 < v < math.inf for v in sweep):
             raise ConfigError("sweep: entries must be positive and finite")
 
-    # one pass per entry: its file suffix, its params (fig5 sweeps f_c, every
-    # other kind sigma/f_c), then its closed-form scales
+    # a kind that does not simulate builds it at the default params: the default dt
+    # of params it never simulates must not stop its closed-form scale check
+    sim = _build_record(SimConfig, merged["sim"], "sim",
+                        params=params if "sim" in reads else FrictionParams(**defaults["params"]))
+
+    # one pass per entry: its file suffix, then its params (fig5 sweeps f_c,
+    # every other kind sigma/f_c), the swept run's sim and its closed-form scales
     runs = ()
     first: dict[str, int] = {}  # suffix -> index of the first entry with it
     span = ", 2*f_c/sigma" if kind == "fig5" else ""
     for i, value in enumerate((None,) if sweep is None else sweep):
-        if value is None:
-            sfx, p = "", params
-        else:
-            sfx = f"_ratio{value:g}"
-            if kind in _PER_ENTRY_KINDS and sfx in first:
-                raise ConfigError(
-                    f"sweep[{first[sfx]}] and sweep[{i}] both name their files {sfx!r} "
-                    f"(the suffix keeps 6 significant digits)"
-                )
-            first.setdefault(sfx, i)
-            try:
-                p = (params._replace(f_c=value) if kind == "fig5"
-                     else params._replace(sigma=value * params.f_c))
-            except DomainError as exc:
-                raise ConfigError(f"sweep[{i}]: {exc}") from exc
-        if "params" not in reads:  # the closed-form kinds, and validate's default params
-            # the closed forms scale by these three, and fig5's curve spans about
-            # 1.59*f_c/sigma; one that overflows puts inf or nan cells into the
-            # tables, and one that underflows zeros every energy or length
-            try:
-                scaled = all(0.0 < s < math.inf for s in (p.sigma / p.f_c, p.f_c / p.sigma,
-                                                          p.f_c**2 / p.sigma,
-                                                          (2.0 if span else 1.0) * p.f_c / p.sigma))
-            except OverflowError:
-                scaled = False
-            if not scaled:
-                where = "params" if value is None else f"sweep[{i}]"
-                raise ConfigError(
-                    f"{where}: f_c={p.f_c!r} and sigma={p.sigma!r} overflow or underflow a "
-                    f"closed-form scale: sigma/f_c, f_c/sigma{span} and f_c**2/sigma must be "
-                    f"finite and nonzero"
-                )
-        runs += ((sfx, value, p),)
-
-    # built last, so a kind that does not read sim reports its unread values
-    # and closed-form scales first, not the default dt they would underflow
-    sim = _build_record(SimConfig, merged["sim"], "sim", params=params)
-    for i, (_, value, p) in enumerate(runs):
-        if value is not None and "sim" in reads:  # a swept run's default dt
-            try:
+        sfx = "" if value is None else f"_ratio{value:g}"
+        if kind in _PER_ENTRY_KINDS and sfx in first:
+            raise ConfigError(
+                f"sweep[{first[sfx]}] and sweep[{i}] both name their files {sfx!r} "
+                f"(the suffix keeps 6 significant digits)"
+            )
+        first.setdefault(sfx, i)
+        try:
+            p = (params if value is None else params._replace(f_c=value) if kind == "fig5"
+                 else params._replace(sigma=value * params.f_c))
+            if value is not None and "sim" in reads:  # a swept run's default dt
                 sim._replace(params=p)
-            except ConfigError as exc:
-                raise ConfigError(f"sweep[{i}]: {exc}") from exc
+            if "params" not in reads:  # the closed-form kinds, and validate's default params
+                # the closed forms scale by these, fig5's curve spans about 1.59*f_c/sigma:
+                # an inf scale writes inf or nan cells, a zero one zeros every energy or length
+                x_scale, e_scale = _scales(p)
+                if not all(0.0 < s < math.inf for s in (p.ratio, x_scale, e_scale,
+                                                        (2.0 if span else 1.0) * x_scale)):
+                    raise ConfigError(
+                        f"f_c={p.f_c!r} and sigma={p.sigma!r} overflow or underflow a "
+                        f"closed-form scale: sigma/f_c, f_c/sigma{span} and f_c**2/sigma must "
+                        f"be finite and nonzero"
+                    )
+        except (ConfigError, DomainError) as exc:
+            raise ConfigError(f"{'params' if value is None else f'sweep[{i}]'}: {exc}") from exc
+        runs += ((sfx, value, p),)
     return ExperimentConfig(kind, sim, chain, Path(merged["output_dir"]), runs)
 
 

@@ -110,14 +110,21 @@ def _branch_x(s: float, x_scale: float) -> float:
 
 
 def _energy(phi: float, e_scale: float) -> float:
-    # recoverable energy of a reversal with force ratio phi = |f_i|/f_c; e_scale = f_c**2/sigma
+    # recoverable energy of a reversal with force ratio phi = |f_i|/f_c; e_scale from _scales
     return e_scale * -_log1p_excess(phi)
 
 
-def _force_ratios(phi: float, n: int) -> tuple[list[float], list[float]]:
-    """Force ratios phi_0 = phi .. phi_n of the exact map, and their _log1p_excess.
+def _scales(p: FrictionParams) -> tuple[float, float]:
+    # the closed forms' length scale f_c/sigma and energy scale f_c^2/sigma, the latter
+    # formed as f_c*(f_c/sigma): the square of f_c alone may overflow or underflow
+    x_scale = p.f_c / p.sigma
+    return x_scale, p.f_c * x_scale
 
-    phi = |f_i|/f_c is in (0, 1]. Each step solves log1p(-q) + q =
+
+def _exact_ratio(phi: float, excess: float) -> float:
+    """Next force ratio q of the exact map from phi, with excess = _log1p_excess(phi).
+
+    phi = |f_i|/f_c is in (0, 1]. It solves log1p(-q) + q =
     log1p(phi) - phi, the log form of q = 1 + W0(-(1 + phi)*exp(-(1 + phi))),
     by Halley's method. The start phi/(1 + 2*phi/3) is the [1/1] Pade form
     of the small-phi series q = phi - 2*phi**2/3 + 4*phi**3/9 - ...; it is
@@ -131,26 +138,24 @@ def _force_ratios(phi: float, n: int) -> tuple[list[float], list[float]]:
     _SERIES_CUTOFF, log1p(t) - t cancels: the worst of 4,000 log-uniform
     samples on [6e-4, 0.1] is about 1.8e-13 relative, near phi = 1.1e-3.
     """
-    phis, excesses = [phi], [_log1p_excess(phi)]
-    for _ in range(n):
-        rhs = excesses[-1]
-        q = phi / (1.0 + phi * (2.0 / 3.0))
-        if phi >= 1e-6:
-            for _ in range(_HALLEY_MAX_ITER):
-                # h(q) = log1p(-q) + q - rhs has h' = -q/(1-q) and h'' = -1/(1-q)**2
-                h = _log1p_excess(-q) - rhs
-                step = 2.0 * q * (1.0 - q) * h / (2.0 * q * q + h)
-                q += step
-                if abs(step) <= _HALLEY_STOP * q:
-                    break
-            else:
-                raise ConvergenceError(
-                    f"Halley iteration for the next force ratio stalled at phi={phi}"
-                )
-        phi = q
-        phis.append(q)
-        excesses.append(_log1p_excess(q))
-    return phis, excesses
+    q = phi / (1.0 + phi * (2.0 / 3.0))
+    if phi >= 1e-6:
+        for _ in range(_HALLEY_MAX_ITER):
+            # h(q) = log1p(-q) + q - excess has h' = -q/(1-q) and h'' = -1/(1-q)**2
+            h = _log1p_excess(-q) - excess
+            step = 2.0 * q * (1.0 - q) * h / (2.0 * q * q + h)
+            q += step
+            if abs(step) <= _HALLEY_STOP * q:
+                break
+        else:
+            raise ConvergenceError("Halley iteration for the next force ratio stalled at "
+                                   f"phi={phi}")
+    return q
+
+
+def _approx_ratio(phi: float, excess: float) -> float:
+    # next force ratio of the "rederived" map; a phi that has underflowed to 0 stays 0
+    return -math.expm1(excess / _approx_denom(phi, 1.0)) if phi > 0.0 else phi
 
 
 def reversal_coordinate(f_i: float, p: FrictionParams) -> float:
@@ -159,7 +164,7 @@ def reversal_coordinate(f_i: float, p: FrictionParams) -> float:
     x_i = (f_c/sigma) * ln(f_c / (f_c - f_i)) < 0 for admissible f_i in
     [-f_c, 0).
     """
-    return _branch_x(-_phi(f_i, p), p.f_c / p.sigma)
+    return _branch_x(-_phi(f_i, p), _scales(p)[0])
 
 
 def potential_energy(f_i: float, p: FrictionParams) -> float:
@@ -169,7 +174,7 @@ def potential_energy(f_i: float, p: FrictionParams) -> float:
     at f_i = 0. This also equals the peak kinetic energy of the following
     half-cycle, attained at the force zero crossing.
     """
-    return _energy(_phi(f_i, p, allow_zero=True), p.f_c**2 / p.sigma)
+    return _energy(_phi(f_i, p, allow_zero=True), _scales(p)[1])
 
 
 def omega(x: float, p: FrictionParams) -> float:
@@ -197,7 +202,8 @@ def next_reversal_exact(f_i: float, p: FrictionParams) -> float:
     where q is the Lambert W root of the module docstring, so
     x = -(f_c/sigma)*ln(1 - q).
     """
-    return _branch_x(_force_ratios(_phi(f_i, p), 1)[0][1], p.f_c / p.sigma)
+    phi = _phi(f_i, p)
+    return _branch_x(_exact_ratio(phi, _log1p_excess(phi)), _scales(p)[0])
 
 
 def next_reversal_approx(
@@ -218,7 +224,7 @@ def next_reversal_approx(
     phi = _phi(f_i, p)
     if form not in ("printed", "rederived"):
         raise DomainError(f"unknown approximation form {form!r}")
-    x_scale = p.f_c / p.sigma
+    x_scale = _scales(p)[0]
     denom = _approx_denom(phi, x_scale if form == "printed" else 1.0)
     if denom <= 0.0:
         raise DomainError(
@@ -233,14 +239,12 @@ def _chain_ratios(f_0: float, n_steps: int, p: FrictionParams, mode: str) -> tup
     phi = _phi(f_0, p)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    if mode == "exact":
-        return _force_ratios(phi, n_steps)
-    if mode != "approx":
+    if mode not in ("exact", "approx"):
         raise DomainError(f"unknown chain mode {mode!r}")
+    next_ratio = _exact_ratio if mode == "exact" else _approx_ratio
     phis, excesses = [phi], [_log1p_excess(phi)]
     for _ in range(n_steps):
-        if phi > 0.0:  # a phi that has underflowed to 0 stays 0
-            phi = -math.expm1(excesses[-1] / _approx_denom(phi, 1.0))
+        phi = next_ratio(phi, excesses[-1])
         phis.append(phi)
         excesses.append(_log1p_excess(phi))
     return phis, excesses
@@ -251,7 +255,7 @@ def _chain_columns(f_0: float, p: FrictionParams, phis: list, excesses: list) ->
 
     F_n is phi_n*f_c after a negative F_{n-1} and -phi_n*f_c otherwise; x_n has F_n's sign.
     """
-    f_c, x_scale, e_scale = p.f_c, p.f_c / p.sigma, p.f_c**2 / p.sigma
+    f_c, (x_scale, e_scale) = p.f_c, _scales(p)
     f = f_0  # the previous force
     f_n = [f_0] + [(f := phi * f_c if f < 0.0 else -phi * f_c) for phi in phis[1:-1]]
     x_n = [(-x_scale if fn < 0.0 else x_scale) * math.log1p(phi) for phi, fn in zip(phis, f_n)]
@@ -271,7 +275,7 @@ def reversal_chain(
     mode. Sign mirroring handles descending half-cycles, so F_n and the
     coordinates x_n (zero-crossing frame) alternate sign while |F_n| decays,
     strictly until a step leaves phi as it is (exact: at phi <= 1.5e-16, within
-    0.61 ulp of the root, see _force_ratios; approx: once phi underflows to 0).
+    0.61 ulp of the root, see _exact_ratio; approx: once phi underflows to 0).
 
     Returns the columns [n, F_n, x_n, E_p, E_d] of reversals n = 0 ..
     n_steps-1, one list each: E_p is the recoverable energy at reversal n

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from presliding.cli import (
     run_experiment,
 )
 from presliding.figures import fig3_table
+from presliding.reversal import reversal_chain
 import presliding.cli as cli
 import presliding.oscillator as oscillator
 import presliding.reversal as reversal
@@ -287,6 +289,34 @@ def test_scale_check_spares_the_simulation_kinds():
     assert config_from_dict(data).runs[0][2].sigma == 1e-320
 
 
+# log10 of f_c and of sigma/f_c, across the positive float range
+LOG_SCALE = st.floats(-320.0, 308.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_f_c=LOG_SCALE, log_ratio=LOG_SCALE, n_steps=st.integers(1, 5))
+def test_scale_check_accepts_only_configs_with_finite_cells(log_f_c, log_ratio, n_steps):
+    # chain takes sigma = ratio*f_c, fig3 a one-entry sweep of the ratio: an
+    # accepted config builds only finite cells, a rejected one names where
+    f_c, ratio = 10.0**log_f_c, 10.0**log_ratio
+    for kind, changes in [("chain", {"params": {"f_c": f_c, "sigma": ratio * f_c},
+                                     "chain": {"n_steps": n_steps}}),
+                          ("fig3", {"params": {"f_c": f_c}, "sweep": [ratio]})]:
+        try:
+            cfg = config_from_dict({"kind": kind, **changes})
+        except ConfigError as exc:
+            assert str(exc).startswith(("params:", "sweep[0]:")), exc
+            continue
+        if kind == "chain":
+            c = cfg.chain
+            tables = [reversal_chain(c.f0_over_fc * p.f_c, c.n_steps, p, c.mode)
+                      for _, _, p in cfg.runs]
+        else:
+            tables = [fig3_table(cfg.runs)[1]]
+        assert all(math.isfinite(cell) for columns in tables for column in columns
+                   for cell in column), (kind, f_c, ratio)
+
+
 def test_override_requires_key_value():
     with pytest.raises(ConfigError):
         apply_overrides({}, ["nonsense"])
@@ -512,6 +542,36 @@ def test_workload_jobs_write_pinned_bytes(tmp_path, workload):
         assert run_experiment(config_from_dict(dict(row["job"], output_dir=str(out))))[0] == 0
         digests.append(hashlib.sha256((out / "manifest.txt").read_bytes()).hexdigest())
     assert digests == [row["manifest_sha256"] for row in rows]
+
+
+# manifest sha256 of closed-form runs with f_c != 1 and sigma != 1, where the
+# energy scale f_c*(f_c/sigma) can round apart from f_c**2/sigma
+OFF_UNIT_DIGESTS = {
+    "chain": (["params.f_c=3", "params.sigma=7"],
+              "dd0fba744a3a051fca9f4c8d8def2cb589e326532b97e69a3e8350e019f9d89b"),
+    "fig3": (["params.f_c=3", "sweep=[2.5]"],
+             "cdf473d67a0994e6de2fb87ae535be362dfa8333e9aa5f4a36dba54229ac1d2f"),
+    "fig6": (["params.f_c=3", "sweep=[2.5]"],
+             "d46bd4d90eebf51880affef2a2e516cf1dfce8e558324379dc39aee31a0e99c3"),
+    "fig5": (["params.sigma=7", "sweep=[3]"],
+             "b0d5d1155e497482e0b52fe57b1cd1b870233c7ccb6309acdbf45cf555caf08b"),
+}
+
+
+@pytest.mark.parametrize("kind", OFF_UNIT_DIGESTS)
+def test_closed_forms_off_the_unit_line_write_pinned_bytes(tmp_path, kind):
+    overrides, digest = OFF_UNIT_DIGESTS[kind]
+    assert run_experiment(load_config(kind, None, overrides, str(tmp_path)))[0] == 0
+    assert hashlib.sha256((tmp_path / "manifest.txt").read_bytes()).hexdigest() == digest
+
+
+def test_chain_runs_where_only_the_square_of_f_c_overflows(tmp_path):
+    # f_c**2 overflows, while f_c/sigma = 1 and f_c*(f_c/sigma) = 1e200 are finite
+    args = ["chain", "--override", "params.f_c=1e200", "--override", "params.sigma=1e200"]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    _, *rows = (tmp_path / "chain.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 20
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +870,11 @@ PROBES = {
         ["simulate", "--override", "params.mass=1e-300", "--override", "params.sigma=1e30"],
         2, "config error: sim: the default dt (1/200)*sqrt(mass*f_c/sigma) underflows to 0 "
            "at mass=1e-300, f_c=1.0 and sigma=1e+30; set sim.dt\n",
+    ),
+    # entries are checked in order: sweep[1] would overflow the peak Dahl slope
+    "fig7_reports_the_first_bad_entry": (
+        ["fig7", "--override", "params.mass=1e-300", "--override", "sweep=[1e30,1e308]"],
+        2, "config error: sweep[0]: the default dt",
     ),
     "fig7_default_dt_underflows": (
         ["fig7", "--override", "params.mass=1e-300", "--override", "sweep=[10,1e30]"],

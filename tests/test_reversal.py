@@ -28,7 +28,7 @@ from presliding import (
 from presliding._csv import encode_csv
 from presliding.figures import CHAIN_HEADER, fig6_table
 from presliding import reversal, validation
-from presliding.reversal import _force_ratios
+from presliding.reversal import _exact_ratio, _log1p_excess
 from presliding.validation import (
     OMEGA_ENVELOPE_BOUND,
     check_exact_predictor_vs_oracle,
@@ -262,7 +262,7 @@ def test_next_force_ratio_matches_oracle_root(phi):
         return float(ctx.subtract(ctx.add(ctx.ln(ctx.subtract(one, d_q)), d_q), rhs))
 
     ref = find_root(residual, 0.0, math.nextafter(phi, 0.0), tol=1e-15 * phi)
-    assert _force_ratios(phi, 1)[0][1] == pytest.approx(ref, rel=1e-11, abs=0.0)
+    assert _exact_ratio(phi, _log1p_excess(phi)) == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -292,8 +292,23 @@ def test_next_force_ratio_within_one_ulp_below_1e_6(phi):
         minus = ctx.minus(root)
         slope = ctx.divide(minus, ctx.subtract(1, root))
         root = ctx.subtract(root, ctx.divide(ctx.subtract(excess(minus), rhs), slope))
-    q = _force_ratios(phi, 1)[0][1]
+    q = _exact_ratio(phi, _log1p_excess(phi))
     assert abs(ctx.subtract(Decimal(q), root)) <= Decimal(math.ulp(q))
+
+
+@pytest.mark.parametrize(
+    "f_c, sigma", [(3e-162, 2e-170), (1e-160, 1e-160), (1e200, 1e200), (1.0, 10.0)]
+)
+def test_saturated_energy_matches_decimal_where_f_c_squared_does_not_fit(f_c, sigma):
+    # (f_c**2/sigma)*(1 - ln 2) in 50 digits; in floats f_c**2 is subnormal
+    # at the first two pairs and overflows at the third
+    ctx = Context(prec=50)
+    d_f_c = Decimal(f_c)
+    ref = ctx.multiply(ctx.divide(ctx.multiply(d_f_c, d_f_c), Decimal(sigma)),
+                       ctx.subtract(1, ctx.ln(Decimal(2))))
+    p = FrictionParams(f_c=f_c, sigma=sigma)
+    for e_p in (potential_energy(-f_c, p), reversal_chain(-f_c, 3, p)[3][0]):
+        assert abs(ctx.divide(ctx.subtract(Decimal(e_p), ref), ref)) <= Decimal("1e-15")
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +322,7 @@ def test_next_force_ratio_matches_lambert_w0(lambertw, phi):
     # 2e-12 relative at phi = 1e-2, so it is only compared from there up
     z = -(1.0 + phi) * math.exp(-(1.0 + phi))
     q_w = 1.0 + lambertw(z, 0).real
-    assert _force_ratios(phi, 1)[0][1] == pytest.approx(q_w, rel=1e-11, abs=0.0)
+    assert _exact_ratio(phi, _log1p_excess(phi)) == pytest.approx(q_w, rel=1e-11, abs=0.0)
 
 
 def test_exact_predictor_oracle_check_passes():
