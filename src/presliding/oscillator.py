@@ -35,10 +35,6 @@ __all__ = [
     "simulate",
 ]
 
-# force may overshoot the saturation band by at most this relative amount
-# before a step is rejected
-_CLAMP_REL_TOL = 1e-12
-
 # reversal event tolerance: |v| < _TOL_V_REL * max(|v0|, 1)
 _TOL_V_REL = 1e-9
 
@@ -172,15 +168,16 @@ def _kernel(p: FrictionParams):
     h = min(dt, t_max - t), appends each accepted sample to the five lists
     and returns (steps taken, last accepted (t, x, v, f, e), after). after is
     the first stepped sample whose velocity turned against direction and is
-    not appended; it is None when t reached t_max, a step underflowed
-    (t + h <= t) or n steps were taken. With t_max = inf, direction = 0.0
+    not appended; it is None when t reached t_max or n steps were taken.
+    march must start at t < t_max: then t_max - t is at least one ulp of t,
+    so every step ends past its start. With t_max = inf, direction = 0.0
     and n = 1, march takes one step of exactly dt.
 
     The right-hand side (v, -f/m, dahl_rate(f, v)*v, f*v) does not depend
     on x, so only the v and f stages are formed. The stage rate is
     dahl_rate(f_k, v_k)*v_k written inline with the same operation order,
     and a force of stages 2-4 outside the band rejects the step. Stage 1's
-    is the start's: a sample march accepted, so clamped into the band, or
+    is the start's: a sample march accepted, so inside the band, or
     the initial f0, which SimConfig checks (locate_reversal starts from such
     a sample too). dahl_rate's v == 0 case needs no branch: an in-band force
     gives a base b in [0, 2] and FrictionParams keeps sigma*2**gamma finite,
@@ -191,10 +188,9 @@ def _kernel(p: FrictionParams):
     b**1.0 == b; 0.5*h and h/6.0 are formed from dt once per call, and from
     h only on the short step to t_max; f*(-1/m) is -f*(1/m), as
     round-to-nearest is sign-symmetric; 1.0 + q is 1.0 - q*(-1.0), as
-    a - (-b) == a + b. A new force past the band by at most
-    _CLAMP_REL_TOL*f_c (roundoff at the edge) is clamped onto it; a larger
-    overshoot raises StepRejectionError, as the step cannot resolve the
-    branch stiffness. Tests pin it bitwise to an RK4 over dahl_rate.
+    a - (-b) == a + b. A new force past the band raises the band escape
+    too, as the step cannot resolve the branch stiffness. Tests pin it
+    bitwise to an RK4 over dahl_rate.
     """
     f_c, sigma, gamma = p.f_c, p.sigma, p.gamma
     neg_f_c, neg_inv_m = -f_c, -1.0 / p.mass
@@ -209,8 +205,6 @@ def _kernel(p: FrictionParams):
             else:
                 h, hh, c = dt, hh_dt, c_dt
             t_new = t + h
-            if t_new <= t:
-                return i, (t, x, v, f, e), None
             b = 1.0 - f / f_c if v > 0.0 else 1.0 + f / f_c
             r1 = sigma * (b if unit else b**gamma) * v
             a1 = f * neg_inv_m
@@ -236,13 +230,7 @@ def _kernel(p: FrictionParams):
             f_new = f + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
             e_new = e + c * (f * v + 2.0 * (f2 * v2) + 2.0 * (f3 * v3) + f4 * v4)
             if f_new > f_c or f_new < neg_f_c:
-                over = abs(f_new) - f_c
-                if over > _CLAMP_REL_TOL * f_c:
-                    raise StepRejectionError(
-                        f"force overshoot {over} exceeds the clamp tolerance at dt={h}; "
-                        f"{_advice(p)}"
-                    )
-                f_new = math.copysign(f_c, f_new)
+                raise _band_escape(f_new, p, h)
             if v_new * direction < 0.0:
                 return i + 1, (t, x, v, f, e), (t_new, x_new, v_new, f_new, e_new)
             ts.append(t := t_new)
@@ -377,7 +365,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
                 break
         rev = (t, x, f)
         direction = -direction
-        if not t < t_max:
+        if not t < t_max:  # a reversal at t_max: march must start below it
             break
 
     for col, part in zip(cols, parts):

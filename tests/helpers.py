@@ -44,13 +44,15 @@ def branch_work(x, p):
 
 
 def reference_advance(x, v, f, e, h, p):
-    """One RK4 step of (x, v, f, e_f) over hysteresis.dahl_rate, clamped at the band.
+    """One RK4 step of (x, v, f, e_f) over hysteresis.dahl_rate.
 
     Every stage force is tested against the band, also at a stage velocity
-    of 0, where dahl_rate returns 0 before its own test.
+    of 0, where dahl_rate returns 0 before its own test, and so is the new
+    force.
     """
     inv_m = 1.0 / p.mass
     hh = 0.5 * h
+    c = h / 6.0
 
     def rate(f, v):
         dahl_rate(f, 1.0, p)  # the band test
@@ -64,6 +66,8 @@ def reference_advance(x, v, f, e, h, p):
         r3 = rate(f3, v3)
         v4, f4 = v + h * (-f3 * inv_m), f + h * r3
         r4 = rate(f4, v4)
+        f_new = f + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        dahl_rate(f_new, 1.0, p)
     except DomainError as exc:
         # dahl_rate's wording, ending in the settings the simulator's message names
         reason = str(exc).removesuffix("integration step too large")
@@ -73,16 +77,9 @@ def reference_advance(x, v, f, e, h, p):
             if p.gamma < 1.0 else f"reduce sim.dt for sigma/f_c={p.ratio}"
         )
         raise StepRejectionError(f"force escaped the band inside a step of dt={h}: {reason}{advice}")
-    c = h / 6.0
     x_new = x + c * (v + 2.0 * v2 + 2.0 * v3 + v4)
     v_new = v + c * (-f * inv_m + 2.0 * (-f2 * inv_m) + 2.0 * (-f3 * inv_m) + -f4 * inv_m)
-    f_new = f + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
     e_new = e + c * (f * v + 2.0 * (f2 * v2) + 2.0 * (f3 * v3) + f4 * v4)
-    over = abs(f_new) - p.f_c
-    if over > 0.0:
-        if over > 1e-12 * p.f_c:
-            raise StepRejectionError("overshoot")
-        f_new = math.copysign(p.f_c, f_new)
     return x_new, v_new, f_new, e_new
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -974,16 +975,18 @@ def test_probed_inputs_exit_with_one_line(tmp_path, monkeypatch, capsys, args, c
 
 
 @pytest.mark.parametrize(
-    "content",
-    [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
-    ids=["not_utf8", "nested_too_deep"],
+    "content, reason",
+    [(b"\xff\xfe{}", "is not valid JSON: "),
+     (b"[" * 100000 + b"]" * 100000, "is not valid JSON: "),
+     (b"[1, 2]", "must hold a JSON object\n")],
+    ids=["not_utf8", "nested_too_deep", "json_array"],
 )
-def test_malformed_config_file_exits_2_naming_it(tmp_path, capsys, content):
+def test_malformed_config_file_exits_2_naming_it(tmp_path, capsys, content, reason):
     path = tmp_path / "c.json"
     path.write_bytes(content)
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: config file {path} is not valid JSON: ")
+    assert err.startswith(f"config error: config file {path} {reason}")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -1128,6 +1131,17 @@ def test_main_reads_config_file(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["chain", "--config", str(path)]) == 0
     assert (tmp_path / "chain.csv").exists()
+
+
+def test_python_m_runs_the_cli(tmp_path, monkeypatch):
+    # `python -m presliding.cli chain --out DIR`, in process as runpy runs it;
+    # the module is already imported here, which runpy warns about
+    monkeypatch.setattr(sys, "argv", ["presliding.cli", "chain", "--out", str(tmp_path)])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("presliding.cli", run_name="__main__", alter_sys=True)
+    assert info.value.code == 0
+    assert (tmp_path / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -395,3 +395,8 @@ def test_loop_preconditions():
     with pytest.raises(DomainError):
         # descending branch does not cover the interval top
         loop_dissipation(b_up, BranchState(0.5, 0.1, -1), 0.0, 1.0, dahl_branch, P1)
+    with pytest.raises(DomainError):
+        loop_dissipation(b_up, b_up, 0.0, 1.0, dahl_branch, P1)
+    with pytest.raises(DomainError):
+        # ascending branch starts above the interval bottom
+        loop_dissipation(BranchState(0.5, -0.5, +1), b_down, 0.0, 1.0, dahl_branch, P1)

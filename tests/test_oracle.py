@@ -100,6 +100,12 @@ def test_find_root_requires_sign_change():
 
 def test_find_root_endpoint_zero():
     assert find_root(lambda x: x, 0.0, 1.0) == 0.0
+    assert find_root(lambda x: x, -1.0, 0.0) == 0.0
+
+
+def test_find_root_rejects_a_reversed_bracket():
+    with pytest.raises(DomainError, match="bracket reversed"):
+        find_root(lambda x: x, 1.0, -1.0)
 
 
 def test_derivative_quadratic():

@@ -7,7 +7,7 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from presliding import (
@@ -119,8 +119,8 @@ def test_overshoot_gives_the_band_escape_advice(gamma, v, f, h, advice):
     # stage forces inside the band, a new force past it
     with pytest.raises(StepRejectionError) as info:
         _step(0.0, v, f, 0.0, h, FrictionParams(1.0, 100.0, gamma=gamma))
-    assert str(info.value).startswith("force overshoot ")
-    assert str(info.value).endswith(f" exceeds the clamp tolerance at dt={h}; {advice}")
+    assert str(info.value).startswith(f"force escaped the band inside a step of dt={h}: |f|=")
+    assert str(info.value).endswith(f" escaped the admissible band f_c=1.0; {advice}")
 
 
 def _bits(value):
@@ -137,7 +137,7 @@ def _step_outcome(step, *args):
     try:
         return _bits(step(*args))
     except StepRejectionError as exc:
-        return str(exc) if str(exc).startswith("force escaped") else "overshoot"
+        return str(exc)
 
 
 @given(
@@ -208,8 +208,6 @@ def _reference_march(state, dt, t_max, direction, n, p):
     for _ in range(n):
         t = state[0]
         h = min(dt, t_max - t)
-        if t + h <= t:
-            break
         new = (t + h, *reference_advance(*state[1:], h, p))
         if new[2] * direction < 0.0:
             return len(samples) + 1, state, new, samples
@@ -241,13 +239,25 @@ def test_march_matches_chained_reference_steps_bitwise(
     # at t_max must form them from its own h. t_max falls inside step
     # tail_step + 1, which is past the last of the n steps when tail_step >= n.
     # v on the pre-sliding scale f_c/sqrt(sigma*m) reverses within tens of
-    # steps of dt up to half the branch time scale sqrt(m*f_c/sigma)
+    # steps of dt up to half the branch time scale sqrt(m*f_c/sigma).
+    # march must start before t_max
     p = FrictionParams(f_c=f_c, sigma=sigma, gamma=gamma, mass=mass)
     dt = k * math.sqrt(mass * f_c / sigma)
     t_max = t0 + (tail_step + tail_part) * dt
+    assume(t_max > t0)
     state = (t0, 0.3, w * f_c / math.sqrt(sigma * mass), u * f_c, -0.2)
     args = (state, dt, t_max, direction, n, p)
     assert _step_outcome(_march, *args) == _step_outcome(_reference_march, *args)
+
+
+def test_a_reversal_located_at_t_max_ends_the_run(traj10):
+    # the short step to t_max lands on the located reversal instant; march
+    # must not start again at t_max, which would append a second sample there
+    rev = traj10.reversals[1]
+    traj = simulate(traj10.config._replace(t_max=rev.t_i))
+    assert traj.t == traj10.t[:len(traj)]
+    assert traj.t[-1] == rev.t_i
+    assert traj.reversals == traj10.reversals[:1]
 
 
 def test_simulate_step_budget_is_inclusive(monkeypatch):

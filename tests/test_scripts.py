@@ -1,4 +1,4 @@
-"""Smoke tests of the script under scripts/, run as a user runs it."""
+"""Smoke tests of the scripts under scripts/, run as a user runs them."""
 
 import hashlib
 import os
@@ -31,3 +31,22 @@ def test_job_digests_repeat(tmp_path, workload):
         # a validate job is the default config, whose manifest is golden
         golden = REPO / "tests" / "data" / "manifests" / "validate.txt"
         assert lines[0] == f"0 validate {hashlib.sha256(golden.read_bytes()).hexdigest()}"
+
+
+def test_linecov_prints_the_lines_that_never_ran(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(
+        "def sign(x):\n"
+        "    if x < 0:\n"
+        "        return -1\n"
+        "    return 1\n"
+    )
+    (tmp_path / "test_mod.py").write_text(
+        "from mod import sign\n\n\ndef test_positive():\n    assert sign(2) == 1\n"
+    )
+    # without Hypothesis' plugin, whose import takes most of a second
+    proc = run_script("linecov.py", "-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest",
+                      "test_mod.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout
+    assert [line for line in proc.stdout.splitlines() if line.startswith("src")] == ["src/mod.py:3"]

@@ -28,21 +28,15 @@ def test_quadrature_work_is_pinned(monkeypatch):
     assert (len(evaluations), sum(evaluations)) == (25, 7117)
 
 
-def failing_checks_without_trajectories() -> set[str]:
-    """Names of the failed results among the checks that read no trajectory."""
-    results = [
-        validation.check_max_potential_energy(),
-        validation.check_quadrature_equivalence(),
-        validation.check_form_consistency(),
-        validation.check_stop_spring_conservative(),
-        validation.check_clockwise_dissipation(),
-        validation.check_exact_predictor_vs_oracle(),
-        *validation.check_series_convergence(),
-        *validation.check_approx_forms()[0],
-        validation.check_omega_envelope(),
-        validation.check_determinism(),
-    ]
-    return {r.name for r in results if not r.passed}
+@pytest.fixture(scope="session")
+def trajs(traj10, traj100, traj1000):
+    """run_all's three runs: the standard runs at sigma/f_c = 10, 100 and 1000."""
+    return [traj10, traj100, traj1000]
+
+
+def report(trajs):
+    """The rows of validation.CHECKS over trajs, in report order."""
+    return [r for check in validation.CHECKS for r in check(trajs)]
 
 
 def scale_branch_map(monkeypatch):
@@ -79,9 +73,9 @@ MUTATIONS = {
 
 
 @pytest.mark.parametrize("inject, failing", MUTATIONS.values(), ids=MUTATIONS.keys())
-def test_each_defect_fails_exactly_its_checks(monkeypatch, inject, failing):
+def test_each_defect_fails_exactly_its_checks(monkeypatch, trajs, inject, failing):
     inject(monkeypatch)
-    assert failing_checks_without_trajectories() == failing
+    assert {r.name for r in report(trajs) if not r.passed} == failing
 
 
 def scale_work(monkeypatch):
@@ -114,3 +108,34 @@ def test_each_trajectory_defect_fails_exactly_its_checks(monkeypatch, inject, fa
     inject(monkeypatch)
     checks, _ = validation.run_all()
     assert {c.name for c in checks if not c.passed} == failing
+
+
+# The report rows that no injected defect can fail, each with its reason
+CANNOT_FAIL = {
+    "approx-printed-recorded": "informational: it passes whatever it measures",
+    "determinism-fig3": "compares two renders in one process",
+}
+
+# The report rows that no mutation row fails yet; each is to get one
+UNCOVERED = [
+    "max-potential-energy",
+    "stop-spring-conservative",
+    "clockwise-dissipation",
+    "equal-areas",
+    "chain-vs-simulation",
+    "series-monotone-bounded",
+    "series-99pct-at-frozen-N",
+    "monotone-decay",
+    "reversal-frequency-trend",
+    "approx-rederived-bound",
+    "approx-better-form",
+]
+
+
+def test_each_report_row_is_placed_once(trajs):
+    # a row that a mutation fails, one that cannot fail, or one still to cover:
+    # a new row must be placed, and a place must not name a row that is gone
+    names = [r.name for r in report(trajs)]
+    failed = set().union(*(f for _, f in [*MUTATIONS.values(), *TRAJECTORY_MUTATIONS.values()]))
+    assert len(set(names)) == len(names)
+    assert sorted([*failed, *CANNOT_FAIL, *UNCOVERED]) == sorted(names)
