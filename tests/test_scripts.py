@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from test_pins import SHIPPED, manifest_text
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -28,9 +30,9 @@ def test_job_digests_repeat(tmp_path, workload):
     assert [line.split()[0] for line in lines] == ["0", "1", "2"]
     assert runs[1].stdout == runs[0].stdout
     if workload == "validate":
-        # a validate job is the default config, whose manifest is golden
-        golden = REPO / "tests" / "data" / "manifests" / "validate.txt"
-        assert lines[0] == f"0 validate {hashlib.sha256(golden.read_bytes()).hexdigest()}"
+        # a validate job is the default config, which writes the shipped config's pinned bytes
+        pinned = manifest_text(SHIPPED["configs/validate.json"]["manifest"]).encode()
+        assert lines[0] == f"0 validate {hashlib.sha256(pinned).hexdigest()}"
 
 
 def test_linecov_prints_the_lines_that_never_ran(tmp_path):

@@ -39,21 +39,24 @@ def report(trajs):
     return [r for check in validation.CHECKS for r in check(trajs)]
 
 
-def scale_branch_map(monkeypatch):
-    dahl_branch = validation.dahl_branch
-
-    def scaled(b, p):
-        force = dahl_branch(b, p)
-        return lambda x: force(x) * (1 + 1e-6)
-
-    monkeypatch.setattr(validation, "dahl_branch", scaled)
-
-
-def scale(name):
-    """Injection that multiplies reversal.<name>'s result by 1 + 1e-6."""
+def scale_branch(name, directions=(+1, -1)):
+    """Injection that multiplies validation.<name>'s branch force by 1 + 1e-6 in directions."""
     def inject(monkeypatch):
-        original = getattr(reversal, name)
-        monkeypatch.setattr(reversal, name, lambda *args: original(*args) * (1 + 1e-6))
+        branch = getattr(validation, name)
+
+        def scaled(b, p):
+            force = branch(b, p)
+            return (lambda x: force(x) * (1 + 1e-6)) if b.direction in directions else force
+
+        monkeypatch.setattr(validation, name, scaled)
+    return inject
+
+
+def scale(name, factor=1 + 1e-6, module=reversal):
+    """Injection that multiplies module.<name>'s result by factor."""
+    def inject(monkeypatch):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: original(*args) * factor)
     return inject
 
 
@@ -61,14 +64,31 @@ def scale(name):
 # must fail, so that a loosened check breaks its row
 MUTATIONS = {
     "branch_map_times_1_plus_1e-6": (
-        scale_branch_map, {"quadrature-equivalence", "form-consistency"},
+        scale_branch("dahl_branch"), {"quadrature-equivalence", "form-consistency"},
     ),
     "slope_exponent_0.75": (
         lambda monkeypatch: monkeypatch.setattr(validation, "SLOPE_EXPONENT", 0.75),
         {"omega-envelope"},
     ),
     "energy_times_1_plus_1e-6": (scale("_energy"), {"quadrature-equivalence"}),
+    "energy_times_1_plus_1e-3": (
+        scale("_energy", 1 + 1e-3), {"max-potential-energy", "quadrature-equivalence"},
+    ),
     "branch_x_times_1_plus_1e-6": (scale("_branch_x"), {"exact-predictor-vs-oracle"}),
+    "exact_ratio_times_1_plus_1e-3": (
+        scale("_exact_ratio", 1 + 1e-3), {"chain-vs-simulation", "exact-predictor-vs-oracle"},
+    ),
+    "exact_ratio_times_1_plus_1e-2": (
+        scale("_exact_ratio", 1 + 1e-2),
+        {"approx-rederived-bound", "chain-vs-simulation", "series-99pct-at-frozen-N",
+         "exact-predictor-vs-oracle"},
+    ),
+    "stop_spring_ascending_times_1_plus_1e-6": (
+        scale_branch("stop_spring", [+1]), {"stop-spring-conservative"},
+    ),
+    "loop_dissipation_sign_flipped": (
+        scale("loop_dissipation", -1.0, validation), {"clockwise-dissipation"},
+    ),
 }
 
 
@@ -118,16 +138,10 @@ CANNOT_FAIL = {
 
 # The report rows that no mutation row fails yet; each is to get one
 UNCOVERED = [
-    "max-potential-energy",
-    "stop-spring-conservative",
-    "clockwise-dissipation",
     "equal-areas",
-    "chain-vs-simulation",
     "series-monotone-bounded",
-    "series-99pct-at-frozen-N",
     "monotone-decay",
     "reversal-frequency-trend",
-    "approx-rederived-bound",
     "approx-better-form",
 ]
 
