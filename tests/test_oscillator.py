@@ -1,6 +1,8 @@
 """Tests of the oscillator integrator, event detection and energy accounting."""
 
+import hashlib
 import math
+import struct
 from bisect import bisect_left
 
 import numpy as np
@@ -400,6 +402,27 @@ def test_simulate_columns_are_double_arrays(traj10):
         col = getattr(traj10, k)
         assert col.typecode == "d" and len(col) == len(traj10)
         assert np.shares_memory(np.asarray(col), np.asarray(col))
+
+
+# sha256 over tobytes() of the five columns (t, x, v, f, e_f_cum) and then
+# each reversal record packed as "<q5d", per standard run; taken on a
+# little-endian host
+STANDARD_RUN_DIGESTS = {
+    "traj10": "990b6eb23eef31ea216ec1a38e6c973af2d7a21450edcd0db2451ddbd09ab232",
+    "traj100": "e3e2b855f407ead45c4dbe33026ae92fb57dd74588a73ad5c7dabab3154a9a4f",
+    "traj1000": "49ad3b90e29225622f98e1e6b15aec3054796a93917f53401614dd5b5b695fe0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_RUN_DIGESTS))
+def test_standard_runs_are_bitwise_pinned(request, name):
+    traj = request.getfixturevalue(name)
+    h = hashlib.sha256()
+    for col in (traj.t, traj.x, traj.v, traj.f, traj.e_f_cum):
+        h.update(col.tobytes())
+    for r in traj.reversals:
+        h.update(struct.pack("<q5d", r.index, r.t_i, r.x_i, r.f_i, r.e_p, r.e_d_halfcycle))
+    assert h.hexdigest() == STANDARD_RUN_DIGESTS[name]
 
 
 def test_simulate_reversals_interleave_with_velocity_signs(traj10):
