@@ -1,9 +1,10 @@
 """Deterministic CSV text: 17 significant digits, LF endings, header row.
 
-A table is given as its columns, one sequence per header name. Text
-cells holding a comma, a double quote, CR or LF are quoted as in RFC
-4180. Tables are encoded in memory; the caller decides where the bytes
-go.
+A table is given as segments of rows, each with one column per header
+name: a sequence, or a single cell that every row of the segment repeats.
+Text cells holding a comma, a double quote, CR or LF are quoted as in
+RFC 4180. Tables are encoded in memory; the caller decides where the
+bytes go.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ _BLOCK = 1024
 # may need quoting, so its column goes through format_value
 _SPECS = {float: "%.17g", int: "%d"}
 
+# the column types that hold one cell per row; any other column is a single cell
+_SEQUENCES = (list, tuple, array)
+
 
 def format_value(v) -> str:
     if isinstance(v, bool):
@@ -32,40 +36,56 @@ def format_value(v) -> str:
     return f"{float(v):.17g}"
 
 
-def encode_csv(header: Sequence[str], columns: Sequence[Sequence]) -> tuple[bytes, int]:
-    """Encode columns under a mandatory header; returns (UTF-8 bytes, data row count).
+def encode_csv(header: Sequence[str], segments: Sequence[Sequence]) -> tuple[bytes, int]:
+    """Encode segments of rows under a mandatory header; returns (UTF-8 bytes, data row count).
 
-    Each column is a sequence (array('d'), list or tuple), one per header
-    name and all of one length, the row count; anything else raises
-    ValueError. Rows are formatted _BLOCK at a time with one %-string.
-    Within a block, an array('d') column gets %.17g, a column whose cells
-    are all float (or all int) gets that type's spec, and any other column
-    goes through format_value.
+    A segment has one column per header name: a sequence (array('d'), list
+    or tuple) or a single cell that every row of the segment repeats. Its
+    sequences, at least one, are of one length, its row count; anything
+    else raises ValueError. A single cell is formatted once, by
+    format_value, as a literal of the segment's %-string, which formats
+    _BLOCK rows at a time. Within a block, an array('d') column gets
+    %.17g, a column whose cells are all float (or all int) gets that
+    type's spec, and any other column goes through format_value.
     """
     width = len(header)
-    if len(columns) != width:
-        raise ValueError(f"{len(columns)} columns, the header {width}")
-    n = len(columns[0]) if columns else 0
-    for name, col in zip(header, columns):
-        if len(col) != n:
-            raise ValueError(f"column {name} has {len(col)} cells, column {header[0]} {n}")
     out = BytesIO()
     out.write((",".join(header) + "\n").encode("utf-8"))
-    for start in range(0, n, _BLOCK):
-        rows = min(_BLOCK, n - start)
-        cells = [None] * (rows * width)
-        specs = []
-        for j, col in enumerate(columns):
-            part = col[start:start + rows]
-            if isinstance(part, array) and part.typecode == "d":
-                spec = "%.17g"
-            else:
-                types = set(map(type, part))
-                spec = _SPECS.get(types.pop()) if len(types) == 1 else None
+    total = 0
+    for segment in segments:
+        if len(segment) != width:
+            raise ValueError(f"{len(segment)} columns, the header {width}")
+        # a single cell's text, with any % doubled, or None for a sequence
+        literals = [None if isinstance(col, _SEQUENCES) else format_value(col).replace("%", "%%")
+                    for col in segment]
+        sequences = [(name, col) for name, col, lit in zip(header, segment, literals)
+                     if lit is None]
+        if not sequences:
+            raise ValueError("a segment needs a sequence column for its row count")
+        first, n = sequences[0][0], len(sequences[0][1])
+        for name, col in sequences:
+            if len(col) != n:
+                raise ValueError(f"column {name} has {len(col)} cells, column {first} {n}")
+        k = len(sequences)
+        for start in range(0, n, _BLOCK):
+            rows = min(_BLOCK, n - start)
+            cells = [None] * (rows * k)
+            specs = []
+            j = 0
+            for col, spec in zip(segment, literals):
                 if spec is None:
-                    part = list(map(format_value, part))
-                    spec = "%s"
-            cells[j::width] = part
-            specs.append(spec)
-        out.write(((",".join(specs) + "\n") * rows % tuple(cells)).encode("utf-8"))
-    return out.getvalue(), n
+                    part = col[start:start + rows]
+                    if isinstance(part, array) and part.typecode == "d":
+                        spec = "%.17g"
+                    else:
+                        types = set(map(type, part))
+                        spec = _SPECS.get(types.pop()) if len(types) == 1 else None
+                        if spec is None:
+                            part = list(map(format_value, part))
+                            spec = "%s"
+                    cells[j::k] = part
+                    j += 1
+                specs.append(spec)
+            out.write(((",".join(specs) + "\n") * rows % tuple(cells)).encode("utf-8"))
+        total += n
+    return out.getvalue(), total

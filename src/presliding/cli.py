@@ -334,7 +334,7 @@ def _run_chain(cfg: ExperimentConfig, files: dict) -> None:
     c = cfg.chain
     for sfx, _, p in cfg.runs:
         chain = reversal_chain(c.f0_over_fc * p.f_c, c.n_steps, p, mode=c.mode)
-        files[f"chain{sfx}.csv"] = encode_csv(CHAIN_HEADER, chain)
+        files[f"chain{sfx}.csv"] = encode_csv(CHAIN_HEADER, [chain])
 
 
 def _run_fig7(cfg: ExperimentConfig, files: dict) -> None:
@@ -354,10 +354,10 @@ def _run_validate(cfg: ExperimentConfig, files: dict) -> int:
     report = [(c.name, "pass" if c.passed else "FAIL", c.measured, c.tolerance, c.detail)
               for c in checks]
     files["validation_report.csv"] = encode_csv(
-        ["check", "status", "measured", "tolerance", "detail"], _columns(report, 5)
+        ["check", "status", "measured", "tolerance", "detail"], [_columns(report, 5)]
     )
     header = validation.AUDIT_HEADER
-    files["approx_audit.csv"] = encode_csv(header, _columns(audit_rows, len(header)))
+    files["approx_audit.csv"] = encode_csv(header, [_columns(audit_rows, len(header))])
     for name, status, measured, tolerance, detail in report:
         print(f"[{status}] {name}: measured={measured:.6g} tolerance={tolerance:.6g}"
               + (f" ({detail})" if detail else ""))
@@ -376,7 +376,7 @@ _KINDS = {
     "fig4": (lambda cfg, files: files.update({"fig4.csv": encode_csv(*fig4_table(cfg.runs))}),
              {"params.f_c", "sweep"}),
     "fig5": (lambda cfg, files: files.update(
-        {name: encode_csv(header, columns) for name, header, columns in fig5_tables(cfg.runs)}
+        {name: encode_csv(header, segments) for name, header, segments in fig5_tables(cfg.runs)}
     ), {"params.sigma", "sweep"}),
     "fig6": (lambda cfg, files: files.update({"fig6.csv": encode_csv(*fig6_table(
         cfg.runs, cfg.chain.f0_over_fc, cfg.chain.n_steps, cfg.chain.mode

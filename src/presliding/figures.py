@@ -1,7 +1,9 @@
 """Builders for every CSV table the CLI writes, and the grids behind them.
 
-Every builder returns a header and one column per header name, which
-the CLI encodes deterministically; nothing here touches the filesystem.
+Every builder returns a header and segments of rows for _csv.encode_csv,
+which the CLI encodes deterministically; nothing here touches the
+filesystem. A figure table has one segment per curve, whose key cells
+(the sweep value, the force fraction) are single cells written once.
 Reversal forces on an ascending branch are negative; the figure tables
 store their normalized magnitude |F_i|/f_c, which is the axis the plots
 use.
@@ -104,42 +106,37 @@ def _columns(rows: Sequence[Sequence], width: int) -> list[list]:
     return [list(map(itemgetter(j), rows)) for j in range(width)]
 
 
-def trajectory_table(traj: Trajectory) -> tuple[list[str], list[Sequence]]:
+def trajectory_table(traj: Trajectory) -> tuple[list[str], list[list[Sequence]]]:
     """Samples as t,x,v,F,E_k,E_f_cum; the sample columns are handed over as they are."""
     m = traj.config.params.mass
     e_k = [0.5 * m * v**2 for v in traj.v]
     columns = [traj.t, traj.x, traj.v, traj.f, e_k, traj.e_f_cum]
-    return ["t", "x", "v", "F", "E_k", "E_f_cum"], columns
+    return ["t", "x", "v", "F", "E_k", "E_f_cum"], [columns]
 
 
-def reversals_table(traj: Trajectory) -> tuple[list[str], list[Sequence]]:
+def reversals_table(traj: Trajectory) -> tuple[list[str], list[list[Sequence]]]:
     """Reversal records as i,t_i,x_i,F_i,E_p,E_d_halfcycle, ReversalRecord's fields in order."""
-    return ["i", "t_i", "x_i", "F_i", "E_p", "E_d_halfcycle"], _columns(traj.reversals, 6)
+    return ["i", "t_i", "x_i", "F_i", "E_p", "E_d_halfcycle"], [_columns(traj.reversals, 6)]
 
 
 def fig3_table(runs: Runs) -> tuple[list[str], list[list]]:
     """Recoverable reversal energy over 100 force fractions, one series per ratio."""
-    header = ["F_i_over_Fc", "ratio", "E_p"]
-    rows = []
     grid = _linspace(0.01, 1.0, 100)
-    for _, ratio, p in runs:
-        for u in grid:
-            rows.append((u, ratio, potential_energy(-u * p.f_c, p)))
-    return header, _columns(rows, 3)
+    segments = [[grid, ratio, [potential_energy(-u * p.f_c, p) for u in grid]]
+                for _, ratio, p in runs]
+    return ["F_i_over_Fc", "ratio", "E_p"], segments
 
 
 def fig4_table(runs: Runs) -> tuple[list[str], list[list]]:
     """Exact vs linearized decay factor to the next reversal, 101 points per curve."""
-    header = ["ratio", "F_i_over_Fc", "x", "omega", "omega_star"]
-    rows = []
+    segments = []
     for _, ratio, p in runs:
         for u in FORCE_FRACTIONS:
             f_i = -u * p.f_c
-            x_next = next_reversal_exact(f_i, p)
+            xs = _linspace(0.0, next_reversal_exact(f_i, p), 101)
             k = omega_approx(f_i, p)
-            for x in _linspace(0.0, x_next, 101):
-                rows.append((ratio, u, x, omega(x, p), 1.0 - k * x))
-    return header, _columns(rows, 5)
+            segments.append([ratio, u, xs, [omega(x, p) for x in xs], [1.0 - k * x for x in xs]])
+    return ["ratio", "F_i_over_Fc", "x", "omega", "omega_star"], segments
 
 
 def _predictions(f_i: float, p: FrictionParams) -> tuple[float, float, float]:
@@ -160,10 +157,10 @@ def fig5_tables(runs: Runs) -> list[tuple[str, list[str], list[list]]]:
     runs to the exactly predicted next reversal; a companion table records
     where the exact and both linearized predictors put that reversal.
     Degenerate predictor points are stored as nan. Each run's value is its
-    friction level f_c.
+    friction level f_c, the single cell of its curve's segment.
     """
     curve_header = ["F_c", "x", "F"]
-    curve_rows = []
+    curves = []
     pred_header = [
         "F_c",
         "E_p",
@@ -180,42 +177,40 @@ def fig5_tables(runs: Runs) -> list[tuple[str, list[str], list[list]]]:
         x_i = reversal_coordinate(f_i, p)
         force = dahl_branch(BranchState(x_i, f_i, +1), p)
         xs = _predictions(f_i, p)
-        for x in _linspace(x_i, xs[0], 201):
-            curve_rows.append((f_c, x, force(x)))
+        grid = _linspace(x_i, xs[0], 201)
+        curves.append([f_c, grid, [force(x) for x in grid]])
         forces = [math.nan if math.isnan(x) else force(x) for x in xs]
         pred_rows.append((f_c, potential_energy(f_i, p), *xs, *forces))
     return [
-        ("fig5.csv", curve_header, _columns(curve_rows, 3)),
-        ("fig5_predictions.csv", pred_header, _columns(pred_rows, len(pred_header))),
+        ("fig5.csv", curve_header, curves),
+        ("fig5_predictions.csv", pred_header, [_columns(pred_rows, len(pred_header))]),
     ]
 
 
 def fig6_table(
     runs: Runs, f0_over_fc: float, n_steps: int, mode: str
 ) -> tuple[list[str], list[list]]:
-    """Reversal-chain energies per stiffness ratio, seeded at f0_over_fc*f_c."""
-    header = ["ratio", *CHAIN_HEADER]
-    columns = [[] for _ in header]
+    """Reversal-chain energies per stiffness ratio, seeded at f0_over_fc*f_c, a segment each."""
+    segments = []
     ratios = None
     for _, ratio, p in runs:
         f_0 = f0_over_fc * p.f_c
         # the ratios are sigma-free, and the runs differ in sigma only (the sweep's)
         if ratios is None:
             ratios = _chain_ratios(f_0, n_steps, p, mode)
-        for col, values in zip(columns, [[ratio] * n_steps, *_chain_columns(f_0, p, *ratios)]):
-            col += values
-    return header, columns
+        segments.append([ratio, *_chain_columns(f_0, p, *ratios)])
+    return ["ratio", *CHAIN_HEADER], segments
 
 
-def fig7_energy_magnitude(traj: Trajectory) -> tuple[list[str], list[Sequence]]:
+def fig7_energy_magnitude(traj: Trajectory) -> tuple[list[str], list[list[Sequence]]]:
     """Restoring-force energy magnitude relative to the first reversal."""
     e_ref = 0.0
     if traj.reversals:
         e_ref = traj.e_f_cum[bisect_left(traj.t, traj.reversals[0].t_i)]
-    return ["t", "energy_magnitude"], [traj.t, [abs(e - e_ref) for e in traj.e_f_cum]]
+    return ["t", "energy_magnitude"], [[traj.t, [abs(e - e_ref) for e in traj.e_f_cum]]]
 
 
-def fig7_envelope(traj: Trajectory) -> tuple[list[str], list[Sequence]]:
+def fig7_envelope(traj: Trajectory) -> tuple[list[str], list[list]]:
     """Envelope points: recoverable energy at each detected reversal instant."""
     rows = [(r.index, r.t_i, r.e_p) for r in traj.reversals]
-    return ["i", "t_i", "E_p"], _columns(rows, 3)
+    return ["i", "t_i", "E_p"], [_columns(rows, 3)]

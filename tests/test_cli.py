@@ -310,12 +310,14 @@ def test_scale_check_accepts_only_configs_with_finite_cells(log_f_c, log_ratio, 
             continue
         if kind == "chain":
             c = cfg.chain
-            tables = [reversal_chain(c.f0_over_fc * p.f_c, c.n_steps, p, c.mode)
-                      for _, _, p in cfg.runs]
+            segments = [reversal_chain(c.f0_over_fc * p.f_c, c.n_steps, p, c.mode)
+                        for _, _, p in cfg.runs]
         else:
-            tables = [fig3_table(cfg.runs)[1]]
-        assert all(math.isfinite(cell) for columns in tables for column in columns
-                   for cell in column), (kind, f_c, ratio)
+            segments = fig3_table(cfg.runs)[1]
+        # every cell of every segment: a single cell, or each cell of a sequence
+        cells = [cell for segment in segments for column in segment
+                 for cell in (column if isinstance(column, list) else [column])]
+        assert all(math.isfinite(cell) for cell in cells), (kind, f_c, ratio)
 
 
 def test_override_requires_key_value():
@@ -369,12 +371,15 @@ def test_fig3_table_keeps_callers_gamma():
 def test_fig3_rows_take_the_plain_float_path():
     # encode_csv gives a column of plain floats the %.17g spec; an int
     # sweep entry or a numpy scalar in a cell sends its column of the block
-    # through format_value instead
+    # through format_value instead, and would write a single cell as an int
     data = default_config("fig3")
     data["sweep"] = [10, 100.0]
-    header, columns = fig3_table(config_from_dict(data).runs)
-    assert len(columns) == len(header)
-    assert [set(map(type, col)) for col in columns] == [{float}] * len(header)
+    header, segments = fig3_table(config_from_dict(data).runs)
+    assert len(segments) == 2
+    for segment in segments:
+        assert len(segment) == len(header)
+        assert [set(map(type, col if isinstance(col, list) else [col])) for col in segment] == [
+            {float}] * len(header)
 
 
 def test_fig4_dataset(tmp_path):

@@ -33,7 +33,7 @@ MIXED_ROWS = [
 def test_row_text_matches_format_value(row):
     header = [f"c{i}" for i in range(len(row))]
     columns = [[v] for v in row]
-    assert encode_csv(header, columns) == (expected_text(header, columns).encode("utf-8"), 1)
+    assert encode_csv(header, [columns]) == (expected_text(header, columns).encode("utf-8"), 1)
 
 
 def test_rows_whose_cell_types_change():
@@ -52,11 +52,13 @@ def test_rows_whose_cell_types_change():
     ]
     columns = list(zip(*rows))
     expected = expected_text(header, columns).encode("utf-8")
-    assert encode_csv(header, columns) == (expected, len(rows))
+    assert encode_csv(header, [columns]) == (expected, len(rows))
 
 
 def test_empty_table_writes_the_header():
-    assert encode_csv(["a", "b"], [[], array("d")]) == (b"a,b\n", 0)
+    assert encode_csv(["a", "b"], [[[], array("d")]]) == (b"a,b\n", 0)
+    assert encode_csv(["a", "b"], []) == (b"a,b\n", 0)
+    assert encode_csv(["a", "b"], [[0.5, []], [[], "x"]]) == (b"a,b\n", 0)
 
 
 TEXT_CELLS = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", '"', ",", ""]
@@ -66,7 +68,7 @@ TEXT_CELLS = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", '"', ",", ""
 def test_text_cells_round_trip_through_csv_reader(cell):
     # RFC 4180: a cell with a comma, a double quote, CR or LF is quoted,
     # and a double quote inside it is doubled
-    data, n = encode_csv(["name", "x", "text"], [["k"], [0.5], [cell]])
+    data, n = encode_csv(["name", "x", "text"], [[["k"], [0.5], [cell]]])
     header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
     assert (header, rows, n) == (["name", "x", "text"], [["k", "0.5", cell]], 1)
 
@@ -114,14 +116,14 @@ def tables(draw):
 @given(table=tables())
 def test_blocks_match_a_per_cell_join(table):
     header, columns, n = table
-    assert encode_csv(header, columns) == (expected_text(header, columns).encode("utf-8"), n)
+    assert encode_csv(header, [columns]) == (expected_text(header, columns).encode("utf-8"), n)
 
 
 def test_block_boundary_type_change():
     # float cells in the first block, int cells in the second: each block
     # picks its own spec
     columns = [[0.5] * _BLOCK + [1] * 3, [1] * _BLOCK + [0.5] * 3]
-    assert encode_csv(["a", "b"], columns) == (
+    assert encode_csv(["a", "b"], [columns]) == (
         expected_text(["a", "b"], columns).encode("utf-8"), _BLOCK + 3
     )
 
@@ -130,8 +132,8 @@ def test_block_boundary_type_change():
 def test_array_and_list_columns_encode_alike(n):
     values = ([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 1.0 / 3.0] * n)[:n]
     ints = list(range(n))
-    assert encode_csv(["x", "i"], [array("d", values), ints]) == encode_csv(
-        ["x", "i"], [values, ints]
+    assert encode_csv(["x", "i"], [[array("d", values), ints]]) == encode_csv(
+        ["x", "i"], [[values, ints]]
     )
 
 
@@ -148,10 +150,97 @@ def test_ragged_row_raises(bad, width):
     with pytest.raises(
         ValueError, match=f"^column {header[width]} has {bad} cells, column a {_BLOCK + 10}$"
     ):
-        encode_csv(header, columns)
+        encode_csv(header, [columns])
 
 
 @pytest.mark.parametrize("count", [0, 1, 3])
 def test_column_count_must_match_header(count):
     with pytest.raises(ValueError, match=f"^{count} columns, the header 2$"):
-        encode_csv(["a", "b"], [[0.5]] * count)
+        encode_csv(["a", "b"], [[[0.5]] * count])
+
+
+# ---------------------------------------------------------------------------
+# segments: a column may be one cell that every row of its segment repeats
+# ---------------------------------------------------------------------------
+
+SINGLE_CELLS = ["a%d,b%%s", "%", 'say "hi"', "two\nlines", "", True, False, 2**70, -(2**65),
+                0, np.int64(-4), np.float32(0.1), np.float64(1.0) / 3.0, math.nan, math.inf,
+                -math.inf, -0.0, 5e-324, 1e300]
+
+
+@pytest.mark.parametrize("cell", SINGLE_CELLS, ids=range(len(SINGLE_CELLS)))
+@pytest.mark.parametrize("n", [1, _BLOCK + 1])
+def test_a_single_cell_reads_as_its_repeated_column(cell, n):
+    # the cell's text is a literal of the %-string: a % in it must not act as a spec
+    header = ["x", "key", "i"]
+    xs, ints = [0.5] * n, list(range(n))
+    expected = expected_text(header, [xs, [cell] * n, ints]).encode("utf-8")
+    assert encode_csv(header, [[xs, cell, ints]]) == (expected, n)
+
+
+# segment sizes around the block size, and empty segments
+SEGMENT_ROWS = [0, 1, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1]
+
+
+@st.composite
+def segmented_tables(draw):
+    """(header, the whole table's columns, the same rows as segments, row count).
+
+    The table is drawn a segment at a time; a column of a segment cycles
+    through a pool, which may hold one cell. Then every column whose cells
+    of the segment all read alike may collapse to its first cell, as long
+    as one sequence column is left.
+    """
+    width = draw(st.integers(1, 5))
+    header = [f"c{j}" for j in range(width)]
+    columns = [[] for _ in header]
+    segments = []
+    for n in draw(st.lists(st.sampled_from(SEGMENT_ROWS), max_size=4)):
+        parts = []
+        for column in columns:
+            pool = [draw(CELLS)] if draw(st.booleans()) else draw(POOLS)
+            part = [pool[i % len(pool)] for i in range(n)]
+            column += part
+            if set(map(type, part)) <= {float} and draw(st.booleans()):
+                part = array("d", part)
+            elif draw(st.booleans()):
+                part = tuple(part)
+            parts.append(part)
+        keep = draw(st.integers(0, width - 1))  # the column that stays a sequence
+        segment = []
+        for j, part in enumerate(parts):
+            texts = set(map(format_value, part))
+            if j != keep and len(texts) <= 1 and draw(st.booleans()):
+                segment.append(part[0] if part else draw(CELLS))
+            else:
+                segment.append(part)
+        segments.append(segment)
+    return header, columns, segments, len(columns[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=segmented_tables())
+def test_segments_match_the_whole_table(table):
+    header, columns, segments, n = table
+    assert encode_csv(header, segments) == (expected_text(header, columns).encode("utf-8"), n)
+
+
+@pytest.mark.parametrize("bad", [0, 1, 3])
+def test_segment_width_must_match_header(bad):
+    # the first segment is whole, the second has `bad` columns
+    with pytest.raises(ValueError, match=f"^{bad} columns, the header 2$"):
+        encode_csv(["a", "b"], [[[0.5], [1.5]], [[0.5]] * bad])
+
+
+@pytest.mark.parametrize("segment", [[0.5, 1.0], ["x", np.float64(2.0)]], ids=["float", "mixed"])
+def test_segment_needs_a_sequence_column(segment):
+    # without a sequence, nothing says how many rows repeat the single cells
+    with pytest.raises(ValueError, match="^a segment needs a sequence column for its row count$"):
+        encode_csv(["a", "b"], [[[0.5], [1.5]], segment])
+
+
+def test_ragged_segment_raises():
+    # a single cell before the sequences: the first sequence sets the row count
+    header = ["a", "b", "c"]
+    with pytest.raises(ValueError, match="^column c has 1 cells, column b 2$"):
+        encode_csv(header, [[[0.5], [1], [2]], [0.5, [1.0, 2.0], [3.0]]])

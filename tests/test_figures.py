@@ -34,13 +34,17 @@ def test_linspace_matches_numpy_bitwise(a, b, n):
 
 
 def test_builders_give_one_column_per_header_at_zero_rows():
-    # no sweep entries, a chain of five empty columns, a trajectory without reversals
+    # no sweep entries give no segments; a chain of five empty columns and a
+    # trajectory without reversals give one segment of zero rows
     traj = Trajectory(*(array("d") for _ in range(5)), [], SimConfig(FrictionParams(1.0, 10.0)))
     tables = [fig3_table([]), fig4_table([]), fig6_table([], -1.0, 5, "exact"),
-              (CHAIN_HEADER, [[] for _ in range(5)]), reversals_table(traj), fig7_envelope(traj)]
-    tables += [(header, columns) for _, header, columns in fig5_tables([])]
-    for header, columns in tables:
-        assert encode_csv(header, columns) == ((",".join(header) + "\n").encode(), 0)
+              (CHAIN_HEADER, [[[] for _ in range(5)]]), reversals_table(traj), fig7_envelope(traj)]
+    tables += [(header, segments) for _, header, segments in fig5_tables([])]
+    assert [len(segments) for _, segments in tables] == [0, 0, 0, 1, 1, 1, 0, 1]
+    for header, segments in tables:
+        assert all(len(segment) == len(header) and all(len(col) == 0 for col in segment)
+                   for segment in segments)
+        assert encode_csv(header, segments) == ((",".join(header) + "\n").encode(), 0)
 
 
 @given(
@@ -59,13 +63,13 @@ def test_fig6_is_each_entry_chain_under_its_ratio(f0_over_fc, ratios, n_steps, m
         for col, values in zip(columns, [[ratio] * n_steps, *chain]):
             col += values
     header = ["ratio", "n", "F_n", "x_n", "E_p", "E_d"]
-    assert encode_csv(*fig6_table(runs, f0_over_fc, n_steps, mode)) == encode_csv(header, columns)
+    assert encode_csv(*fig6_table(runs, f0_over_fc, n_steps, mode)) == encode_csv(header, [columns])
 
 
 def test_reversals_header_pairs_with_record_fields(traj10):
     # the table transposes the records as they are, so its header must name
     # ReversalRecord's fields one to one and in order
-    header, columns = reversals_table(traj10)
+    header, (columns,) = reversals_table(traj10)
     assert [{"i": "index"}.get(h, h.lower()) for h in header] == list(ReversalRecord._fields)
     for field, column in zip(ReversalRecord._fields, columns):
         assert column == [getattr(r, field) for r in traj10.reversals]

@@ -547,7 +547,7 @@ def test_halley_stall_raises_convergence_error(monkeypatch):
 def test_chain_csv_roundtrip(tmp_path):
     chain = reversal_chain(-1.0, 5, P1)
     path = tmp_path / "chain.csv"
-    data, n = encode_csv(CHAIN_HEADER, chain)
+    data, n = encode_csv(CHAIN_HEADER, [chain])
     path.write_bytes(data)
     assert n == 5
     lines = path.read_text().splitlines()
@@ -555,7 +555,11 @@ def test_chain_csv_roundtrip(tmp_path):
     assert len(lines) == 6
     back = np.genfromtxt(path, delimiter=",", names=True)
     assert back["E_p"][0] == pytest.approx(chain[3][0], rel=1e-16)
-    # the benchmark's tracer counts a chain's and a fig6 table's rows with len
+    # the benchmark's tracer counts a chain's rows with len of its columns, and
+    # a fig6 table's segments with len: one segment of the chain's columns per ratio
     runs = [("", r, FrictionParams(1.0, r)) for r in (1.0, 1000.0)]
-    tables = [reversal_chain(-1.0, 300, P1), fig6_table(runs, -1.0, 300, "exact")[1]]
-    assert [(type(columns), len(columns[0])) for columns in tables] == [(list, 300), (list, 600)]
+    chain, segments = reversal_chain(-1.0, 300, P1), fig6_table(runs, -1.0, 300, "exact")[1]
+    assert (type(chain), len(chain[0])) == (list, 300)
+    assert (type(segments), len(segments)) == (list, 2)
+    assert [(segment[0], type(segment[1]), len(segment[1])) for segment in segments] == [
+        (1.0, list, 300), (1000.0, list, 300)]

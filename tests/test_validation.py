@@ -36,7 +36,7 @@ def trajs(traj10, traj100, traj1000):
 
 def report(trajs):
     """The rows of validation.CHECKS over trajs, in report order."""
-    return [r for check in validation.CHECKS for r in check(trajs)]
+    return [r for check in validation.CHECKS for r in check(trajs, [])]
 
 
 def scale_branch(name, directions=(+1, -1)):
@@ -128,6 +128,25 @@ def test_each_trajectory_defect_fails_exactly_its_checks(monkeypatch, inject, fa
     inject(monkeypatch)
     checks, _ = validation.run_all()
     assert {c.name for c in checks if not c.passed} == failing
+
+
+def test_one_approx_pass_writes_the_report_rows_and_the_audit(monkeypatch):
+    # run_all calls check_approx_forms once, and both of its outputs come from
+    # that call: a patched one reaches the report rows and the audit rows
+    check_approx_forms = validation.check_approx_forms
+    calls = []
+
+    def patched():
+        checks, rows = check_approx_forms()
+        calls.append(rows)
+        return [c._replace(passed=False) for c in checks], rows[::-1]
+
+    monkeypatch.setattr(validation, "check_approx_forms", patched)
+    checks, audit = validation.run_all()
+    assert len(calls) == 1
+    assert {c.name for c in checks if not c.passed} == {
+        "approx-rederived-bound", "approx-printed-recorded", "approx-better-form"}
+    assert audit == calls[0][::-1] and len(audit) == 30
 
 
 # The report rows that no injected defect can fail, each with its reason
