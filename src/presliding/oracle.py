@@ -49,29 +49,34 @@ def integrate(f: Callable[[float], float], a: float, b: float, rel_tol: float = 
     fa, fm, fb = f(a), f(m), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     eps = rel_tol * abs(whole) + 1e-15
-    refinements = 0
+    refinements = [0]
+    value = _simpson(f, a, m, b, fa, fm, fb, whole, eps, _MAX_DEPTH, refinements)
+    return QuadResult(value, 3 + 2 * refinements[0])
 
-    def recurse(lo, mid, hi, flo, fmid, fhi, s, eps_local, depth):
-        nonlocal refinements
-        refinements += 1
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm, frm = f(lm), f(rm)
-        s_left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        s2 = s_left + s_right
-        if abs(s2 - s) <= 15.0 * eps_local:
-            return s2 + (s2 - s) / 15.0
-        if depth <= 0:
-            raise ConvergenceError(
-                f"adaptive Simpson exceeded depth cap {_MAX_DEPTH} on "
-                f"[{lo}, {hi}]"
-            )
-        left = recurse(lo, lm, mid, flo, flm, fmid, s_left, 0.5 * eps_local, depth - 1)
-        return left + recurse(mid, rm, hi, fmid, frm, fhi, s_right, 0.5 * eps_local, depth - 1)
 
-    value = recurse(a, m, b, fa, fm, fb, whole, eps, _MAX_DEPTH)
-    return QuadResult(value, 3 + 2 * refinements)
+def _simpson(f, lo, mid, hi, flo, fmid, fhi, s, eps, depth, refinements):
+    """Adaptive Simpson sum of f over [lo, hi] from its one-panel sum s.
+
+    Counts each refinement in refinements[0]. A module function: a nested
+    one that calls itself is a reference cycle, which only the cyclic
+    collector frees.
+    """
+    refinements[0] += 1
+    lm = 0.5 * (lo + mid)
+    rm = 0.5 * (mid + hi)
+    flm, frm = f(lm), f(rm)
+    s_left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+    s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+    s2 = s_left + s_right
+    if abs(s2 - s) <= 15.0 * eps:
+        return s2 + (s2 - s) / 15.0
+    if depth <= 0:
+        raise ConvergenceError(
+            f"adaptive Simpson exceeded depth cap {_MAX_DEPTH} on [{lo}, {hi}]"
+        )
+    left = _simpson(f, lo, lm, mid, flo, flm, fmid, s_left, 0.5 * eps, depth - 1, refinements)
+    return left + _simpson(f, mid, rm, hi, fmid, frm, fhi, s_right, 0.5 * eps, depth - 1,
+                           refinements)
 
 
 def find_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) -> float:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from presliding import FrictionParams, SimConfig, simulate
+from presliding.hysteresis import FrictionParams
+from presliding.oscillator import SimConfig, simulate
 
 
 def standard_run(ratio: float):

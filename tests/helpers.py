@@ -7,30 +7,13 @@ the oscillator module. branch_work is the ascending branch's work
 integral, written from the branch definition alone.
 """
 
-import ast
-import inspect
 import math
 
 import numpy as np
 
-from presliding import DomainError, ReversalRecord, StepRejectionError, dahl_rate, simulate
-
-
-def package_imports(module) -> set[str]:
-    """Names of the presliding modules that module's source imports."""
-    internal = set()
-    for node in ast.walk(ast.parse(inspect.getsource(module))):
-        if isinstance(node, ast.ImportFrom) and node.level > 0:
-            internal.update([node.module] if node.module else [a.name for a in node.names])
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("presliding"):
-            internal.add(node.module.removeprefix("presliding."))
-        elif isinstance(node, ast.Import):
-            internal.update(
-                a.name.removeprefix("presliding.")
-                for a in node.names
-                if a.name.startswith("presliding")
-            )
-    return internal
+from presliding.errors import DomainError, StepRejectionError
+from presliding.hysteresis import dahl_rate
+from presliding.oscillator import ReversalRecord, simulate
 
 
 def branch_work(x, p):

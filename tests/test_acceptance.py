@@ -10,7 +10,9 @@ the tolerance each criterion states.
 
 import math
 
-from presliding import FrictionParams, potential_energy, validation
+from presliding.hysteresis import FrictionParams
+from presliding.reversal import potential_energy
+from presliding import validation
 from presliding.cli import config_from_dict, default_config, run_experiment
 
 

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from presliding import ConfigError, DomainError, FrictionParams, SimConfig, simulate
+from presliding.errors import ConfigError, DomainError
+from presliding.hysteresis import FrictionParams
+from presliding.oscillator import SimConfig, simulate
 from presliding.cli import (
     KINDS,
     MAX_CHAIN_STEPS,

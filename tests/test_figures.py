@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from presliding import FrictionParams, reversal_chain
+from presliding.hysteresis import FrictionParams
+from presliding.reversal import reversal_chain
 from presliding._csv import encode_csv
 from presliding.figures import (
     CHAIN_HEADER,

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from presliding import (
+from presliding.errors import DomainError
+from presliding.hysteresis import (
     BranchState,
-    DomainError,
     FrictionParams,
     dahl_branch,
     dahl_rate,
@@ -374,7 +374,7 @@ def test_loop_dahl_half_saturated_cycle():
 def test_loop_energy_balanced_cycle():
     # ascending from f_i = -0.9 to the energy-balanced next reversal;
     # frozen via the quadrature oracle
-    from presliding import next_reversal_exact, reversal_coordinate
+    from presliding.reversal import next_reversal_exact, reversal_coordinate
 
     f_i = -0.9
     x_i = reversal_coordinate(f_i, P1)

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from presliding import (
-    BranchState,
-    ConvergenceError,
-    DomainError,
-    FrictionParams,
-    dahl_branch,
-    find_root,
-    integrate,
+from presliding.errors import ConvergenceError, DomainError
+from presliding.hysteresis import BranchState, FrictionParams, dahl_branch
+from presliding.oracle import find_root, integrate
+from presliding.reversal import (
+    _exact_ratio,
+    _log1p_excess,
     next_reversal_approx,
     next_reversal_exact,
     omega,
@@ -27,7 +25,6 @@ from presliding import (
 from presliding._csv import encode_csv
 from presliding.figures import CHAIN_HEADER, fig6_table
 from presliding import reversal, validation
-from presliding.reversal import _exact_ratio, _log1p_excess
 from presliding.validation import (
     OMEGA_ENVELOPE_BOUND,
     check_exact_predictor_vs_oracle,
