@@ -5,7 +5,8 @@ Usage:
     python scripts/job_digests.py --workload W --seed S [--jobs N]
 
 Generates the workload's job list with perfbench/workloads.py (read, not
-changed), runs the first N jobs (all by default) one by one, each into
+changed), runs the first N jobs (all by default) one by one with the
+package under this checkout's src/ (PYTHONPATH is not needed), each into
 its own temporary directory, and prints one line per job:
 
     <index> <kind> <sha256 of the job's manifest.txt>
@@ -27,7 +28,15 @@ import tempfile
 import traceback
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+# this checkout's program first, so the digests are of its source and not of
+# an installed copy or one on PYTHONPATH
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import presliding  # noqa: E402
+
+if Path(presliding.__file__).resolve().parent != ROOT / "src" / "presliding":
+    sys.exit(f"presliding imported from {presliding.__file__}, not {ROOT / 'src'}")
 
 from workloads import WORKLOADS, generate  # noqa: E402
 

@@ -22,6 +22,7 @@ evidence.
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from typing import NamedTuple, Optional
 
@@ -42,9 +43,9 @@ _MAX_BISECTIONS = 100
 
 # Most steps one simulate call takes before it raises StepRejectionError.
 # A sample holds about 41 B while the run lasts: a run stopped here took
-# 8 s and peaked at 136 MiB RSS on a 2-vCPU host. A run that completes
-# just under it and writes its CSV peaks at 618 MiB (simulate) or 670 MiB
-# (fig7), about 210-230 B per sample.
+# 4-8 s and peaked at 134-136 MiB RSS on a 2-vCPU host. A run that
+# completes just under it and writes its CSV peaks at 616 MiB (simulate,
+# about 210 B per sample) or 370 MiB (fig7 with one sweep entry).
 MAX_STEPS = 3 * 10**6
 
 
@@ -316,8 +317,10 @@ def simulate(cfg: SimConfig) -> Trajectory:
     state = (0.0, cfg.x0, cfg.v0, cfg.f0, 0.0)
     # the samples of the half-cycle under way; each reversal moves them onto
     # the array('d') columns, which hold at most 8.5 B per value against a
-    # list's 32 (pointer and float); fromlist grows a column once per move,
-    # where extend would append value by value through the list's iterator
+    # list's 32 (pointer and float). A move packs the part into native
+    # doubles, array('d')'s layout, and grows the column once by frombytes:
+    # about 10 ns per value, where fromlist's per-value argument parsing
+    # costs 20-22 ns and extend appends value by value through an iterator
     parts = ts, xs, vs, fs, es = tuple([value] for value in state)
     cols = tuple(array("d") for _ in range(5))
 
@@ -348,12 +351,13 @@ def simulate(cfg: SimConfig) -> Trajectory:
                 f"dt={dt} cannot resolve the oscillation"
             )
         # the peak speed of the half-cycle just closed; a reversal sample is
-        # not part of it, and a left-bracket reversal adds no sample
-        v_peak = max(map(abs, vs), default=0.0)
+        # not part of it, and a left-bracket reversal adds no sample; max and
+        # -min are exact, and two passes of them cost less than abs per sample
+        v_peak = max(max(vs, default=0.0), -min(vs, default=0.0))
         for col, part, value in zip(cols, parts, state):
             if t > before[0]:
                 part.append(value)
-            col.fromlist(part)
+            col.frombytes(struct.pack(f"{len(part)}d", *part))
             part.clear()
         if rev is not None:
             e_p = 0.5 * p.mass * v_peak**2
@@ -369,5 +373,5 @@ def simulate(cfg: SimConfig) -> Trajectory:
             break
 
     for col, part in zip(cols, parts):
-        col.fromlist(part)
+        col.frombytes(struct.pack(f"{len(part)}d", *part))
     return Trajectory(*cols, reversals=records, config=cfg)

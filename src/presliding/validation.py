@@ -156,7 +156,9 @@ def check_energy_balance(traj: Trajectory, label: str) -> list[CheckResult]:
     cfg = traj.config
     k = 0.5 * cfg.params.mass
     e0 = k * cfg.v0**2
-    drift = max([abs(k * (v * v) + e - e0) for v, e in zip(traj.v, traj.e_f_cum)]) / e0
+    # s - e0 rounds monotonically in s, so the largest |s - e0| is at max(s) or min(s)
+    s = [k * (v * v) + e for v, e in zip(traj.v, traj.e_f_cum)]
+    drift = max(abs(max(s) - e0), abs(min(s) - e0)) / e0
     v_rev = 0.0
     for r in traj.reversals:
         v_rev = max(v_rev, abs(traj.v[bisect_left(traj.t, r.t_i)]))

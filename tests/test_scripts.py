@@ -14,10 +14,11 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args, cwd):
-    path = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+    # without PYTHONPATH, as a user runs them: each script finds its own src/
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     return subprocess.run(
         [sys.executable, str(REPO / "scripts" / name), *args],
-        env={**os.environ, "PYTHONPATH": path}, cwd=cwd, capture_output=True, text=True,
+        env=env, cwd=cwd, capture_output=True, text=True,
     )
 
 

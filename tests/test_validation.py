@@ -7,8 +7,12 @@ from itertools import accumulate
 from operator import itemgetter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from presliding import hysteresis, oscillator, reversal, validation
+from presliding.hysteresis import FrictionParams
+from presliding.oscillator import SimConfig, Trajectory
 
 
 def test_quadrature_work_is_pinned(monkeypatch):
@@ -45,6 +49,53 @@ def test_a_quadrature_leaves_no_reference_cycle():
     finally:
         gc.enable()
     assert (after_integrate, after_run_all) == (0, 0)
+
+
+def reference_drift(traj):
+    """The energy drift as a per-sample pass: the largest |(m/2)v^2 + e_f - e0| over e0."""
+    k = 0.5 * traj.config.params.mass
+    e0 = k * traj.config.v0**2
+    return max([abs(k * (v * v) + e - e0) for v, e in zip(traj.v, traj.e_f_cum)]) / e0
+
+
+@st.composite
+def balance_columns(draw):
+    """(mass, v0, v column, e_f_cum column) whose conserved sums fall at, below and above e0."""
+    mass = draw(st.floats(0.1, 10.0))
+    v0 = draw(st.one_of(st.sampled_from([-1.0, 0.5, 1.0]),
+                        st.floats(0.05, 2.0), st.floats(-2.0, -0.05)))
+    k = 0.5 * mass
+    e0 = k * v0**2
+    samples = []
+    for _ in range(draw(st.integers(1, 12))):
+        v = draw(st.one_of(st.sampled_from([0.0, -0.0, v0, -v0]),
+                           st.floats(-2 * abs(v0), 2 * abs(v0))))
+        # an exact balance, a signed zero, or an offset from e0 within the
+        # drift bound 1e-6 and beyond it, on either side
+        e = draw(st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            st.floats(-1e-15, 1e-15).map(lambda d: e0 - k * (v * v) + d * e0),
+            st.floats(-1e-3, 1e-3).map(lambda d: e0 - k * (v * v) + d * e0),
+        ))
+        samples += [(v, e)] * draw(st.integers(1, 2))  # a repeated sample is a tie
+    vs, es = zip(*draw(st.permutations(samples)))
+    return mass, v0, vs, es
+
+
+@given(balance_columns())
+@example((1.0, 1.0, (1.0, 0.0, 0.0), (0.0, 0.5 + 2e-6, 0.5 - 3e-6)))  # below e0 by more
+@example((1.0, 1.0, (1.0, 0.0, 0.0), (0.0, 0.5 + 3e-6, 0.5 - 2e-6)))  # above e0 by more
+@example((2.0, -1.0, (-0.0, 0.0), (1.0, 1.0)))  # every sum equal to e0
+def test_energy_drift_from_the_extreme_sums_is_the_per_sample_drift_bitwise(columns):
+    # s - e0 rounds monotonically in s, so the largest |s - e0| is at the
+    # largest or the smallest sum; the standard runs have min(s) == e0, so
+    # no byte pin shows whether the below-e0 side is read
+    mass, v0, vs, es = columns
+    zeros = array("d", bytes(8 * len(vs)))
+    traj = Trajectory(zeros, zeros, array("d", vs), zeros, array("d", es), [],
+                      SimConfig(FrictionParams(1.0, 10.0, mass=mass), v0=v0))
+    drift = validation.check_energy_balance(traj, "r")[0].measured
+    assert drift.hex() == reference_drift(traj).hex()
 
 
 @pytest.fixture(scope="session")
