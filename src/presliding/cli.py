@@ -55,6 +55,8 @@ __all__ = [
     "ExperimentConfig",
     "ChainSettings",
     "default_config",
+    "apply_overrides",
+    "config_from_dict",
     "load_config",
     "run_experiment",
     "main",
@@ -64,9 +66,9 @@ __all__ = [
 _PER_ENTRY_KINDS = ("simulate", "chain", "fig7")
 
 # Largest chain.n_steps (chain and fig6 build each chain in memory): 10**6
-# steps took 6.3 s and 317 MiB peak RSS for one chain (99 MB of CSV), and
-# 16.8 s and 938 MiB for fig6's three default ratios (310 MB), each in a
-# fresh process (resource.getrusage) on a 2-vCPU host.
+# steps took 4.3-6.5 s and 315 MiB peak RSS for one chain (99 MB of CSV),
+# and 11.0-12.6 s and 898 MiB for fig6's three default ratios (310 MB),
+# each in a fresh process (resource.getrusage) on a 2-vCPU host.
 MAX_CHAIN_STEPS = 10**6
 
 

@@ -1,4 +1,6 @@
-"""Builders for every CSV table the CLI writes, and the grids behind them.
+"""Builders for the CSV tables of the simulate, chain and fig3-fig7 kinds,
+and the grids behind them. validate's two tables, validation_report.csv and
+approx_audit.csv, are built in cli, which transposes their rows with _columns.
 
 Every builder returns a header and segments of rows for _csv.encode_csv,
 which the CLI encodes deterministically; nothing here touches the

@@ -36,7 +36,7 @@ __all__ = [
     "simulate",
 ]
 
-# reversal event tolerance: |v| < _TOL_V_REL * max(|v0|, 1)
+# reversal event tolerance: |v| <= _TOL_V_REL * max(|v0|, 1)
 _TOL_V_REL = 1e-9
 
 _MAX_BISECTIONS = 100
@@ -133,14 +133,13 @@ class ReversalRecord(NamedTuple):
     e_d_halfcycle: float
 
 
-class Trajectory:
+class Trajectory(NamedTuple):
     """Ordered simulation samples plus the completed reversal records.
 
     Samples are stored as parallel array('d') columns (t, x, v, f, e_f_cum),
     strictly increasing in t; np.asarray views one without a copy. Every
     reversal instant t_i is a sample, so a value at a reversal is read off
     a column at bisect_left(t, t_i), never interpolated.
-    Immutable by convention after simulate() returns.
     """
 
     t: array
@@ -150,15 +149,6 @@ class Trajectory:
     e_f_cum: array
     reversals: list[ReversalRecord]
     config: SimConfig
-
-    __slots__ = ("t", "x", "v", "f", "e_f_cum", "reversals", "config")
-
-    def __init__(self, t, x, v, f, e_f_cum, reversals, config):
-        self.t, self.x, self.v, self.f, self.e_f_cum = t, x, v, f, e_f_cum
-        self.reversals, self.config = reversals, config
-
-    def __len__(self) -> int:
-        return len(self.t)
 
 
 def _kernel(p: FrictionParams):
@@ -291,7 +281,7 @@ def locate_reversal(march, before: tuple, after: tuple, tol_v: float) -> tuple:
         else:
             hi = h
     raise ConvergenceError(
-        f"reversal not localized to |v| < {tol_v} after {_MAX_BISECTIONS} bisections"
+        f"reversal not localized to |v| <= {tol_v} after {_MAX_BISECTIONS} bisections"
     )
 
 

@@ -248,7 +248,7 @@ def test_a_reversal_located_at_t_max_ends_the_run(traj10):
     # must not start again at t_max, which would append a second sample there
     rev = traj10.reversals[1]
     traj = simulate(traj10.config._replace(t_max=rev.t_i))
-    assert traj.t == traj10.t[:len(traj)]
+    assert traj.t == traj10.t[:len(traj.t)]
     assert traj.t[-1] == rev.t_i
     assert traj.reversals == traj10.reversals[:1]
 
@@ -258,7 +258,7 @@ def test_simulate_step_budget_is_inclusive(monkeypatch):
     cfg = SimConfig(P10, t_max=0.2, max_reversals=None)
     traj = simulate(cfg)
     assert min(traj.v) > 0.0 and not traj.reversals
-    steps = len(traj) - 1
+    steps = len(traj.t) - 1
     monkeypatch.setattr(oscillator_module, "MAX_STEPS", steps)
     assert simulate(cfg).t == traj.t
     monkeypatch.setattr(oscillator_module, "MAX_STEPS", steps - 1)
@@ -385,7 +385,7 @@ def test_simulate_columns_are_double_arrays(traj10):
     # views them without a copy
     for k in ("t", "x", "v", "f", "e_f_cum"):
         col = getattr(traj10, k)
-        assert col.typecode == "d" and len(col) == len(traj10)
+        assert col.typecode == "d" and len(col) == len(traj10.t)
         assert np.shares_memory(np.asarray(col), np.asarray(col))
 
 
@@ -529,7 +529,7 @@ def test_simulate_step_budget_counts_reversal_steps(monkeypatch, v0, threshold, 
     # initial one, except that a left-bracket reversal adds none
     cfg = SimConfig(P10, v0=v0, max_reversals=3)
     traj = simulate(cfg)
-    assert len(traj.reversals) == 3 and len(traj) == samples
+    assert len(traj.reversals) == 3 and len(traj.t) == samples
     monkeypatch.setattr(oscillator_module, "MAX_STEPS", threshold)
     assert simulate(cfg).t == traj.t
     monkeypatch.setattr(oscillator_module, "MAX_STEPS", threshold - 1)
@@ -588,7 +588,7 @@ def test_trajectory_csv(tmp_path, traj10):
     path = tmp_path / "traj.csv"
     data, n = encode_csv(*trajectory_table(traj10))
     path.write_bytes(data)
-    assert n == len(traj10)
+    assert n == len(traj10.t)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,v,F,E_k,E_f_cum"
     back = np.genfromtxt(path, delimiter=",", names=True)

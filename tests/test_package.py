@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import presliding
 from presliding.errors import ConfigError, DomainError
 from presliding.hysteresis import BranchState, FrictionParams
 from presliding.oscillator import ReversalRecord, SimConfig, Trajectory
+from presliding import cli
 from presliding.cli import ChainSettings, ExperimentConfig
 from presliding.oracle import QuadResult
 from presliding.validation import CheckResult
@@ -101,6 +103,21 @@ def test_package_root_imports_nothing():
     # each public name has one import path, through its defining module, so
     # the root re-exports nothing and no second list has to follow __all__
     assert import_nodes(inspect.getsource(presliding)) == []
+
+
+@pytest.mark.parametrize("path", ["perfbench/run.py", "scripts/job_digests.py"])
+def test_cli_names_used_outside_the_package_are_public(path):
+    # the benchmark and the digest script drive the CLI programmatically;
+    # every name they take from it, imported or read off the module, is in
+    # its __all__
+    used = set()
+    for node in ast.walk(ast.parse((REPO / path).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "presliding.cli":
+            used.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cli":
+            used.add(node.attr)
+    assert "config_from_dict" in used
+    assert used <= set(cli.__all__)
 
 
 def test_library_example_runs(capsys):
@@ -253,6 +270,7 @@ RECORDS = [
     ReversalRecord(0, 1.0, 0.5, -0.5, 0.1, 0.0), QuadResult(1.0, 3),
     CheckResult("check", True, 0.0, 1.0), ChainSettings(),
     ExperimentConfig("chain", SimConfig(P), ChainSettings(), Path("out"), ()),
+    Trajectory(*(array("d", [0.0]) for _ in range(5)), [], SimConfig(P)),
 ]
 
 

@@ -205,8 +205,7 @@ def rewrite_work(rewrite):
 
         def rewritten(cfg):
             traj = simulate(cfg)
-            traj.e_f_cum = array("d", rewrite(traj.e_f_cum))
-            return traj
+            return traj._replace(e_f_cum=array("d", rewrite(traj.e_f_cum)))
 
         monkeypatch.setattr(validation, "simulate", rewritten)
     return inject
