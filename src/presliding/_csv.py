@@ -42,11 +42,11 @@ def encode_csv(header: Sequence[str], segments: Sequence[Sequence]) -> tuple[byt
     A segment has one column per header name: a sequence (array('d'), list
     or tuple) or a single cell that every row of the segment repeats. Its
     sequences, at least one, are of one length, its row count; anything
-    else raises ValueError. A single cell is formatted once, by
-    format_value, as a literal of the segment's %-string, which formats
-    _BLOCK rows at a time. Within a block, an array('d') column gets
-    %.17g, a column whose cells are all float (or all int) gets that
-    type's spec, and any other column goes through format_value.
+    else raises ValueError. Each column's text is chosen once per segment:
+    a single cell is formatted by format_value as a literal, an array('d')
+    column gets %.17g, a column whose cells are all float (or all int) gets
+    that type's spec, and any other column is formatted by format_value
+    under %s. The segment's %-string then formats _BLOCK rows at a time.
     """
     width = len(header)
     out = BytesIO()
@@ -55,37 +55,33 @@ def encode_csv(header: Sequence[str], segments: Sequence[Sequence]) -> tuple[byt
     for segment in segments:
         if len(segment) != width:
             raise ValueError(f"{len(segment)} columns, the header {width}")
-        # a single cell's text, with any % doubled, or None for a sequence
-        literals = [None if isinstance(col, _SEQUENCES) else format_value(col).replace("%", "%%")
-                    for col in segment]
-        sequences = [(name, col) for name, col, lit in zip(header, segment, literals)
-                     if lit is None]
+        specs, sequences = [], []
+        for name, col in zip(header, segment):
+            if not isinstance(col, _SEQUENCES):
+                # a single cell's text, with any % doubled
+                specs.append(format_value(col).replace("%", "%%"))
+                continue
+            if isinstance(col, array) and col.typecode == "d":
+                spec = "%.17g"
+            else:
+                types = set(map(type, col))
+                spec = _SPECS.get(types.pop()) if len(types) == 1 else None
+                if spec is None:
+                    col, spec = list(map(format_value, col)), "%s"
+            specs.append(spec)
+            sequences.append((name, col))
         if not sequences:
             raise ValueError("a segment needs a sequence column for its row count")
         first, n = sequences[0][0], len(sequences[0][1])
         for name, col in sequences:
             if len(col) != n:
                 raise ValueError(f"column {name} has {len(col)} cells, column {first} {n}")
-        k = len(sequences)
+        line, k = ",".join(specs) + "\n", len(sequences)
         for start in range(0, n, _BLOCK):
             rows = min(_BLOCK, n - start)
             cells = [None] * (rows * k)
-            specs = []
-            j = 0
-            for col, spec in zip(segment, literals):
-                if spec is None:
-                    part = col[start:start + rows]
-                    if isinstance(part, array) and part.typecode == "d":
-                        spec = "%.17g"
-                    else:
-                        types = set(map(type, part))
-                        spec = _SPECS.get(types.pop()) if len(types) == 1 else None
-                        if spec is None:
-                            part = list(map(format_value, part))
-                            spec = "%s"
-                    cells[j::k] = part
-                    j += 1
-                specs.append(spec)
-            out.write(((",".join(specs) + "\n") * rows % tuple(cells)).encode("utf-8"))
+            for j, (_, col) in enumerate(sequences):
+                cells[j::k] = col[start:start + rows]
+            out.write((line * rows % tuple(cells)).encode("utf-8"))
         total += n
     return out.getvalue(), total

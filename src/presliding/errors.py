@@ -18,7 +18,9 @@ class StepRejectionError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative kernel (quadrature, bisection) failed to converge."""
+    """An iterative kernel failed to converge: adaptive quadrature
+    (oracle.integrate), reversal bisection (oscillator.locate_reversal) or the
+    Halley iteration for the next force ratio (reversal._exact_ratio)."""
 
 
 class ConfigError(ValueError):

@@ -33,7 +33,6 @@ __all__ = [
     "BranchState",
     "dahl_rate",
     "dahl_branch",
-    "reverse_branch",
     "stop_spring",
     "loop_dissipation",
 ]
@@ -168,15 +167,6 @@ def dahl_branch(b: BranchState, p: FrictionParams) -> Callable[[float], float]:
     return force
 
 
-def reverse_branch(b: BranchState, x_new: float, p: FrictionParams) -> BranchState:
-    """Branch bookkeeping at a motion reversal.
-
-    Evaluates the current branch at x_new and returns the new branch that
-    starts there with flipped direction. Pure; b is unchanged.
-    """
-    return BranchState(x_new, dahl_branch(b, p)(x_new), -b.direction)
-
-
 def stop_spring(b: BranchState, p: FrictionParams) -> Callable[[float], float]:
     """Saturating linear spring force with memory as a map x -> F (stop type).
 
@@ -194,37 +184,33 @@ def stop_spring(b: BranchState, p: FrictionParams) -> Callable[[float], float]:
 
 def loop_dissipation(
     b_up: BranchState,
-    b_down: BranchState,
-    x_lo: float,
     x_hi: float,
     branch: Callable[[BranchState, FrictionParams], Callable[[float], float]],
     params: FrictionParams,
 ) -> float:
-    """Area between an ascending and a descending branch over [x_lo, x_hi].
+    """Area of the cycle that ascends on b_up and reverses at x_hi.
 
-    Net dissipated energy of one cycle: integral of
-    (branch(b_up, params)(x) - branch(b_down, params)(x)) dx, computed by
-    adaptive quadrature to relative tolerance 1e-10. For a clockwise
-    hysteresis map the ascending branch lies above the descending one and
-    the result is >= 0; for the unsaturated linear spring it vanishes.
+    Net dissipated energy of one cycle: integral over [b_up.x_rev, x_hi] of
+    up(x) - down(x), where up = branch(b_up, params) and down is the
+    descending branch formed at x_hi, branch(BranchState(x_hi, up(x_hi), -1),
+    params); computed by adaptive quadrature to relative tolerance 1e-10.
+    For a clockwise hysteresis map the ascending branch lies above the
+    descending one and the result is >= 0; for the unsaturated linear
+    spring it vanishes.
 
     branch is dahl_branch or stop_spring; params is the FrictionParams that
-    both take. Each branch map is built once, after the bounds are checked.
+    both take. Each branch map is built once, after x_hi is checked.
     """
+    x_lo = b_up.x_rev
     if x_lo > x_hi:
-        raise DomainError(f"x_lo={x_lo} must not exceed x_hi={x_hi}")
+        raise DomainError(f"x_hi={x_hi} must not lie below b_up.x_rev={x_lo}")
     if x_lo == x_hi:
         return 0.0
     if b_up.direction != +1:
         raise DomainError("b_up must be an ascending branch (direction +1)")
-    if b_down.direction != -1:
-        raise DomainError("b_down must be a descending branch (direction -1)")
-    if b_up.x_rev > x_lo:
-        raise DomainError("b_up must ascend from at or below x_lo")
-    if b_down.x_rev < x_hi:
-        raise DomainError("b_down must descend from at or above x_hi")
 
-    up, down = branch(b_up, params), branch(b_down, params)
+    up = branch(b_up, params)
+    down = branch(BranchState(x_hi, up(x_hi), -1), params)
 
     def gap(x: float) -> float:
         return up(x) - down(x)

@@ -31,7 +31,6 @@ from .hysteresis import (
     dahl_branch,
     dahl_rate,
     loop_dissipation,
-    reverse_branch,
     stop_spring,
 )
 from .oracle import derivative, find_root, integrate
@@ -120,9 +119,7 @@ def check_stop_spring_conservative() -> CheckResult:
     p = FrictionParams(f_c=1.0, sigma=2.0)
     x_amp = 0.35
     b_up = BranchState(x_rev=0.0, f_rev=-0.4, direction=+1)
-    f_hi = stop_spring(b_up, p)(x_amp)
-    b_down = BranchState(x_rev=x_amp, f_rev=f_hi, direction=-1)
-    delta = loop_dissipation(b_up, b_down, 0.0, x_amp, stop_spring, p)
+    delta = loop_dissipation(b_up, x_amp, stop_spring, p)
     tol = 1e-10 * p.sigma * x_amp**2
     return _below("stop-spring-conservative", abs(delta), tol)
 
@@ -142,8 +139,7 @@ def check_clockwise_dissipation() -> CheckResult:
             for c in (0.1, 0.5, 0.8, 0.95):
                 x_hi = x_lo + (f_c / p.sigma) * math.log((1.0 + c) / (1.0 - c))
                 b_up = BranchState(x_rev=x_lo, f_rev=-c * f_c, direction=+1)
-                b_down = reverse_branch(b_up, x_hi, p)
-                delta = loop_dissipation(b_up, b_down, x_lo, x_hi, dahl_branch, p)
+                delta = loop_dissipation(b_up, x_hi, dahl_branch, p)
                 min_delta = min(min_delta, delta)
     return CheckResult(
         "clockwise-dissipation", min_delta > 0.0, min_delta, 0.0,

@@ -79,9 +79,9 @@ def test_c05_grid_holds_the_corners_and_a_negative_area_fails(monkeypatch):
     loop_dissipation = validation.loop_dissipation
     cycles = []
 
-    def recorded(b_up, b_down, x_lo, x_hi, force, p):
+    def recorded(b_up, x_hi, force, p):
         cycles.append((-b_up.f_rev / p.f_c, p.sigma / p.f_c))
-        return loop_dissipation(b_up, b_down, x_lo, x_hi, force, p)
+        return loop_dissipation(b_up, x_hi, force, p)
 
     monkeypatch.setattr(validation, "loop_dissipation", recorded)
     assert validation.check_clockwise_dissipation().passed

@@ -13,7 +13,6 @@ from presliding.hysteresis import (
     dahl_branch,
     dahl_rate,
     loop_dissipation,
-    reverse_branch,
     stop_spring,
 )
 
@@ -257,7 +256,7 @@ def test_branch_clockwise_ordering_on_closed_cycles(p, c, frac):
     # cycle the ascending branch lies above the descending branch pointwise
     b_up = BranchState(0.0, -c * p.f_c, +1)
     x_hi = (p.f_c / p.sigma) * math.log((1.0 + c) / (1.0 - c))
-    b_down = reverse_branch(b_up, x_hi, p)
+    b_down = BranchState(x_hi, dahl_branch(b_up, p)(x_hi), -1)
     assert b_down.f_rev == pytest.approx(c * p.f_c, rel=1e-12, abs=1e-13 * p.f_c)
     x = frac * x_hi
     up = dahl_branch(b_up, p)(x)
@@ -271,30 +270,6 @@ def test_branch_coulomb_limit():
     p = FrictionParams(1.0, 1e6)
     b = BranchState(0.0, -1.0, +1)
     assert dahl_branch(b, p)(10.0 * p.f_c / p.sigma) >= 0.99 * p.f_c
-
-
-# ---------------------------------------------------------------------------
-# reversal bookkeeping
-# ---------------------------------------------------------------------------
-
-def test_reverse_branch_immediate():
-    b = BranchState(0.2, -0.4, +1)
-    rb = reverse_branch(b, 0.2, P1)
-    assert (rb.x_rev, rb.f_rev, rb.direction) == (0.2, -0.4, -1)
-    assert b.direction == +1  # input untouched
-
-
-def test_reverse_branch_at_zero_crossing():
-    b = BranchState(0.0, -1.0, +1)
-    rb = reverse_branch(b, math.log(2.0), P1)
-    assert rb.direction == -1
-    assert abs(rb.f_rev) < 1e-15
-
-
-def test_reverse_branch_worked_example():
-    b = BranchState(0.0, -0.5, +1)
-    rb = reverse_branch(b, math.log(2.0), P1)
-    assert rb == BranchState(math.log(2.0), 0.25, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +321,13 @@ def test_stop_spring_always_clamped(k, f_c, f0_frac, x):
 
 def test_loop_degenerate_cycle():
     b_up = BranchState(0.0, -0.5, +1)
-    b_down = BranchState(0.0, -0.5, -1)
-    assert loop_dissipation(b_up, b_down, 0.0, 0.0, dahl_branch, P1) == 0.0
+    assert loop_dissipation(b_up, 0.0, dahl_branch, P1) == 0.0
 
 
 def test_loop_stop_spring_conservative():
     sp = FrictionParams(f_c=1.0, sigma=2.0)
     b_up = BranchState(0.0, -0.4, +1)
-    f_hi = stop_spring(b_up, sp)(0.35)
-    b_down = BranchState(0.35, f_hi, -1)
-    delta = loop_dissipation(b_up, b_down, 0.0, 0.35, stop_spring, sp)
+    delta = loop_dissipation(b_up, 0.35, stop_spring, sp)
     assert abs(delta) < 1e-10 * sp.sigma * 0.35**2
 
 
@@ -365,8 +337,7 @@ def test_loop_dahl_half_saturated_cycle():
     b_up = BranchState(0.0, -1.0, +1)
     x_hi = math.log(4.0)
     assert abs(dahl_branch(b_up, P1)(x_hi) - 0.5) < 1e-15
-    b_down = reverse_branch(b_up, x_hi, P1)
-    delta = loop_dissipation(b_up, b_down, 0.0, x_hi, dahl_branch, P1)
+    delta = loop_dissipation(b_up, x_hi, dahl_branch, P1)
     assert delta > 0.0
     assert delta == pytest.approx(0.14758872223978106, rel=1e-10)
 
@@ -380,23 +351,28 @@ def test_loop_energy_balanced_cycle():
     x_i = reversal_coordinate(f_i, P1)
     x_next = next_reversal_exact(f_i, P1)
     b_up = BranchState(x_i, f_i, +1)
-    b_down = reverse_branch(b_up, x_next, P1)
-    delta = loop_dissipation(b_up, b_down, x_i, x_next, dahl_branch, P1)
+    delta = loop_dissipation(b_up, x_next, dahl_branch, P1)
     assert delta == pytest.approx(0.2625792827433637, rel=1e-9)
 
 
 def test_loop_preconditions():
-    b_up = BranchState(0.0, -0.5, +1)
-    b_down = BranchState(1.0, 0.5, -1)
     with pytest.raises(DomainError):
-        loop_dissipation(b_up, b_down, 1.0, 0.0, dahl_branch, P1)
+        # the top reversal lies below the ascending branch's start
+        loop_dissipation(BranchState(1.0, -0.5, +1), 0.0, dahl_branch, P1)
     with pytest.raises(DomainError):
-        loop_dissipation(b_down, b_down, 0.0, 1.0, dahl_branch, P1)
-    with pytest.raises(DomainError):
-        # descending branch does not cover the interval top
-        loop_dissipation(b_up, BranchState(0.5, 0.1, -1), 0.0, 1.0, dahl_branch, P1)
-    with pytest.raises(DomainError):
-        loop_dissipation(b_up, b_up, 0.0, 1.0, dahl_branch, P1)
-    with pytest.raises(DomainError):
-        # ascending branch starts above the interval bottom
-        loop_dissipation(BranchState(0.5, -0.5, +1), b_down, 0.0, 1.0, dahl_branch, P1)
+        loop_dissipation(BranchState(0.0, 0.5, -1), 1.0, dahl_branch, P1)
+
+
+@given(
+    f_c=st.floats(0.5, 7.0),
+    log_ratio=st.floats(math.log(0.1), math.log(1e4)),
+    c=st.floats(0.05, 0.95),
+    x_lo=st.floats(-1.0, 1.0),
+)
+def test_loop_closed_dahl_cycle_closed_form(f_c, log_ratio, c, x_lo):
+    # the ascending branch from -c*f_c reaches +c*f_c at x_hi, so the cycle
+    # reversed there closes; its loop area is 4*f_c*(f_c/sigma)*(atanh(c) - c)
+    p = FrictionParams(f_c=f_c, sigma=f_c * math.exp(log_ratio))
+    x_hi = x_lo + (f_c / p.sigma) * math.log((1.0 + c) / (1.0 - c))
+    delta = loop_dissipation(BranchState(x_lo, -c * f_c, +1), x_hi, dahl_branch, p)
+    assert delta == pytest.approx(4.0 * f_c * (f_c / p.sigma) * (math.atanh(c) - c), rel=1e-9)

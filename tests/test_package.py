@@ -54,6 +54,7 @@ REMOVED_NAMES = [
 ] + [
     ("presliding.validation", "omega_envelope_deviation"),
     ("presliding.figures", "chain_table"),
+    ("presliding.hysteresis", "reverse_branch"),
 ]
 
 
