@@ -159,15 +159,15 @@ def _check_number(value, where: str, kind: type = float):
 
 
 def _build_record(cls, data: dict, path: str, **fixed):
-    """cls(**data, **fixed); the fixed fields are not config fields."""
+    """cls(**data, **fixed) with each number in its field's type; fixed fields are not config."""
     known = set(cls._fields) - set(fixed)
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown, key=str)}")
+    data = dict(data)
     for name, (kind, nullable) in _numeric_fields(cls).items():
-        value = data.get(name)
-        if name in data and not (value is None and nullable):
-            _check_number(value, f"{path}.{name}", kind)  # the field keeps the value as given
+        if name in data and not (data[name] is None and nullable):
+            data[name] = _check_number(data[name], f"{path}.{name}", kind)
     try:
         return cls(**data, **fixed)
     except (ConfigError, DomainError, TypeError) as exc:
@@ -180,18 +180,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if kind not in KINDS:
         raise ConfigError(f"kind: expected one of {KINDS}, got {kind!r}")
     defaults = default_config(kind)
-    merged = dict(defaults)
+    merged = {**defaults, **data}
     for key in ("params", "sim", "chain"):
-        if key in data:
-            section = data.pop(key)
-            if not isinstance(section, dict):
-                raise ConfigError(f"{key}: expected an object, got {section!r}")
-            merged[key] = {**defaults[key], **section}
-    for key in ("sweep", "output_dir"):
-        if key in data:
-            merged[key] = data.pop(key)
-    if data:
-        raise ConfigError(f"unknown top-level field(s) {sorted(data, key=str)}")
+        if not isinstance(merged[key], dict):
+            raise ConfigError(f"{key}: expected an object, got {merged[key]!r}")
+        merged[key] = {**defaults[key], **merged[key]}
+    if unknown := set(data) - set(defaults):
+        raise ConfigError(f"unknown top-level field(s) {sorted(unknown, key=str)}")
     if not isinstance(merged["output_dir"], str):
         raise ConfigError(f"output_dir: expected a string, got {merged['output_dir']!r}")
 

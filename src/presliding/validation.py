@@ -242,15 +242,12 @@ def check_monotone_decay(trajs: list[Trajectory]) -> CheckResult:
     for traj in trajs:
         p = traj.config.params
         _, f_n, _, e_p, _ = reversal_chain(-p.f_c, 40, p, mode="exact")
-        for a, b, fa, fb in zip(e_p, e_p[1:], f_n, f_n[1:]):
-            ok = ok and b < a and abs(fb) < abs(fa)
-        ok = ok and all(e > 0.0 for e in e_p)
-        min_ep = min(min_ep, e_p[-1])
         recs = traj.reversals
-        for a, b in zip(recs, recs[1:]):
-            ok = ok and b.e_p < a.e_p and abs(b.f_i) < abs(a.f_i)
-        ok = ok and all(r.e_p > 0.0 for r in recs)
-        min_ep = min(min_ep, recs[-1].e_p)
+        for es, fs in ((e_p, f_n), ([r.e_p for r in recs], [r.f_i for r in recs])):
+            for a, b, fa, fb in zip(es, es[1:], fs, fs[1:]):
+                ok = ok and b < a and abs(fb) < abs(fa)
+            ok = ok and all(e > 0.0 for e in es)
+            min_ep = min(min_ep, es[-1])
     return CheckResult(
         "monotone-decay", ok, min_ep, 0.0,
         detail="E_p and |F| strictly decreasing, E_p > 0 at every finite reversal",

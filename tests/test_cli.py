@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from presliding.errors import ConfigError, DomainError
@@ -92,6 +92,9 @@ def test_unknown_fields_reported_with_path():
         config_from_dict({"kind": "fig3", "params": {1: 2, "a": 3}})
     with pytest.raises(ConfigError, match=r"^unknown top-level field\(s\) \['ab', 'zz'\]$"):
         config_from_dict({"kind": "fig3", "zz": 1, "ab": 2})
+    # a section that is not an object is reported before an unknown top-level field
+    with pytest.raises(ConfigError, match=r"^params: expected an object, got None$"):
+        config_from_dict({"kind": "fig3", "params": None, "zz": 1})
 
 
 def test_invalid_params_reported_with_path():
@@ -241,6 +244,8 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(KINDS),
        changes=st.lists(st.tuples(st.sampled_from(LEAVES), JSON_VALUES), max_size=4))
+# an int whose float squares past the float range, which the integers rarely draw
+@example(kind="simulate", changes=[("sim.v0", 10**160)])
 def test_config_from_dict_returns_a_config_or_raises_config_error(kind, changes):
     data = default_config(kind)
     for path, value in changes:
@@ -519,6 +524,25 @@ def test_chain_runs_where_only_the_square_of_f_c_overflows(tmp_path):
     assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
+@pytest.mark.parametrize("kind, ints", [
+    # 2**53 + 3 names the float 2**53 + 4, which f_0 = -1.0*f_c reaches
+    *[pytest.param(kind, {"params.f_c": 2**53 + 3}, id=kind)
+      for kind in ("chain", "fig3", "fig4", "fig6")],
+    # the int product mass*f_c = 10**600 has no float, while 1e300*1e300 is inf
+    pytest.param("simulate", {"params.mass": 10**300, "params.f_c": 10**300}, id="simulate"),
+])
+def test_an_int_config_number_runs_as_its_float(tmp_path, kind, ints):
+    manifests = []
+    for side, values in (("int", ints), ("float", {k: float(v) for k, v in ints.items()})):
+        overrides = [f"{path}={json.dumps(value)}" for path, value in values.items()]
+        params = [p for _, _, p in load_config(kind, None, overrides, None).runs]
+        assert all(type(value) is float for p in params for value in p)
+        args = [kind, "--out", str(tmp_path / side)]
+        assert main(args + [word for item in overrides for word in ("--override", item)]) == 0
+        manifests.append((tmp_path / side / "manifest.txt").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -598,6 +622,7 @@ def main_arguments(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(args=main_arguments())
+@example(args=("simulate", [f"sim.v0={10**160}"]))
 def test_main_exits_0_2_or_3_and_writes_parseable_csv(args):
     kind, overrides = args
     argv = [kind] + [word for item in overrides for word in ("--override", item)]
@@ -762,6 +787,15 @@ PROBES = {
     "simulate_v0_energy_overflow": (
         ["simulate", "--override", "sim.v0=1e200"],
         2, "config error: sim: v0=1e+200 overflows the initial kinetic energy",
+    ),
+    # an int in a float field is checked as the float it names
+    "simulate_int_v0_energy_overflow": (
+        ["simulate", "--override", f"sim.v0={10**160}"],
+        2, "config error: sim: v0=1e+160 overflows the initial kinetic energy 0.5*m*v0**2\n",
+    ),
+    "fig7_int_v0_energy_overflow": (
+        ["fig7", "--override", f"sim.v0={10**160}"],
+        2, "config error: sim: v0=1e+160 overflows the initial kinetic energy 0.5*m*v0**2\n",
     ),
     # an override must not switch the kind the command line runs
     "kind_override": (
