@@ -84,12 +84,13 @@ class SimConfig(NamedTuple):
             raise ConfigError(
                 f"|f0|={abs(self.f0)} exceeds the friction level f_c={self.params.f_c}"
             )
-        if self.dt is not None and not 0.0 < self.dt < math.inf:
-            raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
-        if self.effective_dt() == 0.0:
+        if not 0.0 < (dt := self.effective_dt()) < math.inf:
+            if self.dt is not None:
+                raise ConfigError(f"dt must be finite and > 0, got {dt}")
             p = self.params
             raise ConfigError(
-                f"the default dt (1/200)*sqrt(mass*f_c/sigma) underflows to 0 at mass={p.mass}, "
+                f"the default dt (1/200)*sqrt(mass*f_c/sigma) "
+                f"{'underflows to 0' if dt == 0.0 else 'overflows to inf'} at mass={p.mass}, "
                 f"f_c={p.f_c} and sigma={p.sigma}; set sim.dt"
             )
         if not 0.0 < self.t_max < math.inf:
@@ -236,19 +237,14 @@ def _kernel(p: FrictionParams):
     return march
 
 
-def _advice(p: FrictionParams) -> str:
-    """The settings that change the outcome of a rejected step, for its message."""
-    if p.gamma < 1.0:
-        return (f"at gamma={p.gamma} < 1 the force reaches saturation in finite travel, "
-                "which no step size resolves; lower sim.v0 or raise params.gamma")
-    return f"reduce sim.dt for sigma/f_c={p.ratio}"
-
-
 def _band_escape(f: float, p: FrictionParams, h: float) -> StepRejectionError:
     """Rejection of a step whose stage force left the band, naming the setting to change."""
+    advice = (f"at gamma={p.gamma} < 1 the force reaches saturation in finite travel, "
+              "which no step size resolves; lower sim.v0 or raise params.gamma"
+              if p.gamma < 1.0 else f"reduce sim.dt for sigma/f_c={p.ratio}")
     return StepRejectionError(
         f"force escaped the band inside a step of dt={h}: |f|={abs(f)} escaped the "
-        f"admissible band f_c={p.f_c}; {_advice(p)}"
+        f"admissible band f_c={p.f_c}; {advice}"
     )
 
 

@@ -147,8 +147,11 @@ def check_clockwise_dissipation() -> CheckResult:
     )
 
 
-def check_energy_balance(traj: Trajectory, label: str) -> list[CheckResult]:
-    """Conserved sum (m/2)v^2 + e_f along the trajectory; |v| ~ 0 at reversals."""
+def check_energy_balance(traj: Trajectory) -> list[CheckResult]:
+    """Conserved sum (m/2)v^2 + e_f along the trajectory; |v| ~ 0 at reversals.
+
+    Each row is named for the run it measured: -r<sigma/f_c> (%g) ends it.
+    """
     cfg = traj.config
     k = 0.5 * cfg.params.mass
     e0 = k * cfg.v0**2
@@ -159,8 +162,8 @@ def check_energy_balance(traj: Trajectory, label: str) -> list[CheckResult]:
     for r in traj.reversals:
         v_rev = max(v_rev, abs(traj.v[bisect_left(traj.t, r.t_i)]))
     return [
-        _below(f"energy-balance-drift-{label}", drift, 1e-6),
-        _below(f"reversal-speed-{label}", v_rev, 1e-9),
+        _below(f"energy-balance-drift-r{cfg.params.ratio:g}", drift, 1e-6),
+        _below(f"reversal-speed-r{cfg.params.ratio:g}", v_rev, 1e-9),
     ]
 
 
@@ -373,8 +376,8 @@ CHECKS = (
     lambda trajs, audit: [check_form_consistency()],
     lambda trajs, audit: [check_stop_spring_conservative()],
     lambda trajs, audit: [check_clockwise_dissipation()],
-    lambda trajs, audit: check_energy_balance(trajs[0], "r10"),
-    lambda trajs, audit: check_energy_balance(trajs[1], "r100"),
+    lambda trajs, audit: check_energy_balance(trajs[0]),
+    lambda trajs, audit: check_energy_balance(trajs[1]),
     lambda trajs, audit: [check_equal_areas(trajs[0])],
     lambda trajs, audit: [check_chain_vs_simulation(trajs[0])],
     lambda trajs, audit: [check_exact_predictor_vs_oracle()],

@@ -95,8 +95,8 @@ def test_c05_grid_holds_the_corners_and_a_negative_area_fails(monkeypatch):
 
 def test_c06_simulation_energy_balance(traj10, traj100):
     """Energy drift < 1e-6 relative over 10+ reversals; |v| < 1e-9 at reversals."""
-    results = validation.check_energy_balance(traj10, "r10")
-    results += validation.check_energy_balance(traj100, "r100")
+    results = validation.check_energy_balance(traj10)
+    results += validation.check_energy_balance(traj100)
     ok = all(len(t.reversals) >= 10 for t in (traj10, traj100))
     report_checks(6, results, [1e-6, 1e-9] * 2, ok=ok)
 

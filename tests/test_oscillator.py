@@ -60,6 +60,24 @@ def test_default_step_size_scales_with_stiffness():
     assert c2.effective_dt() == 1e-4
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"params": FrictionParams(1.0, 1e30, mass=1e-300)},
+     "the default dt (1/200)*sqrt(mass*f_c/sigma) underflows to 0 at mass=1e-300, f_c=1.0 "
+     "and sigma=1e+30; set sim.dt"),
+    ({"params": FrictionParams(1e300, 1.0, mass=1e300)},
+     "the default dt (1/200)*sqrt(mass*f_c/sigma) overflows to inf at mass=1e+300, "
+     "f_c=1e+300 and sigma=1.0; set sim.dt"),
+    ({"params": P1, "dt": math.inf}, "dt must be finite and > 0, got inf"),
+    ({"params": P1, "dt": math.nan}, "dt must be finite and > 0, got nan"),
+], ids=["default_underflows", "default_overflows", "given_inf", "given_nan"])
+def test_the_step_must_be_finite_and_positive(kwargs, message):
+    with pytest.raises(ConfigError) as info:
+        SimConfig(**kwargs)
+    assert str(info.value) == message
+    # a finite positive step, given, takes the place of the default
+    assert SimConfig(**{**kwargs, "dt": 1e-3}).effective_dt() == 1e-3
+
+
 def test_default_stop_energy():
     c = SimConfig(params=P1, x0=0.0, v0=2.0)
     assert c.effective_stop_energy() == pytest.approx(1e-12 * 2.0)

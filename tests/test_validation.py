@@ -94,8 +94,13 @@ def test_energy_drift_from_the_extreme_sums_is_the_per_sample_drift_bitwise(colu
     zeros = array("d", bytes(8 * len(vs)))
     traj = Trajectory(zeros, zeros, array("d", vs), zeros, array("d", es), [],
                       SimConfig(FrictionParams(1.0, 10.0, mass=mass), v0=v0))
-    drift = validation.check_energy_balance(traj, "r")[0].measured
+    drift = validation.check_energy_balance(traj)[0].measured
     assert drift.hex() == reference_drift(traj).hex()
+
+
+def test_energy_balance_rows_are_named_for_their_run(traj1000):
+    assert [r.name for r in validation.check_energy_balance(traj1000)] == [
+        "energy-balance-drift-r1000", "reversal-speed-r1000"]
 
 
 @pytest.fixture(scope="session")
