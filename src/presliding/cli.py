@@ -66,8 +66,8 @@ __all__ = [
 _PER_ENTRY_KINDS = ("simulate", "chain", "fig7")
 
 # Largest chain.n_steps (chain and fig6 build each chain in memory): 10**6
-# steps took 4.3-6.5 s and 315 MiB peak RSS for one chain (99 MB of CSV),
-# and 11.0-12.6 s and 898 MiB for fig6's three default ratios (310 MB),
+# steps took 4.2-5.7 s and 315 MiB peak RSS for one chain (99 MB of CSV),
+# and 14.0-17.6 s and 923-924 MiB for fig6's three default ratios (310 MB),
 # each in a fresh process (resource.getrusage) on a 2-vCPU host.
 MAX_CHAIN_STEPS = 10**6
 

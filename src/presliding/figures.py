@@ -22,13 +22,12 @@ from .errors import DomainError
 from .hysteresis import BranchState, FrictionParams, dahl_branch
 from .oscillator import Trajectory
 from .reversal import (
-    _chain_columns,
-    _chain_ratios,
     next_reversal_approx,
     next_reversal_exact,
     omega,
     omega_approx,
     potential_energy,
+    reversal_chain,
     reversal_coordinate,
 )
 
@@ -192,15 +191,9 @@ def fig5_tables(runs: Runs) -> list[tuple[str, list[str], list[list]]]:
 def fig6_table(
     runs: Runs, f0_over_fc: float, n_steps: int, mode: str
 ) -> tuple[list[str], list[list]]:
-    """Reversal-chain energies per stiffness ratio, seeded at f0_over_fc*f_c, a segment each."""
-    segments = []
-    ratios = None
-    for _, ratio, p in runs:
-        f_0 = f0_over_fc * p.f_c
-        # the ratios are sigma-free, and the runs differ in sigma only (the sweep's)
-        if ratios is None:
-            ratios = _chain_ratios(f_0, n_steps, p, mode)
-        segments.append([ratio, *_chain_columns(f_0, p, *ratios)])
+    """A segment per run: its reversal_chain columns from f0_over_fc*f_c under its ratio."""
+    segments = [[ratio, *reversal_chain(f0_over_fc * p.f_c, n_steps, p, mode)]
+                for _, ratio, p in runs]
     return ["ratio", *CHAIN_HEADER], segments
 
 

@@ -234,37 +234,6 @@ def next_reversal_approx(
     return x_scale * (-_log1p_excess(phi) / denom)
 
 
-def _chain_ratios(f_0: float, n_steps: int, p: FrictionParams, mode: str) -> tuple[list, list]:
-    """Force ratios phi_0 .. phi_n_steps of the chain from f_0, and their _log1p_excess."""
-    phi = _phi(f_0, p)
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    if mode not in ("exact", "approx"):
-        raise DomainError(f"unknown chain mode {mode!r}")
-    next_ratio = _exact_ratio if mode == "exact" else _approx_ratio
-    phis, excesses = [phi], [_log1p_excess(phi)]
-    for _ in range(n_steps):
-        phi = next_ratio(phi, excesses[-1])
-        phis.append(phi)
-        excesses.append(_log1p_excess(phi))
-    return phis, excesses
-
-
-def _chain_columns(f_0: float, p: FrictionParams, phis: list, excesses: list) -> list[list]:
-    """Columns n, F_n, x_n, E_p, E_d of the chain from f_0 with these ratios and excesses.
-
-    F_n is phi_n*f_c after a negative F_{n-1} and -phi_n*f_c otherwise; x_n has F_n's sign.
-    """
-    f_c, (x_scale, e_scale) = p.f_c, _scales(p)
-    f = f_0  # the previous force
-    f_n = [f_0] + [(f := phi * f_c if f < 0.0 else -phi * f_c) for phi in phis[1:-1]]
-    x_n = [(-x_scale if fn < 0.0 else x_scale) * math.log1p(phi) for phi, fn in zip(phis, f_n)]
-    e_p = [e_scale * -excess for excess in excesses]
-    e_d = [a - b for a, b in pairwise(e_p)]
-    del e_p[-1]
-    return [list(range(len(f_n))), f_n, x_n, e_p, e_d]
-
-
 def reversal_chain(
     f_0: float, n_steps: int, p: FrictionParams, mode: Literal["exact", "approx"] = "exact"
 ) -> list[list]:
@@ -282,4 +251,23 @@ def reversal_chain(
     and E_d the energy dissipated on the half-cycle after it (the last uses
     one extra prediction). Partial sums of E_d telescope to E_p(0) - E_p(n_steps).
     """
-    return _chain_columns(f_0, p, *_chain_ratios(f_0, n_steps, p, mode))
+    phi = _phi(f_0, p)
+    if n_steps < 1:
+        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
+    if mode not in ("exact", "approx"):
+        raise DomainError(f"unknown chain mode {mode!r}")
+    next_ratio = _exact_ratio if mode == "exact" else _approx_ratio
+    phis, excesses = [phi], [_log1p_excess(phi)]
+    for _ in range(n_steps):
+        phi = next_ratio(phi, excesses[-1])
+        phis.append(phi)
+        excesses.append(_log1p_excess(phi))
+    # F_n is phi_n*f_c after a negative F_{n-1} and -phi_n*f_c otherwise; x_n has F_n's sign
+    f_c, (x_scale, e_scale) = p.f_c, _scales(p)
+    f = f_0  # the previous force
+    f_n = [f_0] + [(f := phi * f_c if f < 0.0 else -phi * f_c) for phi in phis[1:-1]]
+    x_n = [(-x_scale if fn < 0.0 else x_scale) * math.log1p(phi) for phi, fn in zip(phis, f_n)]
+    e_p = [e_scale * -excess for excess in excesses]
+    e_d = [a - b for a, b in pairwise(e_p)]
+    del e_p[-1]
+    return [list(range(len(f_n))), f_n, x_n, e_p, e_d]

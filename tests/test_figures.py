@@ -3,9 +3,11 @@
 from array import array
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from presliding.errors import DomainError
 from presliding.hysteresis import FrictionParams
 from presliding.reversal import reversal_chain
 from presliding._csv import encode_csv
@@ -55,8 +57,7 @@ def test_builders_give_one_column_per_header_at_zero_rows():
     mode=st.sampled_from(["exact", "approx"]),
 )
 def test_fig6_is_each_entry_chain_under_its_ratio(f0_over_fc, ratios, n_steps, mode):
-    # exact mode shares one ratio pass between the entries; the bytes are
-    # those of one reversal_chain per entry, with the ratio column prepended
+    # the bytes are those of one reversal_chain per entry, with the ratio column prepended
     runs = [("", r, FrictionParams(f_c=0.3, sigma=0.3 * r)) for r in ratios]
     columns = [[] for _ in range(6)]
     for _, ratio, p in runs:
@@ -65,6 +66,17 @@ def test_fig6_is_each_entry_chain_under_its_ratio(f0_over_fc, ratios, n_steps, m
             col += values
     header = ["ratio", "n", "F_n", "x_n", "E_p", "E_d"]
     assert encode_csv(*fig6_table(runs, f0_over_fc, n_steps, mode)) == encode_csv(header, [columns])
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_fig6_chains_and_checks_each_run(mode):
+    # runs that differ in f_c as well as sigma each get their own chain, whose
+    # ratios differ in the last bits here, and a run outside gamma == 1 is refused
+    runs = [("", 1.0, FrictionParams(1.0, 1.0)), ("", 1.0, FrictionParams(3.0, 3.0))]
+    assert fig6_table(runs, -0.7, 50, mode)[1] == [
+        [ratio, *reversal_chain(-0.7 * p.f_c, 50, p, mode)] for _, ratio, p in runs]
+    with pytest.raises(DomainError, match="gamma"):
+        fig6_table([runs[0], ("", 1.0, FrictionParams(1.0, 1.0, gamma=2.0))], -0.7, 50, mode)
 
 
 def test_reversals_header_pairs_with_record_fields(traj10):

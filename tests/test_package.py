@@ -41,7 +41,8 @@ def test_module_all_names_exist(name):
 # figures.CHAIN_HEADER; the branch work f_c*x + (f_c**2/sigma)*expm1(-(sigma/f_c)*x)
 # had no caller; the pointwise branch forces are the prepared maps
 # dahl_branch and stop_spring, and the stop spring reads sigma and f_c of
-# FrictionParams; check_omega_envelope computes its own deviation
+# FrictionParams; check_omega_envelope computes its own deviation; a chain's
+# ratio pass and columns are reversal_chain's, which fig6 calls per run
 REMOVED_NAMES = [
     (module, name)
     for module in ("presliding", "presliding.reversal")
@@ -55,6 +56,8 @@ REMOVED_NAMES = [
     ("presliding.validation", "omega_envelope_deviation"),
     ("presliding.figures", "chain_table"),
     ("presliding.hysteresis", "reverse_branch"),
+    ("presliding.reversal", "_chain_ratios"),
+    ("presliding.reversal", "_chain_columns"),
 ]
 
 
