@@ -54,8 +54,8 @@ class SimConfig(NamedTuple):
     """Simulation setup.
 
     The defaults are the CLI's `sim` section. dt defaults to
-    (1/200)*sqrt(mass*f_c/sigma), a fraction of the characteristic period
-    right after a reversal where the local branch stiffness is ~2*sigma.
+    (1/200)*sqrt(mass/sigma), a fraction of the period right after a
+    reversal, where the branch stiffness is ~2*sigma; neither holds f_c.
     stop_energy defaults to 1e-12 times the initial kinetic energy and is
     compared against the recoverable energy of each completed reversal (the
     only instants where the energy balance is meaningful); the dynamics
@@ -89,9 +89,9 @@ class SimConfig(NamedTuple):
                 raise ConfigError(f"dt must be finite and > 0, got {dt}")
             p = self.params
             raise ConfigError(
-                f"the default dt (1/200)*sqrt(mass*f_c/sigma) "
-                f"{'underflows to 0' if dt == 0.0 else 'overflows to inf'} at mass={p.mass}, "
-                f"f_c={p.f_c} and sigma={p.sigma}; set sim.dt"
+                f"the default dt (1/200)*sqrt(mass/sigma) "
+                f"{'underflows to 0' if dt == 0.0 else 'overflows to inf'} at mass={p.mass} "
+                f"and sigma={p.sigma}; set sim.dt"
             )
         if not 0.0 < self.t_max < math.inf:
             raise ConfigError(f"t_max must be finite and > 0, got {self.t_max}")
@@ -104,7 +104,7 @@ class SimConfig(NamedTuple):
         if self.dt is not None:
             return self.dt
         p = self.params
-        return 0.005 * math.sqrt(p.mass * p.f_c / p.sigma)
+        return 0.005 * math.sqrt(p.mass / p.sigma)
 
     def effective_stop_energy(self) -> float:
         if self.stop_energy is not None:

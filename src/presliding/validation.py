@@ -49,6 +49,7 @@ __all__ = [
     "AUDIT_HEADER",
     "CHECKS",
     "CheckResult",
+    "RUNS",
     "run_all",
     "OMEGA_ENVELOPE_BOUND",
     "APPROX_REDERIVED_BOUND",
@@ -58,6 +59,9 @@ __all__ = [
 OMEGA_ENVELOPE_BOUND = 0.07
 APPROX_REDERIVED_BOUND = 0.13
 SERIES_99PCT_STEPS = 18
+
+# validate's runs by name: the CLI's default simulation at each fig7 ratio
+RUNS = {f"r{r:g}": SimConfig(FrictionParams(f_c=1.0, sigma=r)) for r in DEFAULT_SWEEPS["fig7"]}
 
 
 class CheckResult(NamedTuple):
@@ -366,32 +370,33 @@ def _approx_checks(audit: list) -> list[CheckResult]:
     return checks
 
 
-# The report's checks in report order. Each entry takes run_all's runs at
-# sigma/f_c = 10, 100 and 1000 and the list that collects the approx audit
-# rows, and returns its rows; it looks its check up on the module when
-# called, so a patched check_* is the one that runs.
+# The report's checks in report order. Each entry takes run_all's runs (each
+# RUNS name to its trajectory), which it reads by name, and the list that
+# collects the approx audit rows, and returns its rows; it looks its check up
+# on the module when called, so a patched check_* is the one that runs.
 CHECKS = (
-    lambda trajs, audit: [check_max_potential_energy()],
-    lambda trajs, audit: [check_quadrature_equivalence()],
-    lambda trajs, audit: [check_form_consistency()],
-    lambda trajs, audit: [check_stop_spring_conservative()],
-    lambda trajs, audit: [check_clockwise_dissipation()],
-    lambda trajs, audit: check_energy_balance(trajs[0]),
-    lambda trajs, audit: check_energy_balance(trajs[1]),
-    lambda trajs, audit: [check_equal_areas(trajs[0])],
-    lambda trajs, audit: [check_chain_vs_simulation(trajs[0])],
-    lambda trajs, audit: [check_exact_predictor_vs_oracle()],
-    lambda trajs, audit: check_series_convergence(),
-    lambda trajs, audit: [check_monotone_decay(trajs)],
-    lambda trajs, audit: [check_reversal_frequency_trend(trajs)],
-    lambda trajs, audit: _approx_checks(audit),
-    lambda trajs, audit: [check_omega_envelope()],
-    lambda trajs, audit: [check_determinism()],
+    lambda runs, audit: [check_max_potential_energy()],
+    lambda runs, audit: [check_quadrature_equivalence()],
+    lambda runs, audit: [check_form_consistency()],
+    lambda runs, audit: [check_stop_spring_conservative()],
+    lambda runs, audit: [check_clockwise_dissipation()],
+    lambda runs, audit: check_energy_balance(runs["r10"]),
+    lambda runs, audit: check_energy_balance(runs["r100"]),
+    lambda runs, audit: [check_equal_areas(runs["r10"])],
+    lambda runs, audit: [check_chain_vs_simulation(runs["r10"])],
+    lambda runs, audit: [check_exact_predictor_vs_oracle()],
+    lambda runs, audit: check_series_convergence(),
+    lambda runs, audit: [check_monotone_decay([runs["r10"], runs["r100"], runs["r1000"]])],
+    lambda runs, audit: [
+        check_reversal_frequency_trend([runs["r10"], runs["r100"], runs["r1000"]])],
+    lambda runs, audit: _approx_checks(audit),
+    lambda runs, audit: [check_omega_envelope()],
+    lambda runs, audit: [check_determinism()],
 )
 
 
 def run_all() -> tuple[list[CheckResult], list[tuple]]:
     """Run the full oracle suite; returns (checks, approx audit rows)."""
-    trajs = [simulate(SimConfig(FrictionParams(f_c=1.0, sigma=r))) for r in (10.0, 100.0, 1000.0)]
+    runs = {name: simulate(cfg) for name, cfg in RUNS.items()}
     audit: list[tuple] = []
-    return [c for check in CHECKS for c in check(trajs, audit)], audit
+    return [c for check in CHECKS for c in check(runs, audit)], audit

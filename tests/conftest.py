@@ -1,26 +1,27 @@
-"""Shared fixtures: the standard oscillator runs reused across test modules."""
+"""Shared fixtures: validate's runs, simulated once and reused across test modules."""
 
 import pytest
 
-from presliding.hysteresis import FrictionParams
-from presliding.oscillator import SimConfig, simulate
-
-
-def standard_run(ratio: float):
-    """The CLI's default simulation at sigma/f_c = ratio."""
-    return simulate(SimConfig(FrictionParams(f_c=1.0, sigma=ratio)))
+from presliding.oscillator import simulate
+from presliding.validation import RUNS
 
 
 @pytest.fixture(scope="session")
-def traj10():
-    return standard_run(10.0)
+def runs():
+    """Each validation.RUNS name to its trajectory, as validation.run_all simulates it."""
+    return {name: simulate(cfg) for name, cfg in RUNS.items()}
 
 
 @pytest.fixture(scope="session")
-def traj100():
-    return standard_run(100.0)
+def traj10(runs):
+    return runs["r10"]
 
 
 @pytest.fixture(scope="session")
-def traj1000():
-    return standard_run(1000.0)
+def traj100(runs):
+    return runs["r100"]
+
+
+@pytest.fixture(scope="session")
+def traj1000(runs):
+    return runs["r1000"]

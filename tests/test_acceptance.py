@@ -1,9 +1,9 @@
 """Acceptance gate: one test per criterion, at the stated tolerance.
 
 Each test prints a single pass/fail line (run `pytest -s tests/test_acceptance.py`
-to see them all). The standard runs behind the simulation criteria are the
-session fixtures from conftest: f_c = 1, m = 1, x0 = 0, v0 = 0.5, twelve
-completed reversals. Criteria 01-12 run the shared checks of
+to see them all). The standard runs behind the simulation criteria are
+validation.RUNS, simulated once as conftest's session fixtures: f_c = 1,
+m = 1, x0 = 0, v0 = 0.5, twelve completed reversals. Criteria 01-12 run the shared checks of
 presliding.validation, which `presliding validate` reports too, and pin
 the tolerance each criterion states.
 """

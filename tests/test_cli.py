@@ -246,8 +246,8 @@ JSON_VALUES = st.recursive(
        changes=st.lists(st.tuples(st.sampled_from(LEAVES), JSON_VALUES), max_size=4))
 # an int whose float squares past the float range, which the integers rarely draw
 @example(kind="simulate", changes=[("sim.v0", 10**160)])
-# a default step that overflows to inf, as mass*f_c does
-@example(kind="simulate", changes=[("params.mass", 1e300), ("params.f_c", 1e300)])
+# a default step that overflows to inf, as mass/sigma does
+@example(kind="simulate", changes=[("params.mass", 1e300), ("params.sigma", 1e-10)])
 def test_config_from_dict_returns_a_config_or_raises_config_error(kind, changes):
     data = default_config(kind)
     for path, value in changes:
@@ -533,8 +533,8 @@ def test_chain_runs_where_only_the_square_of_f_c_overflows(tmp_path):
     # 2**53 + 3 names the float 2**53 + 4, which f_0 = -1.0*f_c reaches
     *[pytest.param(kind, {"params.f_c": 2**53 + 3}, id=kind)
       for kind in ("chain", "fig3", "fig4", "fig6")],
-    # the int product mass*f_c = 10**600 has no float, while 1e300*1e300 is inf;
-    # the step is given, as the default one overflows to inf here
+    # mass and f_c of 10**300, whose int product 10**600 has no float, run as 1e300;
+    # the step is given, as the default one, about 5e147, is far above t_max here
     pytest.param("simulate", {"params.mass": 10**300, "params.f_c": 10**300, "sim.dt": 1},
                  id="simulate"),
 ])
@@ -851,28 +851,29 @@ PROBES = {
         ["chain", "--override", "params.sigma.x=2"],
         2, "config error: params.sigma: expected an object, got 1.0\n",
     ),
-    # the default step 0.005*sqrt(mass*f_c/sigma) underflows to 0
+    # the default step 0.005*sqrt(mass/sigma) underflows to 0
     "simulate_default_dt_underflows": (
         ["simulate", "--override", "params.mass=1e-300", "--override", "params.sigma=1e30"],
-        2, "config error: sim: the default dt (1/200)*sqrt(mass*f_c/sigma) underflows to 0 "
-           "at mass=1e-300, f_c=1.0 and sigma=1e+30; set sim.dt\n",
+        2, "config error: sim: the default dt (1/200)*sqrt(mass/sigma) underflows to 0 "
+           "at mass=1e-300 and sigma=1e+30; set sim.dt\n",
     ),
-    # the default step overflows to inf: mass*f_c is past the float range
+    # the default step overflows to inf: mass/sigma is past the float range
     "simulate_default_dt_overflows": (
-        ["simulate", "--override", "params.mass=1e300", "--override", "params.f_c=1e10",
-         "--override", "params.sigma=1e12"],
-        2, "config error: sim: the default dt (1/200)*sqrt(mass*f_c/sigma) overflows to inf "
-           "at mass=1e+300, f_c=10000000000.0 and sigma=1000000000000.0; set sim.dt\n",
+        ["simulate", "--override", "params.mass=1e300", "--override", "params.sigma=1e-10"],
+        2, "config error: sim: the default dt (1/200)*sqrt(mass/sigma) overflows to inf "
+           "at mass=1e+300 and sigma=1e-10; set sim.dt\n",
     ),
-    "simulate_default_dt_overflows_at_unit_sigma": (
-        ["simulate", "--override", "params.mass=1e300", "--override", "params.f_c=1e300"],
-        2, "config error: sim: the default dt (1/200)*sqrt(mass*f_c/sigma) overflows to inf "
-           "at mass=1e+300, f_c=1e+300 and sigma=1.0; set sim.dt\n",
+    # the step holds no unit of force: a small f_c does not bring it back into range
+    "simulate_default_dt_overflows_at_small_f_c": (
+        ["simulate", "--override", "params.mass=1e300", "--override", "params.f_c=1e-10",
+         "--override", "params.sigma=1e-10"],
+        2, "config error: sim: the default dt (1/200)*sqrt(mass/sigma) overflows to inf "
+           "at mass=1e+300 and sigma=1e-10; set sim.dt\n",
     ),
     "fig7_default_dt_overflows": (
         ["fig7", "--override", "params.mass=1e300", "--override", "sweep=[10,1e-10]"],
-        2, "config error: sweep[1]: the default dt (1/200)*sqrt(mass*f_c/sigma) overflows "
-           "to inf at mass=1e+300, f_c=1.0 and sigma=1e-10; set sim.dt\n",
+        2, "config error: sweep[1]: the default dt (1/200)*sqrt(mass/sigma) overflows "
+           "to inf at mass=1e+300 and sigma=1e-10; set sim.dt\n",
     ),
     # entries are checked in order: sweep[1] would overflow the peak Dahl slope
     "fig7_reports_the_first_bad_entry": (
@@ -881,8 +882,8 @@ PROBES = {
     ),
     "fig7_default_dt_underflows": (
         ["fig7", "--override", "params.mass=1e-300", "--override", "sweep=[10,1e30]"],
-        2, "config error: sweep[1]: the default dt (1/200)*sqrt(mass*f_c/sigma) underflows "
-           "to 0 at mass=1e-300, f_c=1.0 and sigma=1e+30; set sim.dt\n",
+        2, "config error: sweep[1]: the default dt (1/200)*sqrt(mass/sigma) underflows "
+           "to 0 at mass=1e-300 and sigma=1e+30; set sim.dt\n",
     ),
     # chains above the bound would run for minutes and hold gigabytes
     "chain_n_steps_above_bound": (

@@ -3,17 +3,19 @@
 import hashlib
 import math
 import struct
+from array import array
 from bisect import bisect_left
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from presliding.errors import ConfigError, ConvergenceError, StepRejectionError
 from presliding.hysteresis import FrictionParams
 from presliding.oscillator import SimConfig, _kernel, locate_reversal, simulate
 from presliding.reversal import potential_energy
+from presliding.validation import RUNS
 import presliding.oscillator as oscillator_module
 from presliding._csv import encode_csv
 from presliding.figures import reversals_table, trajectory_table
@@ -62,11 +64,11 @@ def test_default_step_size_scales_with_stiffness():
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"params": FrictionParams(1.0, 1e30, mass=1e-300)},
-     "the default dt (1/200)*sqrt(mass*f_c/sigma) underflows to 0 at mass=1e-300, f_c=1.0 "
+     "the default dt (1/200)*sqrt(mass/sigma) underflows to 0 at mass=1e-300 "
      "and sigma=1e+30; set sim.dt"),
-    ({"params": FrictionParams(1e300, 1.0, mass=1e300)},
-     "the default dt (1/200)*sqrt(mass*f_c/sigma) overflows to inf at mass=1e+300, "
-     "f_c=1e+300 and sigma=1.0; set sim.dt"),
+    ({"params": FrictionParams(1.0, 1e-10, mass=1e300)},
+     "the default dt (1/200)*sqrt(mass/sigma) overflows to inf at mass=1e+300 "
+     "and sigma=1e-10; set sim.dt"),
     ({"params": P1, "dt": math.inf}, "dt must be finite and > 0, got inf"),
     ({"params": P1, "dt": math.nan}, "dt must be finite and > 0, got nan"),
 ], ids=["default_underflows", "default_overflows", "given_inf", "given_nan"])
@@ -76,6 +78,57 @@ def test_the_step_must_be_finite_and_positive(kwargs, message):
     assert str(info.value) == message
     # a finite positive step, given, takes the place of the default
     assert SimConfig(**{**kwargs, "dt": 1e-3}).effective_dt() == 1e-3
+
+
+@st.composite
+def in_band_runs(draw):
+    """A short run at sigma/f_c log-uniform in [1, 1e4], gamma 1 or 2, started inside the band.
+
+    |v0| spans 0.05 to 3 times the pre-sliding speed f_c/sqrt(sigma*m), so
+    runs that start in pre-sliding and in gross sliding are drawn.
+    """
+    f_c, mass = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    sigma = f_c * 10.0 ** draw(st.floats(0.0, 4.0))
+    p = FrictionParams(f_c, sigma, gamma=draw(st.sampled_from([1.0, 2.0])), mass=mass)
+    speed = draw(st.floats(0.05, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return SimConfig(p, x0=draw(st.floats(-1.0, 1.0)), v0=speed * f_c / math.sqrt(sigma * mass),
+                     f0=draw(st.floats(-0.9, 0.9)) * f_c, max_reversals=3)
+
+
+def _run_bits(cfg, length=1.0, force=1.0):
+    """simulate(cfg)'s samples and records as bytes, lengths and forces scaled.
+
+    Time is not scaled, so a speed scales as a length and an energy as
+    force*length.
+    """
+    traj = simulate(cfg)
+    energy = force * length
+    columns = [(1.0, traj.t), (length, traj.x), (length, traj.v), (force, traj.f),
+               (energy, traj.e_f_cum)]
+    return [array("d", [k * a for a in col]).tobytes() for k, col in columns] + [_bits(
+        (r.index, r.t_i, length * r.x_i, force * r.f_i, energy * r.e_p, energy * r.e_d_halfcycle))
+        for r in traj.reversals]
+
+
+# the model's exact scaling laws: a power-of-two scale commutes with every
+# IEEE operation short of overflow and underflow, so each law holds bit for
+# bit unless a constant of the simulator carries a unit
+@settings(max_examples=60)
+@given(in_band_runs())
+def test_a_mirrored_start_runs_the_mirrored_motion_bitwise(cfg):
+    mirrored = cfg._replace(x0=-cfg.x0, v0=-cfg.v0, f0=-cfg.f0)
+    assert _run_bits(mirrored) == _run_bits(cfg, length=-1.0, force=-1.0)
+
+
+@settings(max_examples=60)
+@given(in_band_runs())
+def test_another_unit_of_force_runs_the_same_motion_bitwise(cfg):
+    # f_c, sigma, mass and f0 times 4**5: the same motion, its forces and energies times 4**5
+    k = 4.0**5
+    p = cfg.params
+    scaled = cfg._replace(params=p._replace(f_c=k * p.f_c, sigma=k * p.sigma, mass=k * p.mass),
+                          f0=k * cfg.f0)
+    assert _run_bits(scaled) == _run_bits(cfg, force=k)
 
 
 def test_default_stop_energy():
@@ -408,18 +461,23 @@ def test_simulate_columns_are_double_arrays(traj10):
 
 
 # sha256 over tobytes() of the five columns (t, x, v, f, e_f_cum) and then
-# each reversal record packed as "<q5d", per standard run; taken on a
+# each reversal record packed as "<q5d", per validation.RUNS run; taken on a
 # little-endian host
 STANDARD_RUN_DIGESTS = {
-    "traj10": "990b6eb23eef31ea216ec1a38e6c973af2d7a21450edcd0db2451ddbd09ab232",
-    "traj100": "e3e2b855f407ead45c4dbe33026ae92fb57dd74588a73ad5c7dabab3154a9a4f",
-    "traj1000": "49ad3b90e29225622f98e1e6b15aec3054796a93917f53401614dd5b5b695fe0",
+    "r10": "990b6eb23eef31ea216ec1a38e6c973af2d7a21450edcd0db2451ddbd09ab232",
+    "r100": "e3e2b855f407ead45c4dbe33026ae92fb57dd74588a73ad5c7dabab3154a9a4f",
+    "r1000": "49ad3b90e29225622f98e1e6b15aec3054796a93917f53401614dd5b5b695fe0",
 }
 
 
+def test_every_run_validate_reads_is_pinned():
+    # a run added to validate's table must come with its digest
+    assert set(STANDARD_RUN_DIGESTS) == set(RUNS)
+
+
 @pytest.mark.parametrize("name", sorted(STANDARD_RUN_DIGESTS))
-def test_standard_runs_are_bitwise_pinned(request, name):
-    traj = request.getfixturevalue(name)
+def test_standard_runs_are_bitwise_pinned(runs, name):
+    traj = runs[name]
     h = hashlib.sha256()
     for col in (traj.t, traj.x, traj.v, traj.f, traj.e_f_cum):
         h.update(col.tobytes())

@@ -103,15 +103,16 @@ def test_energy_balance_rows_are_named_for_their_run(traj1000):
         "energy-balance-drift-r1000", "reversal-speed-r1000"]
 
 
-@pytest.fixture(scope="session")
-def trajs(traj10, traj100, traj1000):
-    """run_all's three runs: the standard runs at sigma/f_c = 10, 100 and 1000."""
-    return [traj10, traj100, traj1000]
+def report(runs):
+    """The rows of validation.CHECKS over runs, a mapping from run name to trajectory."""
+    return [r for check in validation.CHECKS for r in check(runs, [])]
 
 
-def report(trajs):
-    """The rows of validation.CHECKS over trajs, in report order."""
-    return [r for check in validation.CHECKS for r in check(trajs, [])]
+def test_a_run_added_to_the_table_moves_no_row(runs):
+    # each check reads its runs by name, so a run that no check names, here
+    # the gamma = 2 run whose params no reversal chain accepts, changes nothing
+    gamma2 = SimConfig(FrictionParams(1.0, 100.0, gamma=2.0), v0=0.05, max_reversals=6)
+    assert report({**runs, "gamma2": oscillator.simulate(gamma2)}) == report(runs)
 
 
 def scale_branch(name, directions=(+1, -1)):
@@ -198,9 +199,9 @@ MUTATIONS = {
 
 
 @pytest.mark.parametrize("inject, failing", MUTATIONS.values(), ids=MUTATIONS.keys())
-def test_each_defect_fails_exactly_its_checks(monkeypatch, trajs, inject, failing):
+def test_each_defect_fails_exactly_its_checks(monkeypatch, runs, inject, failing):
     inject(monkeypatch)
-    assert {r.name for r in report(trajs) if not r.passed} == failing
+    assert {r.name for r in report(runs) if not r.passed} == failing
 
 
 def rewrite_work(rewrite):
@@ -281,10 +282,10 @@ CANNOT_FAIL = {
 }
 
 
-def test_each_report_row_is_placed_once(trajs):
+def test_each_report_row_is_placed_once(runs):
     # a row that a mutation fails or one that cannot fail: a new row must be
     # placed, and a place must not name a row that is gone
-    names = [r.name for r in report(trajs)]
+    names = [r.name for r in report(runs)]
     failed = set().union(*(f for _, f in [*MUTATIONS.values(), *TRAJECTORY_MUTATIONS.values()]))
     assert len(set(names)) == len(names)
     assert sorted([*failed, *CANNOT_FAIL]) == sorted(names)
