@@ -82,11 +82,10 @@ class ChainSettings(NamedTuple):
 
 class ExperimentConfig(NamedTuple):
     kind: str
-    sim: SimConfig  # at the unswept base params (default params for a kind that does not simulate)
     chain: ChainSettings
     output_dir: Path
-    # (file-name suffix, sweep value, params) per entry; ("", None, params) without a sweep
-    runs: tuple[tuple[str, Optional[float], FrictionParams], ...]
+    # (file suffix, sweep value, run) per entry or ("", None, run); a simulated run is a SimConfig
+    runs: tuple[tuple[str, Optional[float], FrictionParams | SimConfig], ...]
 
 
 def default_config(kind: str) -> dict:
@@ -226,13 +225,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not all(0 < v < math.inf for v in sweep):
             raise ConfigError("sweep: entries must be positive and finite")
 
-    # a kind that does not simulate builds it at the default params: the default dt
-    # of params it never simulates must not stop its closed-form scale check
-    sim = _build_record(SimConfig, merged["sim"], "sim",
-                        params=params if "sim" in reads else FrictionParams(**defaults["params"]))
+    # a kind that does not simulate checks the section at the default params: the
+    # default dt of params it never simulates must not stop its closed-form scale check
+    if "sim" not in reads:
+        _build_record(SimConfig, merged["sim"], "sim", params=FrictionParams(**defaults["params"]))
 
-    # one pass per entry: its file suffix, then its params (fig5 sweeps f_c,
-    # every other kind sigma/f_c), the swept run's sim and its closed-form scales
+    # one pass per entry: its file suffix, params, closed-form scales and SimConfig
     runs = ()
     first: dict[str, int] = {}  # suffix -> index of the first entry with it
     span = ", 2*f_c/sigma" if kind == "fig5" else ""
@@ -245,10 +243,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             )
         first.setdefault(sfx, i)
         try:
-            p = (params if value is None else params._replace(f_c=value) if kind == "fig5"
-                 else params._replace(sigma=value * params.f_c))
-            if value is not None and "sim" in reads:  # a swept run's default dt
-                sim._replace(params=p)
+            run = p = (params if value is None else params._replace(f_c=value) if kind == "fig5"
+                       else params._replace(sigma=value * params.f_c))
+            if runs and "sim" in reads:  # a later run: the first one's record at p
+                run = runs[0][2]._replace(params=p)
             if "params" not in reads:  # the closed-form kinds, and validate's default params
                 # the closed forms scale by these, fig5's curve spans about 1.59*f_c/sigma:
                 # an inf scale writes inf or nan cells, a zero one zeros every energy or length
@@ -262,8 +260,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                     )
         except (ConfigError, DomainError) as exc:
             raise ConfigError(f"{'params' if value is None else f'sweep[{i}]'}: {exc}") from exc
-        runs += ((sfx, value, p),)
-    return ExperimentConfig(kind, sim, chain, Path(merged["output_dir"]), runs)
+        if not runs and "sim" in reads:  # the first run's record names the section
+            run = _build_record(SimConfig, merged["sim"], "sim", params=p)
+        runs += ((sfx, value, run),)
+    return ExperimentConfig(kind, chain, Path(merged["output_dir"]), runs)
 
 
 def load_config(
@@ -321,8 +321,8 @@ def _commit(out_dir: Path, files: dict[str, tuple[bytes, int]]) -> list[Path]:
 
 
 def _run_simulate(cfg: ExperimentConfig, files: dict) -> None:
-    for sfx, _, p in cfg.runs:
-        traj = simulate(cfg.sim._replace(params=p))
+    for sfx, _, run in cfg.runs:
+        traj = simulate(run)
         files[f"trajectory{sfx}.csv"] = encode_csv(*trajectory_table(traj))
         files[f"reversals{sfx}.csv"] = encode_csv(*reversals_table(traj))
 
@@ -335,8 +335,8 @@ def _run_chain(cfg: ExperimentConfig, files: dict) -> None:
 
 
 def _run_fig7(cfg: ExperimentConfig, files: dict) -> None:
-    for sfx, _, p in cfg.runs:
-        traj = simulate(cfg.sim._replace(params=p))
+    for sfx, _, run in cfg.runs:
+        traj = simulate(run)
         files[f"fig7_traj{sfx}.csv"] = encode_csv(*fig7_energy_magnitude(traj))
         files[f"fig7_envelope{sfx}.csv"] = encode_csv(*fig7_envelope(traj))
     files["README.txt"] = (FIG7_README.encode("utf-8"), 0)

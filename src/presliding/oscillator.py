@@ -41,6 +41,10 @@ _TOL_V_REL = 1e-9
 
 _MAX_BISECTIONS = 100
 
+# Longest default first step at gamma == 1, in saturation times f_c/(sigma*|v0|): RK4's
+# fourth stage leaves the band from 1.2956, the root of 1 - g + g**2/2 - g**3/4 (README).
+_G_MAX = 1.2957
+
 # Most steps one simulate call takes before it raises StepRejectionError.
 # A sample holds about 41 B while the run lasts: a run stopped here took
 # 4-8 s and peaked at 134-136 MiB RSS on a 2-vCPU host. A run that
@@ -56,6 +60,8 @@ class SimConfig(NamedTuple):
     The defaults are the CLI's `sim` section. dt defaults to
     (1/200)*sqrt(mass/sigma), a fraction of the period right after a
     reversal, where the branch stiffness is ~2*sigma; neither holds f_c.
+    At gamma == 1 a default whose first step min(dt, t_max) is over _G_MAX
+    saturation times f_c/(sigma*|v0|) is refused: RK4 would leave the band.
     stop_energy defaults to 1e-12 times the initial kinetic energy and is
     compared against the recoverable energy of each completed reversal (the
     only instants where the energy balance is meaningful); the dynamics
@@ -95,6 +101,15 @@ class SimConfig(NamedTuple):
             )
         if not 0.0 < self.t_max < math.inf:
             raise ConfigError(f"t_max must be finite and > 0, got {self.t_max}")
+        # spared: a start within 1e-9*f_c of the edge it relaxes to, whose overshoot can round off
+        p, h = self.params, min(dt, self.t_max)
+        if (self.dt is None and p.gamma == 1.0 and (g := h * p.ratio * abs(self.v0)) > _G_MAX
+                and p.f_c - (self.f0 if self.v0 > 0.0 else -self.f0) > 1e-9 * p.f_c):
+            raise ConfigError(
+                f"the default dt (1/200)*sqrt(mass/sigma) takes a first step of {h}, {g:.6g} "
+                f"times the saturation time f_c/(sigma*|v0|), past {_G_MAX} at gamma=1, where "
+                f"RK4 leaves the band; set sim.dt"
+            )
         if self.max_reversals is not None and self.max_reversals < 1:
             raise ConfigError(f"max_reversals must be >= 1, got {self.max_reversals}")
         if self.stop_energy is not None and not 0.0 <= self.stop_energy < math.inf:

@@ -274,15 +274,16 @@ def test_simulation_kinds_accept_any_gamma():
     for kind in ("simulate", "fig7"):
         data = default_config(kind)
         data["params"]["gamma"] = 0.5
-        assert config_from_dict(data).sim.params.gamma == 0.5
+        assert all(run.params.gamma == 0.5 for _, _, run in config_from_dict(data).runs)
 
 
 def test_overrides_nested_and_typed():
     data = default_config("simulate")
     apply_overrides(data, ["params.sigma=2.5", "sim.max_reversals=null", "output_dir=elsewhere"])
     cfg = config_from_dict(data)
-    assert cfg.sim.params.sigma == 2.5
-    assert cfg.sim.max_reversals is None
+    (_, _, run), = cfg.runs
+    assert run.params.sigma == 2.5
+    assert run.max_reversals is None
     assert str(cfg.output_dir) == "elsewhere"
     data = default_config("fig3")
     apply_overrides(data, ["sweep=[1,10]"])
@@ -295,11 +296,11 @@ def test_scale_check_spares_the_simulation_kinds():
     data = default_config("simulate")
     data["params"]["sigma"] = 1e-320
     data["sim"]["dt"] = 1e-3
-    assert config_from_dict(data).runs[0][2].sigma == 1e-320
+    assert config_from_dict(data).runs[0][2].params.sigma == 1e-320
     data = default_config("fig7")
     data["sweep"] = [1e-320]
     data["sim"]["dt"] = 1e-3
-    assert config_from_dict(data).runs[0][2].sigma == 1e-320
+    assert config_from_dict(data).runs[0][2].params.sigma == 1e-320
 
 
 # log10 of f_c and of sigma/f_c, across the positive float range
@@ -542,7 +543,8 @@ def test_an_int_config_number_runs_as_its_float(tmp_path, kind, ints):
     manifests = []
     for side, values in (("int", ints), ("float", {k: float(v) for k, v in ints.items()})):
         overrides = [f"{path}={json.dumps(value)}" for path, value in values.items()]
-        params = [p for _, _, p in load_config(kind, None, overrides, None).runs]
+        params = [getattr(run, "params", run)
+                  for _, _, run in load_config(kind, None, overrides, None).runs]
         assert all(type(value) is float for p in params for value in p)
         args = [kind, "--out", str(tmp_path / side)]
         assert main(args + [word for item in overrides for word in ("--override", item)]) == 0
@@ -621,8 +623,8 @@ def main_arguments(draw):
     except ConfigError:
         return kind, overrides
     if "sim" in READ_SETS[kind]:
-        rate = sum(1.0 / cfg.sim._replace(params=p).effective_dt() for _, _, p in cfg.runs)
-        if cfg.sim.t_max * rate > SIM_STEP_BUDGET:  # a t_max of 0 after an inf rate exits 2
+        rate = sum(1.0 / run.effective_dt() for _, _, run in cfg.runs)
+        if cfg.runs[0][2].t_max * rate > SIM_STEP_BUDGET:  # a t_max of 0 after an inf rate exits 2
             overrides.append(f"sim.t_max={json.dumps(SIM_STEP_BUDGET / rate)}")
     return kind, overrides
 
@@ -870,15 +872,50 @@ PROBES = {
         2, "config error: sim: the default dt (1/200)*sqrt(mass/sigma) overflows to inf "
            "at mass=1e+300 and sigma=1e-10; set sim.dt\n",
     ),
+    # sweep[0]'s step of t_max is 1.0 saturation times, inside the band
     "fig7_default_dt_overflows": (
-        ["fig7", "--override", "params.mass=1e300", "--override", "sweep=[10,1e-10]"],
+        ["fig7", "--override", "params.mass=1e300", "--override", "sweep=[0.01,1e-10]"],
         2, "config error: sweep[1]: the default dt (1/200)*sqrt(mass/sigma) overflows "
            "to inf at mass=1e+300 and sigma=1e-10; set sim.dt\n",
     ),
-    # entries are checked in order: sweep[1] would overflow the peak Dahl slope
+    # entries are checked in order: sweep[1] would overflow the peak Dahl slope; the
+    # first run's record is built from the sim section, which its errors name
     "fig7_reports_the_first_bad_entry": (
         ["fig7", "--override", "params.mass=1e-300", "--override", "sweep=[1e30,1e308]"],
-        2, "config error: sweep[0]: the default dt",
+        2, "config error: sim: the default dt (1/200)*sqrt(mass/sigma) underflows to 0 "
+           "at mass=1e-300 and sigma=1e+30; set sim.dt\n",
+    ),
+    # at gamma = 1 a default first step past 1.2957 saturation times f_c/(sigma*|v0|)
+    # leaves the band: a step of t_max = 200 at sigma/f_c = 100, g = 10000
+    "simulate_default_step_past_the_band": (
+        ["simulate", "--override", "params.mass=1e300", "--override", "params.f_c=1e10",
+         "--override", "params.sigma=1e12"],
+        2, "config error: sim: the default dt (1/200)*sqrt(mass/sigma) takes a first step of "
+           "200.0, 10000 times the saturation time f_c/(sigma*|v0|), past 1.2957 at gamma=1, "
+           "where RK4 leaves the band; set sim.dt\n",
+    ),
+    "fig7_default_step_past_the_band": (
+        ["fig7", "--override", "params.mass=1e300", "--override", "sweep=[10]"],
+        2, "config error: sim: the default dt (1/200)*sqrt(mass/sigma) takes a first step of "
+           "200.0, 1000 times the saturation time",
+    ),
+    "fig7_default_step_past_the_band_in_a_later_entry": (
+        ["fig7", "--override", "params.mass=1e300", "--override", "sweep=[0.01,10]"],
+        2, "config error: sweep[1]: the default dt (1/200)*sqrt(mass/sigma) takes a first "
+           "step of 200.0, 1000 times the saturation time",
+    ),
+    "simulate_default_step_just_past_the_band": (
+        ["simulate", "--override", "params.sigma=100", "--override", "sim.v0=26"],
+        2, "config error: sim: the default dt (1/200)*sqrt(mass/sigma) takes a first step of "
+           "0.0005, 1.3 times the saturation time",
+    ),
+    # the rule holds at gamma = 1 only: at gamma = 2 this step of 0.65 saturation times
+    # escapes from f0/f_c = -0.99, where the same step at gamma = 1 stays in the band
+    "simulate_gamma_2_band_escape_is_not_refused": (
+        ["simulate", "--override", "params.sigma=100", "--override", "sim.v0=13",
+         "--override", "params.gamma=2", "--override", "sim.f0=-0.99"],
+        3, "run error: simulate: StepRejectionError: force escaped the band inside a step "
+           "of dt=0.0005: ",
     ),
     "fig7_default_dt_underflows": (
         ["fig7", "--override", "params.mass=1e-300", "--override", "sweep=[10,1e30]"],
@@ -975,6 +1012,46 @@ def test_probed_inputs_exit_with_one_line(tmp_path, monkeypatch, capsys, args, c
     assert err.startswith(err_start)
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+# each step of these runs stays under 1.2957 saturation times f_c/(sigma*|v0|), or
+# starts on the edge of the band the force relaxes to, so the default-step rule spares them
+@pytest.mark.parametrize("kind, overrides", [
+    ("simulate", ["params.sigma=100", "sim.v0=25.8"]),  # g = 1.29
+    # g = 0.25 at the run's sigma = 0.01; at the unswept sigma = 1, which no run uses, 2.5
+    ("fig7", ["params.mass=1e6", "sweep=[0.01]"]),
+    # g = 1.3 and 2, each starting at the saturated force, where a step of any length stays
+    ("simulate", ["params.sigma=100", "sim.v0=26", "sim.f0=1"]),
+    ("simulate", ["params.sigma=100", "sim.v0=-40", "sim.f0=-1"]),
+    # a t_max below the default dt is the one step: 1.04 saturation times
+    ("simulate", ["params.sigma=100", "sim.v0=26", "sim.t_max=0.0004"]),
+], ids=["g1.29", "fig7_run_sigma", "saturated_start", "saturated_start_negative_v0",
+        "t_max_below_dt"])
+def test_the_default_step_rule_spares_a_step_the_band_holds(tmp_path, capsys, kind, overrides):
+    args = [kind, "--out", str(tmp_path)]
+    assert main(args + [word for item in overrides for word in ("--override", item)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_each_simulated_run_is_one_record_built_at_its_params(tmp_path, monkeypatch):
+    assert "sim" not in ExperimentConfig._fields
+    built = []
+    new = SimConfig.__new__
+    monkeypatch.setattr(SimConfig, "__new__",
+                        lambda cls, *args, **kwargs: built.append(1) or new(cls, *args, **kwargs))
+    received = []
+    monkeypatch.setattr(cli, "simulate", lambda run: received.append(run) or simulate(run))
+    data = default_config("fig7")
+    data["sweep"] = [10, 100]
+    data["sim"]["max_reversals"] = 3
+    data["output_dir"] = str(tmp_path)
+    cfg = config_from_dict(data)
+    runs = [run for _, _, run in cfg.runs]
+    assert [type(run) for run in runs] == [SimConfig, SimConfig]
+    assert [run.params.sigma for run in runs] == [10.0, 100.0]
+    assert run_experiment(cfg)[0] == 0
+    assert len(received) == 2 and all(a is b for a, b in zip(received, runs))
+    assert len(built) == 2  # one per run: none at the unswept sigma, none in the runner
 
 
 @pytest.mark.parametrize(

@@ -80,6 +80,29 @@ def test_the_step_must_be_finite_and_positive(kwargs, message):
     assert SimConfig(**{**kwargs, "dt": 1e-3}).effective_dt() == 1e-3
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["v0>0", "v0<0"])
+@pytest.mark.parametrize("f0_over_fc", [-0.99, 0.0, 0.99, 1.0 - 2e-9])
+@pytest.mark.parametrize("ratio", [1e2, 1e4, 1e6])
+def test_a_default_step_past_g_max_is_refused_as_it_would_leave_the_band(ratio, f0_over_fc,
+                                                                        sign):
+    # g = dt*sigma*|v0|/f_c, the first step in saturation times. The band's edge lies
+    # at 1.295602-1.295605 on this grid, between the two steps tried; 1 - 2e-9 starts
+    # just farther from the edge the force relaxes to than the 1e-9*f_c the rule spares
+    p = FrictionParams(1.0, ratio)
+    dt = 0.005 * math.sqrt(p.mass / p.sigma)
+
+    def config(g, t_max, **kwargs):
+        return SimConfig(p, v0=sign * g / (dt * ratio), f0=sign * f0_over_fc, t_max=t_max,
+                         **kwargs)
+
+    assert len(simulate(config(1.2956, 4 * dt)).t) == 5
+    above = oscillator_module._G_MAX * (1.0 + 1e-9)
+    with pytest.raises(ConfigError, match=r"times the saturation time .*; set sim\.dt$"):
+        config(above, 4 * dt)
+    with pytest.raises(StepRejectionError, match="force escaped the band"):
+        simulate(config(above, dt, dt=dt))  # t_max = dt: one step
+
+
 @st.composite
 def in_band_runs(draw):
     """A short run at sigma/f_c log-uniform in [1, 1e4], gamma 1 or 2, started inside the band.

@@ -206,8 +206,8 @@ SIGNATURES = {
     CheckResult: [("name", REQUIRED), ("passed", REQUIRED), ("measured", REQUIRED),
                   ("tolerance", REQUIRED), ("detail", "")],
     ChainSettings: [("f0_over_fc", -1.0), ("n_steps", 20), ("mode", "exact")],
-    ExperimentConfig: [("kind", REQUIRED), ("sim", REQUIRED), ("chain", REQUIRED),
-                       ("output_dir", REQUIRED), ("runs", REQUIRED)],
+    ExperimentConfig: [("kind", REQUIRED), ("chain", REQUIRED), ("output_dir", REQUIRED),
+                       ("runs", REQUIRED)],
 }
 
 
@@ -248,6 +248,10 @@ INVALID = [
     (SimConfig, {"f0": -2.0}, ConfigError, "|f0|=2.0 exceeds the friction level f_c=1.0"),
     (SimConfig, {"dt": 0.0}, ConfigError, "dt must be finite and > 0, got 0.0"),
     (SimConfig, {"t_max": math.inf}, ConfigError, "t_max must be finite and > 0, got inf"),
+    (SimConfig, {"v0": 300.0}, ConfigError,
+     "the default dt (1/200)*sqrt(mass/sigma) takes a first step of 0.0015811388300841897, "
+     "4.74342 times the saturation time f_c/(sigma*|v0|), past 1.2957 at gamma=1, where RK4 "
+     "leaves the band; set sim.dt"),
     (SimConfig, {"max_reversals": 0}, ConfigError, "max_reversals must be >= 1, got 0"),
     (SimConfig, {"stop_energy": -1.0}, ConfigError,
      "stop_energy must be finite and >= 0, got -1.0"),
@@ -273,7 +277,7 @@ RECORDS = [
     P, BranchState(0.0, 0.5, 1), SimConfig(P),
     ReversalRecord(0, 1.0, 0.5, -0.5, 0.1, 0.0), QuadResult(1.0, 3),
     CheckResult("check", True, 0.0, 1.0), ChainSettings(),
-    ExperimentConfig("chain", SimConfig(P), ChainSettings(), Path("out"), ()),
+    ExperimentConfig("chain", ChainSettings(), Path("out"), ()),
     Trajectory(*(array("d", [0.0]) for _ in range(5)), [], SimConfig(P)),
 ]
 
